@@ -86,6 +86,8 @@ class RunConfig:
             raise ValueError("--convention must be standard or shifted-zeta")
         if self.prime_cutoff < 100:
             raise ValueError("--prime-cutoff must be >= 100")
+        if self.subcommand == "tail" and self.n < 2:
+            raise ValueError("tail needs --n >= 2 (its budget divides by log n)")
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +151,16 @@ def _cmd_dirichlet_check(cfg: RunConfig) -> int:
         "d1_direct_truncation": direct.truncation_bound,
     }
     if cfg.s - cfg.r > 1.0:
-        check = dirichlet.shifted_series_residual(cfg.s, cfg.r, cutoff=cfg.prime_cutoff)
-        doc.update({
-            "shifted_direct": check.direct,
-            "shifted_series_part": check.d1_part,
-            "shifted_budget": check.d2_budget,
-            "shifted_ok": check.residual_bound_ok,
-            "dsigma_residual": dirichlet.dsigma_residual(cfg.s, cfg.r),
-        })
+        # the shifted series' budget involves zeta(r), so r = 1 omits it
+        if cfg.r >= 2:
+            check = dirichlet.shifted_series_residual(cfg.s, cfg.r, cutoff=cfg.prime_cutoff)
+            doc.update({
+                "shifted_direct": check.direct,
+                "shifted_series_part": check.d1_part,
+                "shifted_budget": check.d2_budget,
+                "shifted_ok": check.residual_bound_ok,
+            })
+        doc["dsigma_residual"] = dirichlet.dsigma_residual(cfg.s, cfg.r)
     emit_json(doc, cfg.output)
     return 0
 
@@ -361,9 +365,11 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], tuple[bool, str]
         return monotone and near, f"ratios = {[f'{x:.4f}' for x in ratios]}"
 
     def chk_minor_arc() -> tuple[bool, str]:
-        one = saddle.minor_arc_ratio(0.05, 0.0, 1.0, 2)
-        below = saddle.minor_arc_ratio(0.05, math.pi, 1.0, 2)
-        return one == 1.0 and below < 1.0, f"ratio(0) = {one}, ratio(pi) = {below:.3e}"
+        # on the log scale: the ratio itself underflows to 0 at theta = pi
+        zero = saddle.minor_arc_log_ratio(0.05, 0.0, 1.0, 2)
+        far = saddle.minor_arc_log_ratio(0.05, math.pi, 1.0, 2)
+        ok = zero == 0.0 and math.isfinite(far) and far < 0.0
+        return ok, f"log ratio(0) = {zero}, log ratio(pi) = {far:.3e}"
 
     checks = [
         ("arith.ramanujan_closed_vs_exponential", chk_ramanujan_closed),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,17 +28,37 @@ DEFAULT_PRIME_CUTOFF = 10**6
 
 _PRIMES: list[int] = []
 _PRIMES_LIMIT = 0
+_PRIME_FLOATS = np.empty(0)
+_PRIMES_LOCK = threading.Lock()
+
+
+def _prime_cache(limit: int) -> tuple[list[int], np.ndarray]:
+    """The shared prime list and its float64 copy, both covering limit.
+
+    Extended under a lock, so concurrent callers sieve once; both are
+    read-only afterwards."""
+    global _PRIMES, _PRIMES_LIMIT, _PRIME_FLOATS
+    with _PRIMES_LOCK:
+        if limit > _PRIMES_LIMIT:
+            found = arith.primes_up_to(limit)
+            _PRIME_FLOATS = np.array(found, dtype=np.float64)
+            _PRIME_FLOATS.flags.writeable = False
+            _PRIMES = found
+            _PRIMES_LIMIT = limit
+        return _PRIMES, _PRIME_FLOATS
 
 
 def primes(limit: int = DEFAULT_PRIME_CUTOFF) -> list[int]:
     """Shared, growing prime list (read-only after each extension)."""
-    global _PRIMES, _PRIMES_LIMIT
-    if limit > _PRIMES_LIMIT:
-        _PRIMES = arith.primes_up_to(limit)
-        _PRIMES_LIMIT = limit
-    if limit == _PRIMES_LIMIT:
-        return _PRIMES
-    return _PRIMES[: bisect.bisect_right(_PRIMES, limit)]
+    found, _ = _prime_cache(limit)
+    count = bisect.bisect_right(found, limit)
+    return found if count == len(found) else found[:count]
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes <= limit as a read-only float64 array."""
+    found, floats = _prime_cache(limit)
+    return floats[: bisect.bisect_right(found, limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +266,23 @@ class SeriesValue:
 
 
 def _euler_product(
-    factor: Callable[[int], float],
+    factor: Callable[[np.ndarray], np.ndarray],
     tail_const: float,
     tail_alpha: float,
     cutoff: int,
     tol: float,
 ) -> EulerProductValue:
+    """prod over p <= cutoff of factor(p), with factor evaluated once over
+    the float array of the primes; the logs are added by math.fsum."""
     if tail_alpha <= 1.0:
         raise ValueError("divergent parameter region (tail exponent <= 1)")
-    logs = []
-    for p in primes(cutoff):
+    p = _prime_array(cutoff)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = factor(p)
-        if f <= 0.0:
-            raise ValueError(f"nonpositive Euler factor at p = {p}")
-        logs.append(math.log(f))
-    value = math.exp(math.fsum(logs))
+    bad = np.flatnonzero(~(f > 0.0))
+    if bad.size:
+        raise ValueError(f"nonpositive Euler factor at p = {int(p[bad[0]])}")
+    value = math.exp(math.fsum(np.log(f)))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
     tail = abs(value) * math.expm1(log_tail)
     return EulerProductValue(value, cutoff, tail, tail < tol)
@@ -271,7 +294,7 @@ def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-8) ->
     if r < 1:
         raise ValueError("constant_C requires r >= 1")
     return _euler_product(
-        lambda p: 1.0 + 1.0 / (p ** (r + 1) * (p - 1)),
+        lambda p: 1.0 + 1.0 / (p ** (r + 1) * (p - 1.0)),
         tail_const=2.0, tail_alpha=r + 2.0, cutoff=cutoff, tol=tol,
     )
 
@@ -284,9 +307,9 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1
     if s + r + 1 <= 1:
         raise ValueError("euler_K requires s + r + 1 > 1")
 
-    def factor(p: int) -> float:
-        h = 1.0 / (p ** (r + 1) * (p - 1))
-        return 1.0 + h * (1.0 - p ** -s) / (1.0 - float(p) ** (-(s + r + 1.0)))
+    def factor(p: np.ndarray) -> np.ndarray:
+        h = 1.0 / (p ** (r + 1) * (p - 1.0))
+        return 1.0 + h * (1.0 - p ** -s) / (1.0 - p ** (-(s + r + 1.0)))
 
     alpha = r + 2.0 - max(0.0, -s)
     const = 4.0 / (1.0 - 2.0 ** (-(s + r + 1.0)))
@@ -303,10 +326,10 @@ def E_r_and_Cprime(
         raise ValueError("E_r requires sigma > -2r/3")
     denom_const = 1.0 - 2.0 ** (-(sigma + r + 1.0))
 
-    def factor_e(p: int) -> float:
+    def factor_e(p: np.ndarray) -> np.ndarray:
         lead = (1.0 - p ** float(-r)) / p ** (r + 1)
         # negative-exponent form: underflows to 0 instead of overflowing
-        decay = math.exp(-(3.0 * sigma + 2 * r + 1.0) * math.log(p))
+        decay = np.exp(-(3.0 * sigma + 2 * r + 1.0) * np.log(p))
         return 1.0 + lead * decay / (2.0 * denom_const)
 
     e_val = _euler_product(
@@ -527,10 +550,23 @@ def d2_quartic_character(
 
 @lru_cache(maxsize=4)
 def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
-    """sigma_r(1..limit) in float64 (exact for values below 2^53)."""
+    """sigma_r(0..limit) in float64 (entry 0 is 0), by a pair sieve.
+
+    Every n = d e with d <= e is reached once from d <= sqrt(limit), which
+    adds d^r + e^r over its cofactors e through one strided view; d = e
+    counts once.  The values are exact while every power and partial sum
+    stays below 2^53: for r <= 2 through 10^6, for r = 3 only up to about
+    2*10^5, past which the entries are rounded to a few ulps.
+    """
     arr = np.zeros(limit + 1, dtype=np.float64)
-    for d in range(1, limit + 1):
-        arr[d::d] += float(d) ** r
+    for d in range(1, math.isqrt(limit) + 1):
+        dr = float(d) ** r
+        pair = np.arange(d, limit // d + 1, dtype=np.float64)
+        pair **= r
+        pair += dr
+        arr[d * d :: d] += pair
+        arr[d * d] -= dr
+    arr.flags.writeable = False
     return arr
 
 
@@ -548,7 +584,12 @@ def shifted_series_residual(
 ) -> ShiftedSeriesCheck:
     """Compare the directly summed shifted series sum_n sigma_r(n+1)/n^s
     against its Mobius-side part zeta(r+1) sum_i C(r,i) D1(s-i, r); the
-    difference must sit inside the bound-side budget."""
+    difference must sit inside the bound-side budget.
+
+    Needs r >= 2: the truncation bound uses zeta(r) and the budget d2_bound,
+    both of which diverge at r = 1."""
+    if r < 2:
+        raise ValueError("shifted_series_residual requires r >= 2")
     if s - r <= 1.0:
         raise ValueError("need s - r > 1 so every shifted argument stays in range")
     sig = _sigma_float_sieve(r, n_cutoff + 1)

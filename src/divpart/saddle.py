@@ -7,16 +7,25 @@ saddle-point equation in both the gap-weighted and plain forms, and
 numeric probes of the leading-order Mellin asymptotics, the minor-arc
 decay, and the trigonometric kernel lower bound.
 
-Every k-sum uses compensated (Kahan) accumulation and the shared
-truncation rule: stop once |gap(k)| k^4 e^(-gamma k) falls below 1e-18
-of the accumulated magnitude, hard-capped at 10^7 terms.
+Every k-sum but the Mellin double sum runs through one numpy kernel,
+_ksum, under the shared truncation rule: stop once
+max(|gap(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the running total,
+hard-capped at 10^7 terms.  The kernel adds the terms of each block of k
+by numpy's pairwise summation and the block sums by math.fsum, so a sum
+is good to a few ulps of sum |term| rather than of |sum|; the tests hold
+it to 1e-13 relative against a compensated scalar loop.  The Mellin
+double sum keeps its own compensated scalar loop.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import dirichlet
 from .arith import GapSequence
@@ -72,43 +81,136 @@ class SaddleBracketError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Gap cache
+# Gap cache and the k-sum kernel
 # ---------------------------------------------------------------------------
 
-_GAPS: dict[int, list[float]] = {}
+_GAPS: dict[int, np.ndarray] = {}
+_GAPS_LOCK = threading.Lock()
 
 
-def _gaps_float(r: int, need: int) -> list[float]:
-    """gap(1..>=need) as floats, grown by doubling; exact below 2^53."""
-    cur = _GAPS.get(r)
-    if cur is None or len(cur) < need:
-        size = 1 << max(10, (need - 1).bit_length() + 1)
-        seq = GapSequence.build(r, size)
-        _GAPS[r] = [float(g) for g in seq.gaps]
-    return _GAPS[r]
+def _gaps_float(r: int, need: int) -> np.ndarray:
+    """gap(1..>=need) as float64, from GapSequence grown to a power of two.
+
+    A gap is exact while |gap| < 2^53 and correctly rounded beyond (r = 3
+    passes 2^53 near k = 2*10^5).  The array is read-only once cached.
+    """
+    with _GAPS_LOCK:
+        cur = _GAPS.get(r)
+        if cur is None or len(cur) < need:
+            size = 1 << max(10, (need - 1).bit_length())
+            cur = np.array(GapSequence.build(r, size).gaps, dtype=np.float64)
+            cur.flags.writeable = False
+            _GAPS[r] = cur
+        return cur
+
+
+_BLOCK_MIN = 64
+_BLOCK_MAX = 1 << 16
+_LOG_RATIO = -math.log(TRUNCATION_RATIO)
+
+
+def _block_length(gamma: float, power: float) -> int:
+    """Where k^power e^(-gamma k) falls to TRUNCATION_RATIO, so that one
+    block usually holds the whole sum (power counts the growth of the gap
+    weights, gap_r(k) = O(k^r), too)."""
+    k = float(_BLOCK_MIN)
+    for _ in range(4):
+        k = (_LOG_RATIO + power * math.log(max(k, 1.0))) / gamma
+    return int(min(max(k, _BLOCK_MIN), _BLOCK_MAX))
+
+
+def _ksum(
+    gamma: float,
+    r: int | None,
+    summands: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
+    k_cap: int | None = None,
+    stop_power: float = 4,
+) -> list[float]:
+    """sum_{k>=1} w(k) s_i(k, e^(-gamma k)) for every array s_i that
+    summands(k, q) returns, with w = gap_r (r given) or w = 1 (r None).
+
+    Each sum stops at the first k where
+    max(|w(k)|, 1) k^stop_power e^(-gamma k) < TRUNCATION_RATIO * |its
+    running total|, or after k = k_cap.  The terms are evaluated over
+    equal blocks of k of at most 2^16 entries, so memory stays flat.  A
+    sum still open after HARD_TERM_CAP terms raises RuntimeError; a
+    non-finite term raises ArithmeticError.
+    """
+    cap = HARD_TERM_CAP if k_cap is None else min(k_cap, HARD_TERM_CAP)
+    if cap < 1:
+        empty = np.empty(0)
+        return [0.0] * len(summands(empty, empty))
+    running: list[float] = []   # cumulative total, for the stop rule
+    pieces: list[list[float]] = []  # per-sum block sums, added by fsum
+    open_sums: list[int] = []
+    start = 1
+    size = _block_length(gamma, stop_power + (r or 0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while start <= cap:
+            end = min(start + size - 1, cap)
+            k = np.arange(start, end + 1, dtype=np.float64)
+            q = np.exp(-gamma * k)
+            bound = k**stop_power * q
+            terms = summands(k, q)
+            if r is not None:
+                gap = _gaps_float(r, end)[start - 1 : end]
+                bound *= np.maximum(np.abs(gap), 1.0)
+                terms = [gap * t for t in terms]
+                zero = gap == 0.0
+                if zero.any():  # a zero weight drops its term, finite or not
+                    for t in terms:
+                        t[zero] = 0.0
+            if start == 1:
+                running = [0.0] * len(terms)
+                pieces = [[] for _ in terms]
+                open_sums = list(range(len(terms)))
+            for i in list(open_sums):
+                run = np.cumsum(terms[i])
+                run += running[i]
+                hit = np.flatnonzero(bound < TRUNCATION_RATIO * np.maximum(np.abs(run), 1e-300))
+                used = int(hit[0]) + 1 if hit.size else run.size
+                if not math.isfinite(run[used - 1]):
+                    bad = start + int(np.argmin(np.isfinite(terms[i])))
+                    raise ArithmeticError(
+                        f"k-sum term not finite at k = {bad} (gamma = {gamma})"
+                    )
+                pieces[i].append(float(np.sum(terms[i][:used])))
+                running[i] = float(run[used - 1])
+                if hit.size:
+                    open_sums.remove(i)
+            if not open_sums:
+                break
+            start = end + 1
+    if open_sums and (k_cap is None or k_cap > HARD_TERM_CAP):
+        raise RuntimeError(
+            f"k-sum budget exhausted at gamma = {gamma}: over {HARD_TERM_CAP} terms"
+        )
+    return [math.fsum(p) for p in pieces]
 
 
 # ---------------------------------------------------------------------------
 # Closed-form partials
 # ---------------------------------------------------------------------------
 
-def _term_value(jg: int, ju: int, k: int, q: float, u: float) -> float:
-    """Summand of the (jg, ju) partial at part size k, with q = e^(-gamma k).
+def _partial_terms(jg: int, ju: int, k: np.ndarray, q: np.ndarray, u: float) -> np.ndarray:
+    """Summands of the (jg, ju) partial, without the gap weight, over arrays
+    of part sizes k and q = e^(-gamma k).
 
     All formulas are the literal derivatives of log(1 + u q) written in the
     overflow-safe variable q.
     """
-    w = 1.0 + u * q
+    uq = u * q
+    w = 1.0 + uq
     if ju == 0:
         if jg == 0:
-            return math.log1p(u * q)
+            return np.log1p(uq)
         if jg == 1:
-            return -k * u * q / w
+            return -k * uq / w
         if jg == 2:
-            return k * k * u * q / (w * w)
+            return k * k * uq / (w * w)
         if jg == 3:
-            return -(k**3) * u * q * (1.0 - u * q) / w**3
-        return k**4 * u * q * (1.0 - 4.0 * u * q + (u * q) ** 2) / w**4  # jg == 4
+            return -(k**3) * uq * (1.0 - uq) / w**3
+        return k**4 * uq * (1.0 - 4.0 * uq + uq * uq) / w**4  # jg == 4
     if jg == 0:
         if ju == 1:
             return q / w
@@ -119,13 +221,21 @@ def _term_value(jg: int, ju: int, k: int, q: float, u: float) -> float:
         if jg == 1:
             return -k * q / (w * w)
         if jg == 2:
-            return k * k * q * (1.0 - u * q) / w**3
-        return -(k**3) * q * (1.0 - 4.0 * u * q + (u * q) ** 2) / w**4  # jg == 3
+            return k * k * q * (1.0 - uq) / w**3
+        return -(k**3) * q * (1.0 - 4.0 * uq + uq * uq) / w**4  # jg == 3
     if ju == 2:
         if jg == 1:
             return 2.0 * k * q * q / w**3
-        return -2.0 * k * k * q * q * (2.0 - u * q) / w**4  # jg == 2
+        return -2.0 * k * k * q * q * (2.0 - uq) / w**4  # jg == 2
     return -6.0 * k * q**3 / w**4  # (jg, ju) == (1, 3)
+
+
+def _partials(
+    gamma: float, u: float, r: int | None, pairs: tuple[tuple[int, int], ...]
+) -> list[float]:
+    """The (jg, ju) partials of F in one kernel pass; r None drops the gap
+    weights (the plain product)."""
+    return _ksum(gamma, r, lambda k, q: [_partial_terms(jg, ju, k, q, u) for jg, ju in pairs])
 
 
 def F_partial(gamma: float, u: float, r: int, request) -> float:
@@ -134,72 +244,29 @@ def F_partial(gamma: float, u: float, r: int, request) -> float:
         raise ValueError("F_partial requires gamma > 0 and u > 0")
     if isinstance(request, tuple):
         request = DerivativeRequest(*request)
-    jg, ju = request.j_gamma, request.j_u
-
-    gaps = _gaps_float(r, 64)
-    total = 0.0
-    comp = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > HARD_TERM_CAP:
-            raise RuntimeError(
-                f"k-sum budget exhausted at gamma = {gamma}: over {HARD_TERM_CAP} terms"
-            )
-        if k > len(gaps):
-            gaps = _gaps_float(r, k)
-        gap = gaps[k - 1]
-        q = math.exp(-gamma * k)
-        if gap:
-            term = gap * _term_value(jg, ju, k, q, u)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        # max with 1 so the isolated zero gaps cannot stop the sum early
-        if max(abs(gap), 1.0) * k**4 * q < TRUNCATION_RATIO * max(abs(total), 1e-300):
-            break
-    return total
+    return _partials(gamma, u, r, ((request.j_gamma, request.j_u),))[0]
 
 
 # ---------------------------------------------------------------------------
 # Saddle-point equations
 # ---------------------------------------------------------------------------
 
-def _weight_equation(tau: float, u: float, r: int) -> float:
-    """-F_gamma(tau, u): the gap-weighted saddle left-hand side."""
-    return -F_partial(tau, u, r, (1, 0))
+#: evaluations a solve may spend before it reports no convergence
+MAX_SOLVE_STEPS = 200
 
 
-def _plain_equation(eta: float) -> float:
-    """sum_k k / (e^(eta k) + 1): the plain (gap-free) saddle left-hand side."""
-    total = 0.0
-    comp = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > HARD_TERM_CAP:
-            raise RuntimeError("plain-saddle k-sum budget exhausted")
-        q = math.exp(-eta * k)
-        term = k * q / (1.0 + q)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if k**4 * q < TRUNCATION_RATIO * max(abs(total), 1e-300):
-            break
-    return total
+def _saddle_equation(t: float, u: float, r: int, mode: str) -> tuple[float, float]:
+    """(lhs, d lhs / dt) of the saddle equation, in one kernel pass.
 
-
-def _plain_equation_slope(eta: float) -> float:
-    total = 0.0
-    k = 0
-    while True:
-        k += 1
-        q = math.exp(-eta * k)
-        total -= k * k * q / (1.0 + q) ** 2
-        if k**4 * q < TRUNCATION_RATIO * max(abs(total), 1e-300):
-            return total
+    general: lhs = -F_gamma(t, u), slope -F_gammagamma;
+    paper_literal: lhs = sum_k k / (e^(t k) + 1), the same pair of sums
+    without gap weights at u = 1.
+    """
+    if mode == "general":
+        g1, g2 = _partials(t, u, r, ((1, 0), (2, 0)))
+    else:
+        g1, g2 = _partials(t, 1.0, None, ((1, 0), (2, 0)))
+    return -g1, -g2
 
 
 def solve_saddle(
@@ -213,84 +280,64 @@ def solve_saddle(
 
     general: solve -F_gamma(tau, u) = n (gap weights inside);
     paper_literal: solve sum_k k/(e^(eta k) + 1) = n (no weights).
-    Bracketing by geometric expansion around the asymptotic scale, then
-    bisection to 1e-12 relative width and <= 5 Newton polish steps.
+    Newton steps on log lhs against log tau, where the left-hand side is
+    close to a power of tau, start from the asymptotic scale and use the
+    closed-form slope.  Each evaluation narrows a bracket; a step that
+    leaves it, or a point where the profile does not decrease, falls back
+    to bisection, or to doubling/halving while one side is still open.
     """
     if n < 1:
         raise ValueError("solve_saddle requires n >= 1")
     if mode == "general":
-        lhs = lambda t: _weight_equation(t, u, r)
-        slope = lambda t: F_partial(t, u, r, (2, 0)) * -1.0
         scale = float(n) ** (-1.0 / (r + 2))
     elif mode == "paper_literal":
-        lhs = lambda t: _plain_equation(t)
-        slope = lambda t: _plain_equation_slope(t)
         scale = math.sqrt(math.pi**2 / 12.0 / n)
     else:
         raise ValueError("mode must be 'general' or 'paper_literal'")
     if bracket_hint is not None:
         scale *= bracket_hint
 
-    # lhs decreases in tau; expand geometrically until it straddles n
+    # lhs decreases in tau: lo has lhs >= n, hi has lhs < n
     profile = []
-    lo = hi = scale
-    f_scale = lhs(scale)
-    profile.append((scale, f_scale))
-    steps = 0
-    if f_scale >= n:
-        while True:
-            hi *= 2.0
-            f_hi = lhs(hi)
-            profile.append((hi, f_hi))
-            if f_hi < n:
-                lo = hi / 2.0
-                break
-            steps += 1
-            if steps > 200:
-                raise SaddleBracketError("no bracket above the initial scale", profile)
-    else:
-        while True:
-            lo /= 2.0
-            f_lo = lhs(lo)
-            profile.append((lo, f_lo))
-            if f_lo >= n:
-                hi = lo * 2.0
-                break
-            steps += 1
-            if steps > 200:
-                raise SaddleBracketError("no bracket below the initial scale", profile)
-
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) >= n:
-            lo = mid
+    lo, hi = 0.0, math.inf
+    root = scale
+    for _ in range(MAX_SOLVE_STEPS):
+        f, df = _saddle_equation(root, u, r, mode)
+        profile.append((root, f))
+        if f >= n:
+            lo = root
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(5):
-        g = lhs(root) - n
-        dg = slope(root)
-        if dg == 0.0:
-            break
-        step = g / dg
-        cand = root - step
-        if cand <= 0.0:
+            hi = root
+        cand = math.nan
+        if f > 0.0 and df < 0.0:
+            # Newton on log lhs against log tau; a step moves tau at most e^2-fold
+            step = math.log(f / n) * f / (-root * df)
+            if abs(step) <= 1e-14:
+                break
+            cand = root * math.exp(max(-2.0, min(2.0, step)))
+        if not lo < cand < hi:
+            if hi == math.inf:
+                cand = 2.0 * root
+            elif lo == 0.0:
+                cand = 0.5 * root
+            else:
+                cand = 0.5 * (lo + hi)
+        if not lo < cand < hi:  # the bracket has shrunk to adjacent floats
             break
         root = cand
-        if abs(step) < 1e-16 * root:
-            break
+    else:
+        raise SaddleBracketError(
+            f"saddle solve did not converge in {MAX_SOLVE_STEPS} evaluations", profile
+        )
 
-    residual = abs(lhs(root) - n)
+    residual = abs(f - n)
     if residual > 1e-9 * max(1.0, float(n)):
         raise SaddleBracketError(
             f"saddle solve residual {residual:.3e} exceeds tolerance "
             f"(possible non-monotone profile)",
             profile,
         )
-    f_val = F_partial(root, u, r, (0, 0))
-    f_g = F_partial(root, u, r, (1, 0))
-    f_gg = F_partial(root, u, r, (2, 0))
-    f_ggg = F_partial(root, u, r, (3, 0))
+    f_val, f_g, f_gg, f_ggg = _partials(root, u, r, ((0, 0), (1, 0), (2, 0), (3, 0)))
     if f_gg <= 0.0:
         raise SaddleBracketError(
             f"second derivative {f_gg:.3e} not positive at the root", profile
@@ -303,6 +350,17 @@ def solve_saddle(
     )
 
 
+def _mean_variance_sums(eta: float, r: int) -> list[float]:
+    """The four gap-weighted sums of mean_variance_saddle at root eta:
+    sum q/(1+q), sum q/(1+q)^2, sum k q/(1+q)^2, sum k^2 q/(1+q)^2."""
+
+    def summands(k: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+        w2 = q / (1.0 + q) ** 2
+        return [q / (1.0 + q), w2, k * w2, k * k * w2]
+
+    return _ksum(eta, r, summands)
+
+
 def mean_variance_saddle(n: int, r: int, mode: str = "paper_literal") -> tuple[float, float]:
     """Mean and variance of the part count from the saddle root eta:
 
@@ -312,24 +370,7 @@ def mean_variance_saddle(n: int, r: int, mode: str = "paper_literal") -> tuple[f
              / (sum gap(k) k^2 e^(eta k)/(e^(eta k)+1)^2)
     """
     sp = solve_saddle(n, 1.0, r, mode=mode)
-    eta = sp.tau
-    gaps = _gaps_float(r, 64)
-    mu = a = b = c = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > len(gaps):
-            gaps = _gaps_float(r, k)
-        gap = gaps[k - 1]
-        q = math.exp(-eta * k)
-        if gap:
-            w2 = q / (1.0 + q) ** 2
-            mu += gap * q / (1.0 + q)
-            a += gap * w2
-            b += gap * k * w2
-            c += gap * k * k * w2
-        if max(abs(gap), 1.0) * k**4 * q < TRUNCATION_RATIO * max(abs(mu), 1e-300):
-            break
+    mu, a, b, c = _mean_variance_sums(sp.tau, r)
     if c == 0.0:
         raise ValueError("degenerate variance: curvature sum vanishes")
     nu2 = a - b * b / c
@@ -432,33 +473,17 @@ def minor_arc_log_ratio(
     tau: float, theta: float, u: float, r: int, k_cap: int | None = None
 ) -> float:
     """log of the arc ratio:
-    0.5 sum_k gap(k) log[1 - 2 u e^(-k tau)(1 - cos k theta)/(1 + u e^(-k tau))^2]."""
+    0.5 sum_k gap(k) log[1 - 2 u e^(-k tau)(1 - cos k theta)/(1 + u e^(-k tau))^2].
+
+    A log factor whose argument is not positive raises ArithmeticError."""
     if tau <= 0.0 or u <= 0.0:
         raise ValueError("minor_arc_ratio requires tau > 0 and u > 0")
-    gaps = _gaps_float(r, 64)
-    acc = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k_cap is not None and k > k_cap:
-            break
-        if k > HARD_TERM_CAP:
-            raise RuntimeError("minor-arc k-sum budget exhausted")
-        if k > len(gaps):
-            gaps = _gaps_float(r, k)
-        gap = gaps[k - 1]
-        q = math.exp(-tau * k)
-        if gap:
-            arg = 1.0 - 2.0 * u * q * (1.0 - math.cos(k * theta)) / (1.0 + u * q) ** 2
-            if arg <= 0.0:
-                raise ArithmeticError(
-                    f"log factor argument {arg:.3e} <= 0 at k = {k} "
-                    f"(tau = {tau}, theta = {theta}, u = {u})"
-                )
-            acc += gap * math.log(arg)
-        if max(abs(gap), 1.0) * k**4 * q < TRUNCATION_RATIO * max(abs(acc), 1e-300):
-            break
-    return 0.5 * acc
+
+    def summands(k: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+        uq = u * q
+        return [np.log(1.0 - 2.0 * uq * (1.0 - np.cos(k * theta)) / (1.0 + uq) ** 2)]
+
+    return 0.5 * _ksum(tau, r, summands, k_cap=k_cap)[0]
 
 
 def lichen_probe(k: int, xi: float, y: float) -> tuple[float, float]:
@@ -469,14 +494,10 @@ def lichen_probe(k: int, xi: float, y: float) -> tuple[float, float]:
     proportionality constant is not accessible numerically."""
     if k < 1 or xi <= 0.0:
         raise ValueError("lichen_probe requires k >= 1 and xi > 0")
-    lhs = 0.0
-    n = 0
-    while True:
-        n += 1
-        q = math.exp(-n * xi)
-        lhs += float(n) ** (k - 1) * q * (1.0 - math.cos(n * y))
-        if float(n) ** (k + 3) * q < 1e-18 * max(abs(lhs), 1e-300):
-            break
+    lhs = _ksum(
+        xi, None, lambda n, q: [n ** (k - 1) * q * (1.0 - np.cos(n * y))],
+        stop_power=k + 3,
+    )[0]
     e_xi = math.exp(-xi)
     rhs = e_xi / (1.0 - e_xi) ** k - e_xi / abs(1.0 - cmath.exp(-xi - 1j * y)) ** k
     return lhs, rhs

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -106,6 +107,14 @@ class TestDirichletCheck:
         assert doc["shifted_ok"] is True
         assert float(doc["dsigma_residual"]) < 1e-6
 
+    def test_r1_omits_shifted_series(self, capsys):
+        code, out, err = run_cli(["dirichlet-check", "--r", "1", "--s", "3.5"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert not [key for key in doc if key.startswith("shifted")]
+        assert float(doc["d1_difference"]) < 1e-3
+        assert float(doc["dsigma_residual"]) < 1e-6
+
 
 class TestVerify:
     def test_quick_passes(self, capsys, tmp_path):
@@ -115,6 +124,10 @@ class TestVerify:
         assert out.strip().endswith("checks passed)")
         doc = json.loads(path.read_text())
         assert doc["failures"] == 0
+        arc = [c["detail"] for c in doc["checks"] if c["name"] == "saddle.minor_arc_decay"]
+        # the far-arc value is a finite negative log, not an underflowed ratio
+        far = float(arc[0].rsplit("= ", 1)[1])
+        assert math.isfinite(far) and far < 0.0
 
 
 class TestDeterminism:
@@ -132,6 +145,13 @@ class TestConfigErrors:
         code, _, err = run_cli(["constants", "--r", "0"], capsys)
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_tail_needs_n_at_least_2(self, capsys, n):
+        code, out, err = run_cli(["tail", "--n", n, "--r", "2"], capsys)
+        assert code == 2
+        assert "configuration error" in err and "--n >= 2" in err
+        assert out == ""
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

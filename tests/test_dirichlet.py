@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
 from divpart import arith
@@ -157,6 +159,36 @@ class TestEulerProductContracts:
         doubled = dl.constant_C(2, cutoff=2 * 10**5, tol=1e-8)
         assert abs(val.value - doubled.value) <= 2e-8
 
+    def test_nonpositive_factor_names_prime(self):
+        with pytest.raises(ValueError, match="p = 3"):
+            dl._euler_product(lambda p: 3.0 - p, 1.0, 2.0, 100, 1e-8)
+
+
+class TestPrimeCache:
+    def test_cold_cache_sieves_once_under_threads(self, monkeypatch, run_in_threads):
+        calls = []
+        real = arith.primes_up_to
+
+        def counting(limit):
+            calls.append(limit)
+            time.sleep(0.05)  # hold the window in which another thread could miss
+            return real(limit)
+
+        monkeypatch.setattr(dl.arith, "primes_up_to", counting)
+        monkeypatch.setattr(dl, "_PRIMES", [])
+        monkeypatch.setattr(dl, "_PRIMES_LIMIT", 0)
+        monkeypatch.setattr(dl, "_PRIME_FLOATS", np.empty(0))
+        counts = run_in_threads(
+            lambda: (len(dl.primes(10**4)), dl._prime_array(10**4).size)
+        )
+        assert counts == [(1229, 1229)] * 4
+        assert calls == [10**4]
+
+    def test_smaller_limit_is_a_prefix(self):
+        big = dl.primes(10**4)
+        assert dl.primes(100) == big[:25]
+        assert dl._prime_array(100).tolist() == [float(p) for p in big[:25]]
+
 
 class TestDoubleSeries:
     def test_closed_vs_direct_moderate(self):
@@ -254,6 +286,11 @@ class TestShiftedSeries:
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.shifted_series_residual(2.5, 2)
+        with pytest.raises(ValueError, match="r >= 2"):
+            dl.shifted_series_residual(3.5, 1)
+
+    def test_dsigma_identity_at_r1(self):
+        assert dl.dsigma_residual(3.5, 1) < 1e-6
 
 
 class TestGrowthConstants:

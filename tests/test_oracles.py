@@ -1,0 +1,104 @@
+"""The vectorised float layers against the scalar loops they replaced
+(tests/_scalar_oracle.py): the k-sum kernel, the pair divisor sieve and
+the array Euler products."""
+
+import math
+
+import pytest
+
+import _scalar_oracle as oracle
+from divpart import arith
+from divpart import dirichlet as dl
+from divpart import saddle as sd
+
+GAMMAS = (0.5, 0.1, 0.01, 0.003)
+US = (0.5, 1.0, 2.0)
+REL = 1e-13
+
+
+def _close(got, want):
+    return abs(got - want) <= REL * abs(want)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("gamma", GAMMAS)
+class TestKernelAgainstScalarLoops:
+    def test_partials(self, r, gamma):
+        for u in US:
+            for jg, ju in sd.SUPPORTED_PARTIALS:
+                want = oracle.F_partial(gamma, u, r, jg, ju)
+                got = sd.F_partial(gamma, u, r, (jg, ju))
+                assert _close(got, want), (u, jg, ju, got, want)
+
+    def test_saddle_equation_and_slope(self, r, gamma):
+        lhs, slope = sd._saddle_equation(gamma, 1.0, r, "paper_literal")
+        assert _close(lhs, oracle.plain_equation(gamma))
+        assert _close(slope, oracle.plain_equation_slope(gamma))
+        for u in US:
+            lhs, slope = sd._saddle_equation(gamma, u, r, "general")
+            assert _close(lhs, -oracle.F_partial(gamma, u, r, 1, 0))
+            assert _close(slope, -oracle.F_partial(gamma, u, r, 2, 0))
+
+    def test_mean_variance_sums(self, r, gamma):
+        for got, want in zip(sd._mean_variance_sums(gamma, r),
+                             oracle.mean_variance_sums(gamma, r)):
+            assert _close(got, want), (got, want)
+
+    @pytest.mark.parametrize("k_cap", [None, 9, 300])
+    def test_minor_arc_log_ratio(self, r, gamma, k_cap):
+        for u in US:
+            for theta in (0.3, math.pi):
+                want = oracle.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
+                got = sd.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
+                assert _close(got, want), (u, theta, got, want)
+
+
+def test_one_pass_equals_single_requests():
+    pairs = sd.SUPPORTED_PARTIALS
+    together = sd._partials(0.01, 1.5, 2, pairs)
+    assert together == [sd.F_partial(0.01, 1.5, 2, p) for p in pairs]
+
+
+def test_kernel_caps(monkeypatch):
+    # k_cap 0 sums nothing; a sum of zeros never meets the rule before q
+    # underflows, so a small gamma runs into the hard cap
+    assert sd.minor_arc_log_ratio(0.1, 1.0, 1.0, 2, k_cap=0) == 0.0
+    monkeypatch.setattr(sd, "HARD_TERM_CAP", 5000)
+    assert sd._ksum(1e-5, None, lambda k, q: [0.0 * k], k_cap=5000) == [0.0]
+    with pytest.raises(RuntimeError, match="budget exhausted"):
+        sd._ksum(1e-5, None, lambda k, q: [0.0 * k])
+
+
+def test_non_finite_term_raises():
+    with pytest.raises(ArithmeticError, match="k = 3"):
+        sd._ksum(0.1, None, lambda k, q: [1.0 / (k - 3.0)])
+
+
+def test_zero_gap_drops_its_term():
+    # gap_1(14) = sigma(15) - sigma(14) = 0, as the scalar loop skipped it
+    assert sd._gaps_float(1, 14)[13] == 0.0
+    got = sd._ksum(0.1, 1, lambda k, q: [q / (k - 14.0)])[0]
+    want = oracle.kahan_ksum(0.1, 1, lambda k, q: q / (k - 14.0))  # never called at k = 14
+    assert _close(got, want)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pair_sieve_is_exact(r):
+    limit = 2 * 10**4
+    sieve = dl._sigma_float_sieve(r, limit)
+    assert [int(v) for v in sieve] == arith.sigma_r_table(limit, r)
+
+
+@pytest.mark.parametrize("name,make,factor", [
+    ("C(1)", lambda c: dl.constant_C(1, cutoff=c), oracle.constant_C_factor(1)),
+    ("C(3)", lambda c: dl.constant_C(3, cutoff=c), oracle.constant_C_factor(3)),
+    ("K_1(2)", lambda c: dl.euler_K(2.0, 1, cutoff=c), oracle.euler_K_factor(2.0, 1)),
+    ("K_2(-0.5)", lambda c: dl.euler_K(-0.5, 2, cutoff=c), oracle.euler_K_factor(-0.5, 2)),
+    ("E_2(1)", lambda c: dl.E_r_and_Cprime(1.0, 2, cutoff=c)[0], oracle.E_r_factor(1.0, 2)),
+    ("E_3(-1)", lambda c: dl.E_r_and_Cprime(-1.0, 3, cutoff=c)[0], oracle.E_r_factor(-1.0, 3)),
+    ("C'(2)", lambda c: dl.E_r_and_Cprime(1.0, 2, cutoff=c)[1], oracle.Cprime_factor(2)),
+])
+def test_euler_products(name, make, factor):
+    cutoff = 10**5
+    want = oracle.euler_product(factor, arith.primes_up_to(cutoff))
+    assert _close(make(cutoff).value, want), name

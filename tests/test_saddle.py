@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -74,11 +75,63 @@ class TestSolveSaddle:
         moved = sd.solve_saddle(100, 1.0, 2, bracket_hint=1.7).tau
         assert abs(base - moved) < 1e-10
 
+    @pytest.mark.parametrize("hint", [0.1, 30.0])
+    def test_far_start_reaches_same_root(self, hint):
+        base = sd.solve_saddle(100, 1.0, 2).tau
+        moved = sd.solve_saddle(100, 1.0, 2, bracket_hint=hint).tau
+        assert abs(base - moved) < 1e-10
+
+    @pytest.mark.parametrize("mode", ["general", "paper_literal"])
+    def test_newton_needs_few_kernel_passes(self, mode, monkeypatch):
+        passes = []
+        real = sd._ksum
+
+        def counting(*args, **kwargs):
+            passes.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sd, "_ksum", counting)
+        for n, r, u in ((1, 2, 1.0), (100, 3, 0.5), (10**4, 2, 2.0), (3 * 10**5, 2, 1.0)):
+            passes.clear()
+            sd.solve_saddle(n, u, r, mode=mode)
+            assert len(passes) <= 10, (n, r, u, len(passes))
+
+    def test_flat_profile_reports_samples(self, monkeypatch):
+        # no slope and never reaching n: halving runs out of evaluations
+        monkeypatch.setattr(sd, "_saddle_equation", lambda t, u, r, mode: (0.5, 0.0))
+        with pytest.raises(sd.SaddleBracketError) as exc:
+            sd.solve_saddle(1, 1.0, 2)
+        assert len(exc.value.profile) == sd.MAX_SOLVE_STEPS
+        assert all(f == 0.5 for _, f in exc.value.profile)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sd.solve_saddle(0, 1.0, 2)
         with pytest.raises(ValueError):
             sd.solve_saddle(10, 1.0, 2, mode="bogus")
+
+
+class TestGapCache:
+    def test_cold_cache_builds_once_under_threads(self, monkeypatch, run_in_threads):
+        builds = []
+        real = sd.GapSequence
+
+        class Counting:
+            @staticmethod
+            def build(r, limit):
+                builds.append((r, limit))
+                time.sleep(0.05)  # hold the window in which another thread could miss
+                return real.build(r, limit)
+
+        monkeypatch.setattr(sd, "GapSequence", Counting)
+        monkeypatch.setattr(sd, "_GAPS", {})
+        sizes = run_in_threads(lambda: len(sd._gaps_float(2, 3000)))
+        assert sizes == [4096] * 4
+        assert builds == [(2, 4096)]
+
+    def test_float_gaps_match_exact_gaps(self):
+        exact = sd.GapSequence.build(3, 2048).gaps
+        assert sd._gaps_float(3, 2000)[:2048].tolist() == [float(g) for g in exact]
 
 
 class TestMeanVariance:
@@ -140,6 +193,8 @@ class TestMinorArc:
 
     def test_below_one_on_far_arc(self):
         assert sd.minor_arc_ratio(0.05, math.pi, 1.0, 2) < 1.0
+        # at tau = 0.05 the ratio underflows to 0.0; at tau = 0.5 it does not
+        assert 0.0 < sd.minor_arc_ratio(0.5, math.pi, 1.0, 2) < 1.0
 
     def test_log_decay_as_tau_shrinks(self):
         logs = [sd.minor_arc_log_ratio(t, math.pi, 1.0, 2) for t in (0.1, 0.05, 0.02)]
