@@ -5,17 +5,22 @@ character sums.
 Everything here is exact integer arithmetic except for character values,
 which are tabulated complex roots of unity (tolerance 1e-9 on all
 character identities).  Caches are built once and read-only afterwards,
-so concurrent readers are safe.
+so concurrent readers are safe.  Every layer reads sigma_r from one
+exact table per r (divisor_sums), which grows under a lock.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from itertools import product as _iproduct
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,7 +48,7 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit + 1), sieve))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -159,6 +164,49 @@ def sigma_r_table(limit: int, r: int) -> list[int]:
     return table
 
 
+def divisor_sum_sieve(r: int, limit: int, dtype) -> np.ndarray:
+    """sigma_r(0..limit) (entry 0 is 0) as a read-only dtype array.
+
+    Every n = d e with d <= e is reached once from d <= sqrt(limit), which
+    adds d^r + e^r over its cofactors e through one strided view; d = e
+    counts once.  A float dtype rounds once a power or sum passes 2^53.
+    """
+    arr = np.zeros(limit + 1, dtype=dtype)
+    for d in range(1, math.isqrt(limit) + 1):
+        pair = np.arange(d, limit // d + 1, dtype=dtype)
+        pair **= r
+        dr = pair[0]
+        pair += dr
+        arr[d * d :: d] += pair
+        arr[d * d] -= dr
+    arr.flags.writeable = False
+    return arr
+
+
+_SIGMA: dict[int, np.ndarray] = {}
+_SIGMA_LOCK = threading.Lock()
+
+
+def divisor_sums(r: int, limit: int) -> np.ndarray:
+    """Exact sigma_r(0..>=limit) (entry 0 is 0) from one read-only table
+    per r, grown to the next power of two under a lock.
+
+    int64 where every entry and pair sum provably fits (below 2 L^r for
+    r >= 2, as sigma_r(n) < zeta(2) n^r; below L (1 + ln L) for r = 1),
+    else object (Python ints).
+    """
+    if r < 1:
+        raise ValueError("divisor_sums requires r >= 1")
+    with _SIGMA_LOCK:
+        cur = _SIGMA.get(r)
+        if cur is None or len(cur) <= limit:
+            size = 1 << max(10, (limit - 1).bit_length())
+            fits = size * (1.0 + math.log(size)) < 2.0**63 if r == 1 else 2 * size**r < 2**63
+            cur = divisor_sum_sieve(r, size, np.int64 if fits else object)
+            _SIGMA[r] = cur
+        return cur
+
+
 @dataclass(frozen=True)
 class GapSequence:
     """sigma_r values on 1..limit+1 and their signed first differences.
@@ -174,23 +222,16 @@ class GapSequence:
 
     @classmethod
     def build(cls, r: int, limit: int) -> "GapSequence":
-        return _gap_sequence_cached(r, limit)
+        if r < 1 or limit < 1:
+            raise ValueError("GapSequence requires r >= 1 and limit >= 1")
+        sig = divisor_sums(r, limit + 1)[1 : limit + 2]
+        return cls(r=r, limit=limit, sigma=tuple(sig.tolist()), gaps=tuple(np.diff(sig).tolist()))
 
     def sigma_at(self, n: int) -> int:
         return self.sigma[n - 1]
 
     def gap(self, k: int) -> int:
         return self.gaps[k - 1]
-
-
-@lru_cache(maxsize=32)
-def _gap_sequence_cached(r: int, limit: int) -> GapSequence:
-    if r < 1 or limit < 1:
-        raise ValueError("GapSequence requires r >= 1 and limit >= 1")
-    table = sigma_r_table(limit + 1, r)
-    sig = tuple(table[1:])
-    gaps = tuple(sig[i + 1] - sig[i] for i in range(limit))
-    return GapSequence(r=r, limit=limit, sigma=sig, gaps=gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every subcommand is deterministic: identical flags produce byte-identical
 artifacts.  Floats are therefore always emitted as decimal strings with 17
 significant digits, JSON keys are sorted, CSV uses LF line endings, and
-the worker-count flag can only change wall time, never output bytes.
+verify's worker-count flag changes nothing.
 
 Exit codes: 0 success, 1 invariant failure (verify), 2 configuration error.
 """
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -86,8 +85,20 @@ class RunConfig:
             raise ValueError("--convention must be standard or shifted-zeta")
         if self.prime_cutoff < 100:
             raise ValueError("--prime-cutoff must be >= 100")
+        if not 0.0 < self.u < math.inf:
+            raise ValueError("--u must be positive and finite")
+        if self.subcommand == "table" and self.table_limit < 0:
+            raise ValueError("--N must be >= 0")
+        if self.subcommand in ("saddle", "mgf") and self.n < 1:
+            raise ValueError(f"{self.subcommand} needs --n >= 1")
         if self.subcommand == "tail" and self.n < 2:
             raise ValueError("tail needs --n >= 2 (its budget divides by log n)")
+        if not all(abs(t) <= 2.0 for t in self.theta_grid):
+            raise ValueError("--theta-grid values must lie in [-2, 2]")
+        if not all(x > 0.0 for x in self.x_grid):
+            raise ValueError("--x-grid values must be positive")
+        if not self.n_list or sorted(self.n_list) != self.n_list or self.n_list[0] < 1:
+            raise ValueError("--n-list must be non-empty, increasing and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +402,13 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], tuple[bool, str]
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg.quick)
-
-    def run_one(item):
-        name, fn = item
+    results = []
+    for name, fn in _verify_checks(cfg.quick):
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        return name, ok, detail
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
+        results.append((name, ok, detail))
     results.sort(key=lambda t: t[0])
 
     lines = []
@@ -517,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--quick", action="store_true", help="reduced sweep ranges")
     p.add_argument("--workers", type=int, default=1,
-                   help="thread count; affects wall time only, never output")
+                   help="accepted for compatibility; the checks always run "
+                        "one after another")
     p.add_argument("--output", default=None, help="JSON report path")
 
     return parser

@@ -550,24 +550,10 @@ def d2_quartic_character(
 
 @lru_cache(maxsize=4)
 def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
-    """sigma_r(0..limit) in float64 (entry 0 is 0), by a pair sieve.
-
-    Every n = d e with d <= e is reached once from d <= sqrt(limit), which
-    adds d^r + e^r over its cofactors e through one strided view; d = e
-    counts once.  The values are exact while every power and partial sum
-    stays below 2^53: for r <= 2 through 10^6, for r = 3 only up to about
-    2*10^5, past which the entries are rounded to a few ulps.
-    """
-    arr = np.zeros(limit + 1, dtype=np.float64)
-    for d in range(1, math.isqrt(limit) + 1):
-        dr = float(d) ** r
-        pair = np.arange(d, limit // d + 1, dtype=np.float64)
-        pair **= r
-        pair += dr
-        arr[d * d :: d] += pair
-        arr[d * d] -= dr
-    arr.flags.writeable = False
-    return arr
+    """sigma_r(0..limit) in float64 by arith's pair sieve: exact for r <= 2
+    through 10^6, for r = 3 up to about 2*10^5 and rounded to a few ulps
+    past that."""
+    return arith.divisor_sum_sieve(r, limit, np.float64)
 
 
 @dataclass(frozen=True)

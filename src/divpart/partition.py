@@ -159,18 +159,15 @@ def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
 def build_table(
     r: int,
     n_max: int,
-    k_max: int | None = None,
     factor_order: list[int] | None = None,
 ) -> PartitionTable:
     """Exact coefficients of the truncated product, factors in any order.
 
     Cost is O(n_max^2 log n_max) big-integer multiply-adds on rows of
-    ~k_max digits; memory is one packed integer per z-degree.
+    ~n_max digits; memory is one packed integer per z-degree.
     """
     if r < 1 or n_max < 0:
         raise ValueError("build_table requires r >= 1 and n_max >= 0")
-    if k_max is None:
-        k_max = n_max
     gaps = GapSequence.build(r, max(n_max, 1)).gaps
     order = list(factor_order) if factor_order is not None else list(range(1, n_max + 1))
     if sorted(order) != list(range(1, n_max + 1)):
@@ -195,21 +192,15 @@ def build_table(
                     acc += c * (src << shift)
             rows[n] = acc
 
-    coeff = []
-    for n in range(n_max + 1):
-        row = _unpack_row(rows[n], bits)
-        if len(row) > k_max + 1:
-            row = row[: k_max + 1]
-        coeff.append(row)
+    coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]
     row_totals = _univariate_totals(gaps, n_max)
-    packed_totals = [sum(_unpack_row(rows[n], bits)) for n in range(n_max + 1)]
-    if packed_totals != row_totals:
+    if [sum(row) for row in coeff] != row_totals:
         raise AssertionError(
             "packed rows disagree with the univariate specialization; "
             "digit-width bound violated"
         )
     return PartitionTable(
-        r=r, n_max=n_max, k_max=k_max, coeff=coeff,
+        r=r, n_max=n_max, k_max=n_max, coeff=coeff,
         row_totals=row_totals, gaps=gaps[:n_max],
     )
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import dirichlet
-from .arith import GapSequence
+from .arith import divisor_sums
 
 TRUNCATION_RATIO = 1e-18
 HARD_TERM_CAP = 10**7
@@ -81,28 +80,8 @@ class SaddleBracketError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Gap cache and the k-sum kernel
+# The k-sum kernel
 # ---------------------------------------------------------------------------
-
-_GAPS: dict[int, np.ndarray] = {}
-_GAPS_LOCK = threading.Lock()
-
-
-def _gaps_float(r: int, need: int) -> np.ndarray:
-    """gap(1..>=need) as float64, from GapSequence grown to a power of two.
-
-    A gap is exact while |gap| < 2^53 and correctly rounded beyond (r = 3
-    passes 2^53 near k = 2*10^5).  The array is read-only once cached.
-    """
-    with _GAPS_LOCK:
-        cur = _GAPS.get(r)
-        if cur is None or len(cur) < need:
-            size = 1 << max(10, (need - 1).bit_length())
-            cur = np.array(GapSequence.build(r, size).gaps, dtype=np.float64)
-            cur.flags.writeable = False
-            _GAPS[r] = cur
-        return cur
-
 
 _BLOCK_MIN = 64
 _BLOCK_MAX = 1 << 16
@@ -153,7 +132,8 @@ def _ksum(
             bound = k**stop_power * q
             terms = summands(k, q)
             if r is not None:
-                gap = _gaps_float(r, end)[start - 1 : end]
+                # exact gaps, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
+                gap = np.diff(divisor_sums(r, end + 1)[start : end + 2]).astype(np.float64)
                 bound *= np.maximum(np.abs(gap), 1.0)
                 terms = [gap * t for t in terms]
                 zero = gap == 0.0
@@ -286,8 +266,8 @@ def solve_saddle(
     leaves it, or a point where the profile does not decrease, falls back
     to bisection, or to doubling/halving while one side is still open.
     """
-    if n < 1:
-        raise ValueError("solve_saddle requires n >= 1")
+    if n < 1 or u <= 0.0:
+        raise ValueError("solve_saddle requires n >= 1 and u > 0")
     if mode == "general":
         scale = float(n) ** (-1.0 / (r + 2))
     elif mode == "paper_literal":
@@ -385,17 +365,15 @@ def mean_variance_saddle(n: int, r: int, mode: str = "paper_literal") -> tuple[f
 
 def _sigma_double_sum(j: int, gamma: float, u: float, r: int, shifted: bool) -> float:
     """sum_n sigma_r(n + shifted) n^j sum_l (-u)^l l^(j-1) e^(-n l gamma)."""
-    size = 1024
-    seq = GapSequence.build(r, size)
+    sums = divisor_sums(r, 1024)
     total = 0.0
     comp = 0.0
     n = 0
     while True:
         n += 1
-        if n + 1 > seq.limit:
-            size *= 2
-            seq = GapSequence.build(r, size)
-        sig = float(seq.sigma[n] if shifted else seq.sigma[n - 1])
+        if n + 1 == len(sums):
+            sums = divisor_sums(r, len(sums))
+        sig = float(sums[n + 1] if shifted else sums[n])
         inner = 0.0
         sign_u = -u
         l = 1

@@ -3,27 +3,35 @@
 These are the per-term Python loops the numpy kernels replaced: every
 k-sum adds one term at a time with compensated (Kahan) accumulation under
 the shared truncation rule, and every Euler product takes one factor per
-prime.  Gaps come straight from the exact GapSequence, so nothing here
-shares code with the kernels under test.
+prime.  Gaps come from the slow divisor-add sieve arith.sigma_r_table, so
+nothing here shares code with the kernels or the pair sieve under test.
 """
 
 import math
+from functools import lru_cache
 
-from divpart.arith import GapSequence
+from divpart.arith import sigma_r_table
 
 TRUNCATION_RATIO = 1e-18
 TERM_CAP = 10**7
 
 
+@lru_cache(maxsize=None)
+def _float_gaps(r, limit):
+    """gap(1..limit) as correctly rounded floats."""
+    sig = sigma_r_table(limit + 1, r)
+    return [float(sig[k + 1] - sig[k]) for k in range(1, limit + 1)]
+
+
 def _gap_source(r):
-    """gap(k) as a float, from an exact GapSequence grown on demand."""
-    state = {"seq": GapSequence.build(r, 1024)}
+    """gap(k) as a float, from exact tables grown to powers of two on demand."""
+    state = {"gaps": _float_gaps(r, 1024)}
 
     def gap(k):
-        seq = state["seq"]
-        if k > seq.limit:
-            seq = state["seq"] = GapSequence.build(r, 2 * k)
-        return float(seq.gaps[k - 1])
+        gaps = state["gaps"]
+        if k > len(gaps):
+            gaps = state["gaps"] = _float_gaps(r, 1 << k.bit_length())
+        return gaps[k - 1]
 
     return gap
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,22 @@ class TestGapSequence:
         seq = arith.GapSequence.build(r, 400)
         for n in range(2, 401):
             assert n**r < seq.sigma_at(n) < n**r * z
+
+
+class TestDivisorSums:
+    @pytest.mark.parametrize("r,limit,dtype", [(1, 5000, np.int64), (3, 5000, np.int64),
+                                               (7, 3000, object)])
+    def test_exact_against_divisor_add_sieve(self, r, limit, dtype):
+        sums = arith.divisor_sums(r, limit)
+        assert sums.dtype == dtype and not sums.flags.writeable
+        assert sums[: limit + 1].tolist() == [0] + arith.sigma_r_table(limit, r)[1:]
+
+    def test_grows_to_powers_of_two(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIGMA", {})
+        assert len(arith.divisor_sums(2, 10)) == 1025
+        assert len(arith.divisor_sums(2, 1025)) == 2049
+        with pytest.raises(ValueError):
+            arith.divisor_sums(0, 10)
 
 
 # ---------------------------------------------------------------------------

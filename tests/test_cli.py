@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +155,27 @@ class TestConfigErrors:
         assert code == 2
         assert "configuration error" in err and "--n >= 2" in err
         assert out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["saddle", "--n", "10", "--u", "0"],
+        ["saddle", "--n", "10", "--u", "nan"],
+        ["saddle", "--n", "0"],
+        ["table", "--N", "-1"],
+        ["mgf", "--theta-grid", "3"],
+        ["mgf", "--n", "-3"],
+        ["tail", "--x-grid=-1,2"],
+        ["clt-report", "--n-list", "400,200"],
+        ["clt-report", "--n-list", ","],
+        ["clt-report", "--n-list=-5,10"],
+    ])
+    def test_domain_errors_exit_2(self, args):
+        # a fresh process, so a hang fails by timeout and a traceback shows
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "divpart", *args], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -125,7 +125,11 @@ class TestExactDistribution:
             exact_distribution(t, 1)
 
     def test_capped_table_rejected(self):
-        t = build_table(2, 12, k_max=2)
+        full = build_table(2, 12)
+        t = partition.PartitionTable(
+            r=2, n_max=12, k_max=2, coeff=[row[:3] for row in full.coeff],
+            row_totals=full.row_totals, gaps=full.gaps,
+        )
         with pytest.raises(ValueError, match="truncated"):
             exact_distribution(t, 12)
 

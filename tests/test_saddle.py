@@ -1,9 +1,11 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from _fd import fd_mixed_richardson
+from divpart import arith
 from divpart import dirichlet as dl
 from divpart import saddle as sd
 
@@ -104,9 +106,19 @@ class TestSolveSaddle:
         assert len(exc.value.profile) == sd.MAX_SOLVE_STEPS
         assert all(f == 0.5 for _, f in exc.value.profile)
 
+    def test_tiny_u_reads_an_int64_table(self):
+        # the k-sums run past 10^6 terms; r = 1 sums stay int64 at that size
+        sp = sd.solve_saddle(1000, 1e-6, 1)
+        assert sp.residual < 1e-9 * 1000
+        sums = arith.divisor_sums(1, 1)
+        assert len(sums) > 10**6 and sums.dtype == np.int64
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sd.solve_saddle(0, 1.0, 2)
+        for u in (0.0, -1.0):
+            with pytest.raises(ValueError, match="u > 0"):
+                sd.solve_saddle(10, u, 2)
         with pytest.raises(ValueError):
             sd.solve_saddle(10, 1.0, 2, mode="bogus")
 
@@ -114,24 +126,29 @@ class TestSolveSaddle:
 class TestGapCache:
     def test_cold_cache_builds_once_under_threads(self, monkeypatch, run_in_threads):
         builds = []
-        real = sd.GapSequence
+        real = arith.divisor_sum_sieve
 
-        class Counting:
-            @staticmethod
-            def build(r, limit):
-                builds.append((r, limit))
-                time.sleep(0.05)  # hold the window in which another thread could miss
-                return real.build(r, limit)
+        def counting(r, limit, dtype):
+            builds.append((r, limit))
+            time.sleep(0.05)  # hold the window in which another thread could miss
+            return real(r, limit, dtype)
 
-        monkeypatch.setattr(sd, "GapSequence", Counting)
-        monkeypatch.setattr(sd, "_GAPS", {})
-        sizes = run_in_threads(lambda: len(sd._gaps_float(2, 3000)))
-        assert sizes == [4096] * 4
+        monkeypatch.setattr(arith, "divisor_sum_sieve", counting)
+        monkeypatch.setattr(arith, "_SIGMA", {})
+        sizes = run_in_threads(lambda: len(arith.divisor_sums(2, 3000)))
+        assert sizes == [4097] * 4
         assert builds == [(2, 4096)]
 
-    def test_float_gaps_match_exact_gaps(self):
-        exact = sd.GapSequence.build(3, 2048).gaps
-        assert sd._gaps_float(3, 2000)[:2048].tolist() == [float(g) for g in exact]
+    def test_float_gaps_match_exact_gaps(self, monkeypatch):
+        # the kernel's gaps: int64 diffs past 2^53 (r = 4) and Python-int
+        # diffs (r = 7), each rounded once to float64
+        monkeypatch.setattr(arith, "_SIGMA", {})
+        for r, limit, dtype in ((3, 2048, np.int64), (4, (1 << 15) - 1, np.int64), (7, 3000, object)):
+            sums = arith.divisor_sums(r, limit + 1)
+            assert sums.dtype == dtype
+            sig = arith.sigma_r_table(limit + 1, r)
+            want = [float(b - a) for a, b in zip(sig[1:], sig[2:])]
+            assert np.diff(sums[1 : limit + 2]).astype(np.float64).tolist() == want, r
 
 
 class TestMeanVariance:
