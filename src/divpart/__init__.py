@@ -8,6 +8,7 @@ Subpackages by concern:
 - dirichlet: zeta/Gamma/polylog evaluation, Euler products, growth constants
 - saddle: the log-product, its partials, saddle roots, asymptotics probes
 - cltlab: distributional validation against the Gaussian limit
+- checks: the invariant checks behind verify and the acceptance gate
 - cli: deterministic command-line front door
 """
 

@@ -164,20 +164,28 @@ def sigma_r_table(limit: int, r: int) -> list[int]:
     return table
 
 
+_SIEVE_CHUNK = 1 << 14
+
+
 def divisor_sum_sieve(r: int, limit: int, dtype) -> np.ndarray:
     """sigma_r(0..limit) (entry 0 is 0) as a read-only dtype array.
 
     Every n = d e with d <= e is reached once from d <= sqrt(limit), which
-    adds d^r + e^r over its cofactors e through one strided view; d = e
-    counts once.  A float dtype rounds once a power or sum passes 2^53.
+    adds d^r + e^r over its cofactors e through strided views, at most
+    _SIEVE_CHUNK cofactors at a time so the temporaries stay small beside
+    the table; d = e counts once.  A float dtype rounds once a power or sum
+    passes 2^53.
     """
     arr = np.zeros(limit + 1, dtype=dtype)
     for d in range(1, math.isqrt(limit) + 1):
-        pair = np.arange(d, limit // d + 1, dtype=dtype)
-        pair **= r
-        dr = pair[0]
-        pair += dr
-        arr[d * d :: d] += pair
+        top = limit // d
+        for lo in range(d, top + 1, _SIEVE_CHUNK):
+            pair = np.arange(lo, min(lo + _SIEVE_CHUNK, top + 1), dtype=dtype)
+            pair **= r
+            if lo == d:
+                dr = pair[0]
+            pair += dr
+            arr[d * lo : d * (lo + len(pair)) : d] += pair
         arr[d * d] -= dr
     arr.flags.writeable = False
     return arr

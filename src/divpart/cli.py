@@ -15,9 +15,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from . import arith, cltlab, dirichlet, partition, saddle
+from . import checks, cltlab, dirichlet, partition, saddle
 
 
 def fmt(x: Any) -> Any:
@@ -245,172 +245,11 @@ def _cmd_mgf(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: the cross-module invariant suite
+# verify: the cross-module invariant suite (defined in divpart.checks)
 # ---------------------------------------------------------------------------
 
-def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
-    m_sweep, n_sweep = (12, 40) if quick else (30, 100)
-    mn_closed = 40 if quick else 100
-    d1_m, d1_n = (300, 3000) if quick else (2000, 20000)
-    oracle_n = 9 if quick else 12
-
-    def chk_ramanujan_closed() -> tuple[bool, str]:
-        worst = 0.0
-        for m in range(1, mn_closed + 1):
-            for n in range(1, mn_closed + 1):
-                diff = abs(arith.ramanujan_sum(m, n) - arith.ramanujan_sum_exponential(m, n))
-                worst = max(worst, diff)
-        return worst < 1e-10, f"max |closed - exponential| = {worst:.3e}"
-
-    def chk_ramanujan_mobius() -> tuple[bool, str]:
-        bad = sum(
-            1
-            for m in range(1, mn_closed + 1)
-            for n in range(1, mn_closed + 1)
-            if math.gcd(m, n) == 1 and arith.ramanujan_sum(m, n) != arith.mobius(m)
-        )
-        return bad == 0, f"{bad} coprime pairs violate c_m(n) = mu(m)"
-
-    def chk_orthogonality() -> tuple[bool, str]:
-        worst = 0.0
-        top = 20 if quick else 50
-        for m in range(1, top + 1):
-            phi = arith.euler_phi(m)
-            for a in range(m):
-                total = sum(chi.values[a] for chi in arith.characters_mod(m))
-                target = phi if (a % m == 1 % m and math.gcd(a, m) == 1) else 0.0
-                worst = max(worst, abs(total - target))
-        return worst < 1e-9, f"max orthogonality defect = {worst:.3e}"
-
-    def chk_shifted_identity() -> tuple[bool, str]:
-        worst = arith.shifted_identity_max_residual(m_sweep, n_sweep)
-        return worst < 1e-9, f"max residual = {worst:.3e} over m <= {m_sweep}, n <= {n_sweep}"
-
-    def chk_oracle_tables() -> tuple[bool, str]:
-        for r in (2, 3):
-            built = partition.build_table(r, oracle_n)
-            oracles = partition.oracle_table(r, oracle_n)
-            if not partition.tables_equal(built, oracles.naive):
-                return False, f"naive oracle mismatch at r = {r}"
-            if oracles.enumeration and not partition.tables_equal(built, oracles.enumeration):
-                return False, f"enumeration oracle mismatch at r = {r}"
-        return True, f"entrywise equal through n = {oracle_n}"
-
-    def chk_permutation() -> tuple[bool, str]:
-        ok = partition.permuted_build_matches(2, 24 if quick else 40, trials=3 if quick else 5)
-        return ok, "factor order irrelevant"
-
-    def chk_constants() -> tuple[bool, str]:
-        c1 = dirichlet.constant_C(1).value
-        landau = dirichlet.zeta_real(2.0) * c1
-        ok = abs(c1 - 1.339784) < 1e-5 and abs(landau - 2.20386) < 1e-4
-        return ok, f"C(1) = {c1:.8f}, zeta(2) C(1) = {landau:.7f}"
-
-    def chk_polylog() -> tuple[bool, str]:
-        worst = 0.0
-        for s in (2.0, 3.0, 4.0, 5.0):
-            lhs = dirichlet.polylog_neg(s, 1.0)
-            rhs = -(1.0 - 2.0 ** (1.0 - s)) * dirichlet.zeta_real(s)
-            worst = max(worst, abs(lhs - rhs))
-        return worst < 1e-9, f"max |Li_s(-1) defect| = {worst:.3e}"
-
-    def chk_d1() -> tuple[bool, str]:
-        diffs = []
-        for s, r in ((3.0, 2), (2.0, 1)):
-            closed = dirichlet.dirichlet_d1(s, r, mode="closed").value
-            direct = dirichlet.dirichlet_d1(s, r, mode="direct", m_limit=d1_m, n_limit=d1_n).value
-            diffs.append(abs(closed - direct))
-        tol = 5e-3 if quick else 1e-3
-        return max(diffs) < tol, f"max |closed - direct| = {max(diffs):.3e}"
-
-    def chk_euler_self_consistency() -> tuple[bool, str]:
-        cut = 10**5
-        worst = 0.0
-        for make in (
-            lambda c: dirichlet.constant_C(2, cutoff=c).value,
-            lambda c: dirichlet.euler_K(2.0, 1, cutoff=c).value,
-            lambda c: dirichlet.E_r_and_Cprime(1.0, 2, cutoff=c)[0].value,
-        ):
-            worst = max(worst, abs(make(cut) - make(2 * cut)))
-        return worst < 2e-8, f"max cutoff-doubling drift = {worst:.3e}"
-
-    def chk_saddle_residuals() -> tuple[bool, str]:
-        ns = (1, 100) if quick else (1, 10, 100, 1000)
-        worst = 0.0
-        for r in (2, 3):
-            for mode in ("general", "paper_literal"):
-                for n in ns:
-                    sp = saddle.solve_saddle(n, 1.0, r, mode=mode)
-                    worst = max(worst, sp.residual / max(1.0, n))
-        return worst < 1e-9, f"max scaled residual = {worst:.3e}"
-
-    def chk_partials() -> tuple[bool, str]:
-        # spot FD checks; the full grid lives in the test suite
-        worst = 0.0
-        for jg, ju in ((0, 1), (2, 0), (1, 1)):
-            gamma, u, r = 0.1, 1.0, 2
-            h = 1e-4
-            if (jg, ju) == (0, 1):
-                fd = (saddle.F_partial(gamma, u + h, r, (0, 0))
-                      - saddle.F_partial(gamma, u - h, r, (0, 0))) / (2 * h)
-            elif (jg, ju) == (2, 0):
-                fd = (saddle.F_partial(gamma + h, u, r, (0, 0))
-                      - 2 * saddle.F_partial(gamma, u, r, (0, 0))
-                      + saddle.F_partial(gamma - h, u, r, (0, 0))) / h**2
-            else:
-                fd = (saddle.F_partial(gamma + h, u + h, r, (0, 0))
-                      - saddle.F_partial(gamma + h, u - h, r, (0, 0))
-                      - saddle.F_partial(gamma - h, u + h, r, (0, 0))
-                      + saddle.F_partial(gamma - h, u - h, r, (0, 0))) / (4 * h * h)
-            exact = saddle.F_partial(gamma, u, r, (jg, ju))
-            worst = max(worst, abs(fd - exact) / abs(exact))
-        return worst < 1e-4, f"max FD relative error = {worst:.3e}"
-
-    def chk_mellin() -> tuple[bool, str]:
-        grid = [0.1, 0.05] if quick else [0.1, 0.05, 0.02]
-        ratios = saddle.mellin_ratio_check(0, grid, 1.0, 2)
-        monotone = all(
-            abs(b - 1.0) <= abs(a - 1.0) for a, b in zip(ratios, ratios[1:])
-        )
-        near = abs(ratios[-1] - 1.0) < (0.1 if quick else 0.05)
-        return monotone and near, f"ratios = {[f'{x:.4f}' for x in ratios]}"
-
-    def chk_minor_arc() -> tuple[bool, str]:
-        # on the log scale: the ratio itself underflows to 0 at theta = pi
-        zero = saddle.minor_arc_log_ratio(0.05, 0.0, 1.0, 2)
-        far = saddle.minor_arc_log_ratio(0.05, math.pi, 1.0, 2)
-        ok = zero == 0.0 and math.isfinite(far) and far < 0.0
-        return ok, f"log ratio(0) = {zero}, log ratio(pi) = {far:.3e}"
-
-    checks = [
-        ("arith.ramanujan_closed_vs_exponential", chk_ramanujan_closed),
-        ("arith.ramanujan_equals_mobius_on_coprimes", chk_ramanujan_mobius),
-        ("arith.character_orthogonality", chk_orthogonality),
-        ("arith.shifted_sum_identity", chk_shifted_identity),
-        ("partition.oracle_equivalence", chk_oracle_tables),
-        ("partition.factor_permutation_invariance", chk_permutation),
-        ("dirichlet.totient_summatory_constant", chk_constants),
-        ("dirichlet.polylog_special_values", chk_polylog),
-        ("dirichlet.double_series_closed_vs_direct", chk_d1),
-        ("dirichlet.euler_product_cutoff_stability", chk_euler_self_consistency),
-        ("saddle.residual_tolerance", chk_saddle_residuals),
-        ("saddle.partials_match_finite_differences", chk_partials),
-        ("saddle.mellin_leading_order", chk_mellin),
-        ("saddle.minor_arc_decay", chk_minor_arc),
-    ]
-    return checks
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
-    results = []
-    for name, fn in _verify_checks(cfg.quick):
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure with its message
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-    results.sort(key=lambda t: t[0])
-
+    results = checks.run(cfg.quick)
     lines = []
     failures = 0
     for name, ok, detail in results:

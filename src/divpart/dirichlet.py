@@ -26,9 +26,8 @@ from .arith import characters_mod, character_sums, mu_phi_tables
 
 DEFAULT_PRIME_CUTOFF = 10**6
 
-_PRIMES: list[int] = []
-_PRIMES_LIMIT = 0
-_PRIME_FLOATS = np.empty(0)
+# (limit, the primes <= limit, the same as a read-only float64 array)
+_PRIME_CACHE: tuple[int, list[int], np.ndarray] = (0, [], np.empty(0))
 _PRIMES_LOCK = threading.Lock()
 
 
@@ -37,15 +36,14 @@ def _prime_cache(limit: int) -> tuple[list[int], np.ndarray]:
 
     Extended under a lock, so concurrent callers sieve once; both are
     read-only afterwards."""
-    global _PRIMES, _PRIMES_LIMIT, _PRIME_FLOATS
+    global _PRIME_CACHE
     with _PRIMES_LOCK:
-        if limit > _PRIMES_LIMIT:
+        if limit > _PRIME_CACHE[0]:
             found = arith.primes_up_to(limit)
-            _PRIME_FLOATS = np.array(found, dtype=np.float64)
-            _PRIME_FLOATS.flags.writeable = False
-            _PRIMES = found
-            _PRIMES_LIMIT = limit
-        return _PRIMES, _PRIME_FLOATS
+            floats = np.array(found, dtype=np.float64)
+            floats.flags.writeable = False
+            _PRIME_CACHE = (limit, found, floats)
+        return _PRIME_CACHE[1], _PRIME_CACHE[2]
 
 
 def primes(limit: int = DEFAULT_PRIME_CUTOFF) -> list[int]:
@@ -119,7 +117,12 @@ def gamma_real(s: float) -> float:
     for i in range(1, 9):
         x += _LANCZOS[i] / (z + i)
     t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
+    # t^(z+1/2) alone overflows from s ~ 142.45; split it around exp(-t)
+    half = t ** (0.5 * (z + 0.5))
+    value = math.sqrt(2.0 * math.pi) * x * half * math.exp(-t) * half
+    if math.isinf(value):
+        raise OverflowError(f"gamma_real({s}) exceeds the float range")
+    return value
 
 
 def _alternating_sum(term: Callable[[int], float], n: int = 48) -> float:

@@ -195,7 +195,7 @@ def build_table(
     coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]
     row_totals = _univariate_totals(gaps, n_max)
     if [sum(row) for row in coeff] != row_totals:
-        raise AssertionError(
+        raise RuntimeError(
             "packed rows disagree with the univariate specialization; "
             "digit-width bound violated"
         )

@@ -11,11 +11,11 @@ diagnostic rerun under the documented signed-row override, which shows
 the genuine trend through n = 200 and the bulk-scale breakdown at 400.
 """
 
-import math
 import time
 
+import numpy as np
 from _fd import fd_mixed_richardson
-from divpart import arith, cli, cltlab, dirichlet, partition, saddle
+from divpart import arith, checks, cli, cltlab, dirichlet, partition, saddle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -23,63 +23,40 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_totient_summatory_constant():
-    dirichlet._PRIMES_LIMIT = 0  # force a cold sieve for the timing claim
-    dirichlet._PRIMES = []
+def test_criterion_01_totient_summatory_constant(monkeypatch):
+    # a cold prime cache for the timing claim
+    monkeypatch.setattr(dirichlet, "_PRIME_CACHE", (0, [], np.empty(0)))
     t0 = time.perf_counter()
-    c1 = dirichlet.constant_C(1, cutoff=10**6)
-    landau = dirichlet.zeta_real(2.0) * c1.value
+    ok, detail = checks.totient_summatory_constant()
     elapsed = time.perf_counter() - t0
-    ok = (
-        abs(c1.value - 1.339784) < 1e-5
-        and abs(landau - 2.20386) < 1e-4
-        and elapsed < 5.0
-    )
-    _report(1, ok, f"C(1) = {c1.value:.7f}, zeta(2) C(1) = {landau:.6f}, {elapsed:.2f} s")
+    _report(1, ok and elapsed < 5.0, f"{detail}, {elapsed:.2f} s")
 
 
 def test_criterion_02_oracle_equivalence():
     t0 = time.perf_counter()
-    checked = 0
-    for r in (2, 3):
-        for n_max in range(1, 13):
-            built = partition.build_table(r, n_max)
-            oracles = partition.oracle_table(r, n_max)
-            assert partition.tables_equal(built, oracles.naive), (r, n_max)
-            if oracles.enumeration is not None:
-                assert partition.tables_equal(built, oracles.enumeration), (r, n_max)
-            checked += 1
+    ok, detail = checks.oracle_equivalence(n_max=12)
     # the negative-gap regime must be covered by the naive oracle
     for n_max in (10, 11, 12):
         assert partition.oracle_table(2, n_max).enumeration_refused is not None
     elapsed = time.perf_counter() - t0
-    _report(2, elapsed < 30.0,
-            f"{checked} (r, N) pairs entrywise equal incl. negative-gap N=10..12, "
+    _report(2, ok and elapsed < 30.0,
+            f"{detail} at every N and r in {{2,3}}, incl. negative-gap N=10..12, "
             f"{elapsed:.1f} s")
 
 
 def test_criterion_03_shifted_sum_identity():
     t0 = time.perf_counter()
-    worst = arith.shifted_identity_max_residual(30, 100)
+    ok, detail = checks.shifted_sum_identity(m_max=30, n_max=100)
     elapsed = time.perf_counter() - t0
-    _report(3, worst < 1e-9 and elapsed < 10.0,
-            f"max residual {worst:.2e} over m <= 30, n <= 100, {elapsed:.1f} s")
+    _report(3, ok and elapsed < 10.0, f"{detail}, {elapsed:.1f} s")
 
 
 def test_criterion_04_double_series_identity():
     t0 = time.perf_counter()
-    diffs = {}
-    for s, r in ((3.0, 2), (2.0, 1)):
-        closed = dirichlet.dirichlet_d1(s, r, mode="closed").value
-        direct = dirichlet.dirichlet_d1(
-            s, r, mode="direct", m_limit=2000, n_limit=20000
-        ).value
-        diffs[(s, r)] = abs(closed - direct)
+    ok, detail = checks.double_series_closed_vs_direct(m_limit=2000, n_limit=20000, tol=1e-3)
     elapsed = time.perf_counter() - t0
-    worst = max(diffs.values())
-    _report(4, worst < 1e-3 and elapsed < 60.0,
-            f"|closed - direct| = {worst:.2e} at (s,r) in {{(3,2),(2,1)}}, "
-            f"m <= 2000, n <= 20000, {elapsed:.1f} s")
+    _report(4, ok and elapsed < 60.0,
+            f"{detail} at (s,r) in {{(3,2),(2,1)}}, m <= 2000, n <= 20000, {elapsed:.1f} s")
 
 
 def test_criterion_05_divisor_sum_identity():
@@ -133,15 +110,8 @@ def test_criterion_07_partials_match_finite_differences():
 
 
 def test_criterion_08_saddle_residuals():
-    worst = 0.0
-    for r in (2, 3):
-        for mode in ("general", "paper_literal"):
-            for n in (1, 10, 100, 1000):
-                sp = saddle.solve_saddle(n, 1.0, r, mode=mode)
-                worst = max(worst, sp.residual / max(1.0, float(n)))
-    _report(8, worst < 1e-9,
-            f"max scaled residual {worst:.2e} over both modes, "
-            f"n in {{1,10,100,1000}}, r in {{2,3}}")
+    ok, detail = checks.residual_tolerance(ns=(1, 10, 100, 1000))
+    _report(8, ok, f"{detail} over both modes, n in {{1,10,100,1000}}, r in {{2,3}}")
 
 
 def test_criterion_09_growth_exponents():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ class TestDivisorSums:
         assert len(arith.divisor_sums(2, 1025)) == 2049
         with pytest.raises(ValueError):
             arith.divisor_sums(0, 10)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_chunk_boundaries_are_exact(self, monkeypatch, dtype):
+        monkeypatch.setattr(arith, "_SIEVE_CHUNK", 7)
+        sums = arith.divisor_sum_sieve(3, 2000, dtype)
+        assert sums.tolist() == [0] + arith.sigma_r_table(2000, 3)[1:]
+
+    def test_sieve_peak_memory_stays_near_the_table(self):
+        limit = 1 << 22
+        tracemalloc.start()
+        try:
+            table = arith.divisor_sum_sieve(1, limit, np.int64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, (peak, table.nbytes)
 
 
 # ---------------------------------------------------------------------------

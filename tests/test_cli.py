@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from divpart import cli
+from divpart import cli, partition, saddle
 
 
 def run_cli(args, capsys):
@@ -47,6 +47,13 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert doc["n_max"] == 5
+
+    def test_digit_width_failure_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(partition, "_digit_bits", lambda gaps, n_max: 8)
+        code, out, err = run_cli(["table", "--r", "2", "--N", "40"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "digit-width bound violated" in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestSaddleCommand:
@@ -131,6 +138,19 @@ class TestVerify:
         # the far-arc value is a finite negative log, not an underflowed ratio
         far = float(arc[0].rsplit("= ", 1)[1])
         assert math.isfinite(far) and far < 0.0
+
+    def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(saddle, "minor_arc_log_ratio", boom)
+        code, out, _ = run_cli(["verify", "--quick"], capsys)
+        lines = out.splitlines()
+        assert code == 1
+        assert "FAIL saddle.minor_arc_decay: raised RuntimeError: boom" in lines
+        assert lines[-1] == "FAILED (13/14 checks passed)"
+        names = [line.split()[1].rstrip(":") for line in lines[:-1]]
+        assert names == sorted(names)
 
 
 class TestDeterminism:

@@ -57,6 +57,10 @@ class TestGamma:
         with pytest.raises(ValueError):
             dl.gamma_real(-1.5)
 
+    def test_overflow_past_the_float_range(self):
+        with pytest.raises(OverflowError):
+            dl.gamma_real(171.7)
+
 
 class TestPolylog:
     def test_log_two(self):
@@ -104,6 +108,42 @@ class TestBeta:
         )
         assert abs(series - 0.8427007929497149) < 1e-12
         assert abs(math.erf(1.0) - series) < 1e-10
+
+
+class TestMpmathOracles:
+    """Independent high-precision values at the stated 1e-12 relative
+    tolerance (skipped where mpmath is not installed)."""
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield mpmath
+
+    @staticmethod
+    def rel(got, want):
+        return abs(got - want) / abs(want)
+
+    @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.7, 10.0, 25.0, 60.0])
+    def test_zeta(self, mp, s):
+        assert self.rel(dl.zeta_real(s), float(mp.zeta(s))) < 1e-12
+
+    @pytest.mark.parametrize("s", [0.1, 0.37, 0.5, 2.5, 33.3, 141.3, 142.45, 150.3, 160.7,
+                                   171.5])
+    def test_gamma(self, mp, s):
+        assert self.rel(dl.gamma_real(s), float(mp.gamma(s))) < 1e-12
+
+    @pytest.mark.parametrize("s,u", [(0.5, 0.3), (1.5, 1.0), (3.2, 0.05), (2.0, 1.0),
+                                     (0.3, 5.0), (1.5, 3.0), (2.5, 1.5), (3.7, 20.0),
+                                     (5.0, 100.0)])
+    def test_polylog(self, mp, s, u):
+        want = complex(mp.polylog(s, -u))
+        assert abs(want.imag) < 1e-20
+        assert self.rel(dl.polylog_neg(s, u), want.real) < 1e-12
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 2.0, 3.3, 7.0])
+    def test_beta(self, mp, s):
+        assert self.rel(dl.beta_dirichlet(s), float(mp.dirichlet(s, [0, 1, 0, -1]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +215,7 @@ class TestPrimeCache:
             return real(limit)
 
         monkeypatch.setattr(dl.arith, "primes_up_to", counting)
-        monkeypatch.setattr(dl, "_PRIMES", [])
-        monkeypatch.setattr(dl, "_PRIMES_LIMIT", 0)
-        monkeypatch.setattr(dl, "_PRIME_FLOATS", np.empty(0))
+        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, [], np.empty(0)))
         counts = run_in_threads(
             lambda: (len(dl.primes(10**4)), dl._prime_array(10**4).size)
         )
