@@ -9,8 +9,11 @@ Negative gaps are handled by the generalized binomial expansion of
 (1 + u z^k)^d for d < 0; all coefficients stay integers.  The fast builder
 packs each z-row's u-polynomial into a single big integer with balanced
 base-2^L digits (Kronecker substitution), so the inner convolution is one
-shifted multiply-add per expansion term.  A rigorous a-priori digit-width
-bound plus an unpacked univariate cross-check rule out digit overflow.
+multiply-then-shift-add per expansion term.  It applies the commuting
+factors largest part first: while factor j is applied, every part present
+is >= j, so row n holds at most n/j digits and rows 1..j-1 are still zero.
+A rigorous a-priori digit-width bound plus a row-sum cross-check against
+the log-derivative recurrence of the u = 1 series rule out digit overflow.
 """
 
 from __future__ import annotations
@@ -137,22 +140,21 @@ def _unpack_row(packed: int, bits: int) -> list[int]:
 
 
 def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
-    """z^n coefficients of the u = 1 specialization, by an unpacked big-int
-    knapsack (independent cross-check for row_totals)."""
-    tot = [0] * (n_max + 1)
-    tot[0] = 1
+    """z^n coefficients q_n of the u = 1 specialization, by the
+    log-derivative recurrence n q_n = sum_{N <= n} B_N q_{n-N} with
+    B_N = sum_{j | N} j gap(j) (-1)^(N/j + 1) (independent cross-check for
+    row_totals: no binomials, no factor-by-factor product)."""
+    b = [0] * (n_max + 1)
     for j in range(1, n_max + 1):
-        d = gaps[j - 1]
-        if d == 0:
-            continue
-        terms = _expansion_terms(d, j, n_max)
-        for n in range(n_max, j - 1, -1):
-            acc = tot[n]
-            for c, m in terms:
-                if j * m > n:
-                    break
-                acc += c * tot[n - j * m]
-            tot[n] = acc
+        jd = j * gaps[j - 1]
+        for m, N in enumerate(range(j, n_max + 1, j), start=1):
+            b[N] += jd if m & 1 else -jd
+    tot = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        q, rem = divmod(sum(b[N] * tot[n - N] for N in range(1, n + 1)), n)
+        if rem:
+            raise RuntimeError(f"log-derivative recurrence: inexact division at n = {n}")
+        tot[n] = q
     return tot
 
 
@@ -163,13 +165,20 @@ def build_table(
 ) -> PartitionTable:
     """Exact coefficients of the truncated product, factors in any order.
 
-    Cost is O(n_max^2 log n_max) big-integer multiply-adds on rows of
-    ~n_max digits; memory is one packed integer per z-degree.
+    The default order is n_max, ..., 1.  The product commutes, so any order
+    gives the same table, but largest-first keeps the rows short: when
+    factor j is applied, row n has u-degree <= n/j.  Each of the
+    O(n_max^2 log n_max) expansion terms is one multiply-add of a packed row
+    of at most n/j digits (in ascending order, up to n digits); the small
+    coefficient multiplies the row before the shift, so it never runs over
+    the shifted-in zero digits.  Memory is one packed integer per z-degree.
+    Every row sum must equal the u = 1 coefficient from
+    _univariate_totals, an independent recurrence.
     """
     if r < 1 or n_max < 0:
         raise ValueError("build_table requires r >= 1 and n_max >= 0")
     gaps = GapSequence.build(r, max(n_max, 1)).gaps
-    order = list(factor_order) if factor_order is not None else list(range(1, n_max + 1))
+    order = list(factor_order) if factor_order is not None else list(range(n_max, 0, -1))
     if sorted(order) != list(range(1, n_max + 1)):
         raise ValueError("factor_order must be a permutation of 1..n_max")
 
@@ -189,7 +198,7 @@ def build_table(
                     break
                 src = rows[n - dz]
                 if src:
-                    acc += c * (src << shift)
+                    acc += (c * src) << shift
             rows[n] = acc
 
     coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divpart import arith
+from divpart import arith, checks
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +132,9 @@ def test_ramanujan_examples():
 
 
 def test_ramanujan_closed_matches_exponential_sum():
-    worst = 0.0
-    for m in range(1, 101):
-        for n in range(1, 101):
-            diff = abs(arith.ramanujan_sum(m, n) - arith.ramanujan_sum_exponential(m, n))
-            worst = max(worst, diff)
-    assert worst < 1e-10
+    # the check's own sweep and bound: m, n <= 100, 1e-10
+    ok, detail = checks.ramanujan_closed_vs_exponential()
+    assert ok, detail
 
 
 def test_ramanujan_is_mobius_on_coprimes_exhaustive():
@@ -274,7 +271,9 @@ class TestShiftedIdentity:
         assert arith.shifted_ramanujan_residual(6, 7) < 1e-9
 
     def test_small_sweep(self):
-        assert arith.shifted_identity_max_residual(15, 60) < 1e-9
+        # the check's bound: 1e-9
+        ok, detail = checks.shifted_sum_identity(m_max=15, n_max=60)
+        assert ok, detail
 
 
 class TestInducePrimitive:

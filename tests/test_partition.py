@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _knapsack_oracle import knapsack_totals
 from divpart import partition
+from divpart.arith import GapSequence
 from divpart.partition import (
     build_table,
     exact_distribution,
@@ -76,6 +78,34 @@ def test_row_totals_match_bivariate_sums(table_r2_60):
 
 def test_factor_permutation_invariance():
     assert partition.permuted_build_matches(2, 40, trials=5, seed=20240817)
+
+
+@pytest.mark.parametrize("r,n_max", [(2, 300), (3, 200)])
+def test_largest_first_default_equals_ascending_order(r, n_max):
+    default = build_table(r, n_max)
+    ascending = build_table(r, n_max, factor_order=list(range(1, n_max + 1)))
+    assert default.coeff == ascending.coeff
+    assert default.row_totals == ascending.row_totals
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_univariate_totals_match_naive_oracle_row_sums(r):
+    for n_max in range(13):
+        naive = oracle_table(r, n_max).naive
+        gaps = GapSequence.build(r, max(n_max, 1)).gaps
+        assert partition._univariate_totals(gaps, n_max) == [sum(row) for row in naive.coeff]
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_univariate_totals_match_product_form_knapsack(r):
+    gaps = GapSequence.build(r, 300).gaps
+    assert partition._univariate_totals(gaps, 300) == knapsack_totals(gaps, 300)
+
+
+def test_univariate_totals_check_every_division():
+    # (1 + z)^(1/2) has the non-integral coefficient 1/2 at z^1
+    with pytest.raises(RuntimeError, match="inexact division at n = 1"):
+        partition._univariate_totals((Fraction(1, 2),), 1)
 
 
 def test_doubling_cost_guard():
