@@ -15,7 +15,6 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from itertools import product as _iproduct
@@ -247,33 +246,42 @@ class GapSequence:
 # ---------------------------------------------------------------------------
 
 def ramanujan_sum(m: int, n: int) -> int:
-    """c_m(n) by the closed form mu(m/g) * phi(m) / phi(m/g), g = gcd(m, n).
+    """c_m(n) by the closed form mu(q) * phi(m) / phi(q), q = m / gcd(m, n).
 
-    Always an integer; the exponential sum is kept only as an oracle
-    (see ramanujan_sum_exponential).
+    One factorization of m gives both: c_m(n) = 0 unless q is squarefree,
+    and then phi(m) / phi(q) is the product of p^(e-1) over p^e || m, times
+    p - 1 for each p that does not divide q.  Always an integer; the
+    exponential sum is kept only as an oracle (see
+    ramanujan_sum_exponential).
     """
     if m < 1 or n < 1:
         raise ValueError("ramanujan_sum requires m >= 1 and n >= 1")
-    g = math.gcd(m, n)
-    q = m // g
-    mu_q = mobius(q)
-    if mu_q == 0:
-        return 0
-    return mu_q * (euler_phi(m) // euler_phi(q))
+    q = m // math.gcd(m, n)
+    mu_q = 1
+    ratio = 1
+    for p, e in factorize(m):
+        if q % p:
+            ratio *= p ** (e - 1) * (p - 1)
+        elif q % (p * p):
+            ratio *= p ** (e - 1)
+            mu_q = -mu_q
+        else:
+            return 0
+    return mu_q * ratio
 
 
-def ramanujan_sum_exponential(m: int, n: int) -> complex:
-    """c_m(n) as the direct exponential sum over residues coprime to m."""
-    return sum(
-        (_unit_root(b * n, m) for b in range(m) if math.gcd(b, m) == 1),
-        complex(0.0),
-    )
+def ramanujan_sum_exponential(m: int, n):
+    """c_m(n) as the direct exponential sum of e(b n / m) over the units b
+    mod m.  n is an int (returns a complex) or an array of ints (returns a
+    complex array, one sum per entry, from one units x n phase matrix).
 
-
-def ramanujan_sum_divisor_form(m: int, n: int) -> int:
-    """c_m(n) = sum over d | gcd(m, n) of d * mu(m/d)  (von Sterneck form)."""
-    g = math.gcd(m, n)
-    return sum(d * mobius(m // d) for d in divisors(g))
+    n is reduced mod m in exact integers first, so no size of n can
+    overflow the phases.
+    """
+    reduced = (np.atleast_1d(np.asarray(n)) % m).astype(np.int64)
+    units = _units(m)
+    sums = _unit_roots(units[:, None] * reduced % m, m).sum(axis=0)
+    return complex(sums[0]) if np.ndim(n) == 0 else sums
 
 
 @lru_cache(maxsize=8)
@@ -302,11 +310,6 @@ def ramanujan_weighted_partial(n: int, m_limit: int, r: int) -> float:
     )
 
 
-def ramanujan_weighted_partial_naive(n: int, m_limit: int, r: int) -> float:
-    """Plain per-m loop for the truncated weighted sum (cross-check path)."""
-    return math.fsum(ramanujan_sum(m, n) / m ** (r + 1) for m in range(1, m_limit + 1))
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
@@ -314,6 +317,16 @@ def ramanujan_weighted_partial_naive(n: int, m_limit: int, r: int) -> float:
 def _unit_root(num: int, den: int) -> complex:
     """e(num/den) with the angle reduced before evaluation."""
     return cmath.exp(TWO_PI * 1j * ((num % den) / den))
+
+
+def _unit_roots(phase: np.ndarray, den: int) -> np.ndarray:
+    """e(phase/den) entrywise for an integer array of reduced phases."""
+    return np.exp(TWO_PI * 1j * (phase / den))
+
+
+def _units(m: int) -> np.ndarray:
+    """The residues 0 <= b < m coprime to m (just 0 for m = 1)."""
+    return np.flatnonzero(np.gcd(np.arange(m), m) == 1)
 
 
 def _order_mod(g: int, q: int, bound: int) -> int:
@@ -382,24 +395,17 @@ class DirichletCharacter:
         )
 
 
-def _conductor_of_values(m: int, values: tuple[complex, ...]) -> int:
-    """Smallest f | m with chi trivial on every unit congruent to 1 mod f."""
-    for f in divisors(m):
-        if all(
-            abs(values[a] - 1.0) < CHARACTER_TOL
-            for a in range(1, m)
-            if a % f == 1 % f and math.gcd(a, m) == 1
-        ):
-            return f
-    return m
-
-
 @lru_cache(maxsize=512)
 def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, principal first.
 
-    Built from the unit-group decomposition into cyclic factors with
-    brute-force generator search (fine for the default limit m <= 200).
+    Built from the unit-group decomposition into cyclic factors of orders
+    d_c with brute-force generator search (fine for the default limit
+    m <= 200).  Character k sends the unit with discrete logs t to
+    e(phase / E), E = lcm(d_c), where phase = sum_c k_c t_c (E / d_c) mod E
+    is an exact integer; one exp call evaluates the whole phase matrix.
+    The conductor is the smallest f | m with phase 0 on every unit
+    congruent to 1 mod f, an exact test.
     """
     if m < 1:
         raise ValueError("characters_mod requires m >= 1")
@@ -411,35 +417,32 @@ def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[Dirich
 
     comps = factorize(m)
     structures = [_component_structure(p, e) for p, e in comps]
-    orders: list[int] = []
-    for comp_orders, _ in structures:
-        orders.extend(comp_orders)
-
+    orders = [d for comp_orders, _ in structures for d in comp_orders]
+    units = _units(m)
     # discrete-log vector of every unit mod m, via CRT components
-    unit_logs: dict[int, tuple[int, ...]] = {}
-    for a in range(m):
-        if math.gcd(a, m) != 1:
-            continue
-        vec: list[int] = []
-        for (p, e), (comp_orders, logs) in zip(comps, structures):
-            vec.extend(logs[a % p**e])
-        unit_logs[a] = tuple(vec)
+    logs = np.array(
+        [[t for (p, e), (_, comp_logs) in zip(comps, structures) for t in comp_logs[a % p**e]]
+         for a in units.tolist()],
+        dtype=np.int64,
+    ).reshape(len(units), len(orders))
+    index = np.array(
+        list(_iproduct(*(range(d) for d in orders))), dtype=np.int64
+    ).reshape(math.prod(orders), len(orders))
+    exponent = math.lcm(*orders)
+    phase = (index * [exponent // d for d in orders]) @ logs.T % exponent
 
-    chars = []
-    for ks in _iproduct(*(range(d) for d in orders)):
-        values = [complex(0.0)] * m
-        for a, vec in unit_logs.items():
-            ang = Fraction(0)
-            for k, t, d in zip(ks, vec, orders):
-                ang += Fraction(k * t, d)
-            values[a] = cmath.exp(TWO_PI * 1j * float(ang % 1))
-        principal = all(k == 0 for k in ks)
-        vals = tuple(values)
-        cond = _conductor_of_values(m, vals)
-        chars.append(
-            DirichletCharacter(m, vals, principal, cond == m, cond)
-        )
-    return tuple(chars)
+    values = np.zeros((len(index), m), dtype=complex)
+    values[:, units] = _unit_roots(phase, exponent)
+    conductor = np.full(len(index), m)
+    undecided = np.ones(len(index), dtype=bool)
+    for f in divisors(m):
+        hit = undecided & ~phase[:, units % f == 1 % f].any(axis=1)
+        conductor[hit] = f
+        undecided &= ~hit
+    return tuple(
+        DirichletCharacter(m, tuple(vals), not ks.any(), cond == m, cond)
+        for vals, ks, cond in zip(values.tolist(), index, conductor.tolist())
+    )
 
 
 def character_sums(chi: DirichletCharacter, n: int) -> tuple[complex, complex, complex]:
@@ -486,25 +489,25 @@ def shifted_ramanujan_residual(m: int, n: int) -> float:
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
     """Max residual of the shifted-sum identity over 1 <= m <= m_max,
-    1 <= n <= n_max, with per-modulus precomputation for the sweep."""
+    1 <= n <= n_max.
+
+    Per modulus, with V the non-principal character values on the units b:
+    tau = V e(b/m), G(b) = sum over chi of tau(chi) conj(chi(b)) = tau
+    conj(V), and every n at once as the phase matrix e(b n / m) times G.
+    """
     worst = 0.0
     for m in range(1, m_max + 1):
         phi = euler_phi(m)
-        mu_m = mobius(m)
-        units = [b for b in range(m) if math.gcd(b, m) == 1]
-        # G(b) = sum over non-principal chi of tau(chi) * conj(chi(b))
-        g_vec = {b: complex(0.0) for b in units}
-        for chi in characters_mod(m):
-            if chi.is_principal:
-                continue
-            tau = character_sums(chi, 1)[2]
-            for b in units:
-                g_vec[b] += tau * chi.values[b].conjugate()
-        for n in range(1, n_max + 1):
-            lhs = complex(ramanujan_sum(m, n + 1))
-            rhs = mu_m / phi * ramanujan_sum(m, n)
-            rhs += sum(g_vec[b] * _unit_root(b * n, m) for b in units) / phi
-            worst = max(worst, abs(lhs - rhs))
+        units = _units(m)
+        closed = np.array([ramanujan_sum(m, n) for n in range(1, n_max + 2)], dtype=float)
+        rhs = mobius(m) / phi * closed[:-1]
+        nonprincipal = [chi.values for chi in characters_mod(m) if not chi.is_principal]
+        if nonprincipal:
+            v = np.array(nonprincipal)[:, units]
+            g_vec = (v @ _unit_roots(units, m)) @ v.conj()
+            n_mod = np.arange(1, n_max + 1) % m
+            rhs = rhs + _unit_roots(n_mod[:, None] * units % m, m) @ g_vec / phi
+        worst = max(worst, float(np.abs(closed[1:] - rhs).max(initial=0.0)))
     return worst
 
 

@@ -10,17 +10,19 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from . import arith, dirichlet, partition, saddle
 
 Outcome = tuple[bool, str]
 
 
 def ramanujan_closed_vs_exponential(top: int = 100) -> Outcome:
+    ns = np.arange(1, top + 1)
     worst = 0.0
     for m in range(1, top + 1):
-        for n in range(1, top + 1):
-            diff = abs(arith.ramanujan_sum(m, n) - arith.ramanujan_sum_exponential(m, n))
-            worst = max(worst, diff)
+        closed = np.array([arith.ramanujan_sum(m, n) for n in range(1, top + 1)])
+        worst = max(worst, float(np.abs(closed - arith.ramanujan_sum_exponential(m, ns)).max()))
     return worst < 1e-10, f"max |closed - exponential| = {worst:.3e}"
 
 
@@ -37,11 +39,10 @@ def ramanujan_equals_mobius_on_coprimes(top: int = 100) -> Outcome:
 def character_orthogonality(top: int = 50) -> Outcome:
     worst = 0.0
     for m in range(1, top + 1):
-        phi = arith.euler_phi(m)
-        for a in range(m):
-            total = sum(chi.values[a] for chi in arith.characters_mod(m))
-            target = phi if (a % m == 1 % m and math.gcd(a, m) == 1) else 0.0
-            worst = max(worst, abs(total - target))
+        totals = np.array([chi.values for chi in arith.characters_mod(m)]).sum(axis=0)
+        target = np.zeros(m)
+        target[1 % m] = arith.euler_phi(m)
+        worst = max(worst, float(np.abs(totals - target).max()))
     return worst < 1e-9, f"max orthogonality defect = {worst:.3e}"
 
 

@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--theta-grid", dest="theta_grid", type=_float_list,
                    default=[0.25, 0.5, 1.0],
-                   help="comma-separated theta in [-2,2] (default 0.25,0.5,1)")
+                   help="comma-separated theta in [-2,2] (default 0.25,0.5,1); "
+                        "write a leading negative value as --theta-grid=-1,0.5")
     p.add_argument("--max-negative-mass", dest="max_negative_mass", type=float,
                    default=0.0, help=neg_help)
     p.add_argument("--output", default=None)

@@ -147,13 +147,6 @@ def beta_dirichlet(s: float) -> float:
     return _alternating_sum(lambda k: (2 * k + 1) ** -s)
 
 
-def polylog_neg_series(s: float, u: float) -> float:
-    """Li_s(-u) for 0 < u <= 1 by the accelerated alternating series."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError("series form needs 0 < u <= 1")
-    return -_alternating_sum(lambda k: u ** (k + 1) / (k + 1) ** s)
-
-
 def _tanh_sinh(f: Callable[[float], float], a: float, b: float,
                rel_tol: float = 1e-13, max_level: int = 12) -> float:
     """Double-exponential quadrature on (a, b): handles endpoint power
@@ -235,8 +228,15 @@ def polylog_neg(s: float, u: float, rel_tol: float = 1e-12) -> float:
 
 
 def eta_alternating(s: float) -> float:
-    """-Li_s(-1) under the standard identity, (1 - 2^(1-s)) zeta(s)."""
-    return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s)
+    """-Li_s(-1) under the standard identity, (1 - 2^(1-s)) zeta(s), for
+    s >= 1; eta(1) = log 2, the removable point of the product.
+
+    The prefactor is -expm1((1 - s) log 2), which keeps full relative
+    precision as s comes down to 1 while zeta(s) grows like 1/(s - 1).
+    """
+    if s == 1.0:
+        return math.log(2.0)
+    return -math.expm1((1.0 - s) * math.log(2.0)) * zeta_real(s)
 
 
 def eta_shifted_zeta(s: float) -> float:
@@ -396,13 +396,20 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int, tol: float) -> Seri
     for t in range(1, n_limit + 1):
         acc += t ** -s
         zpre[t] = acc
+    # the divisors of every squarefree k <= m_limit, increasing, from one
+    # sieve; only squarefree m and their divisors q are looked up
+    divs: list[list[int]] = [[] for _ in range(m_limit + 1)]
+    for d in range(1, m_limit + 1):
+        if mu[d]:
+            for k in range(d, m_limit + 1, d):
+                if mu[k]:
+                    divs[k].append(d)
 
     def coprime_partial(limit: int, q: int) -> float:
         # sum over t <= limit, gcd(t, q) = 1 of t^-s
         out = 0.0
-        for d in arith.divisors(q):
-            if mu[d]:
-                out += mu[d] * d ** -s * zpre[limit // d]
+        for d in divs[q]:
+            out += mu[d] * d ** -s * zpre[limit // d]
         return out
 
     total = 0.0
@@ -412,10 +419,8 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int, tol: float) -> Seri
             continue
         weight = mu[m] / (phi[m] * m ** (r + 1))
         s_m = 0.0
-        for g in arith.divisors(m):
+        for g in divs[m]:
             q = m // g
-            if mu[q] == 0:
-                continue
             c_val = mu[q] * (phi[m] // phi[q])
             s_m += c_val * g ** -s * coprime_partial(n_limit // g, q)
         total += weight * s_m

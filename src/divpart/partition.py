@@ -121,21 +121,27 @@ def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
         bound = log_g - n_max * math.log(z0)
         best = min(best, bound)
     bits = int(best / math.log(2.0)) + 1
-    return max(32, bits + 16)
+    # whole bytes, so _unpack_row reads the digits straight from to_bytes
+    return -(-max(32, bits + 16) // 8) * 8
 
 
 def _unpack_row(packed: int, bits: int) -> list[int]:
-    """Balanced base-2^bits digits of packed (signed coefficients)."""
-    mask = (1 << bits) - 1
+    """Balanced base-2^bits digits of packed (signed coefficients), lowest
+    first, without trailing zeros; bits is a whole number of bytes.
+
+    Adding half = 2^(bits-1) to every one of k digit slots turns each
+    balanced digit d in [-half, half) into d + half in [0, 2^bits), so one
+    to_bytes call reads every digit in linear time.  k covers the row's bit
+    length plus two bits, so the offset row never overflows its bytes.
+    """
+    width = bits // 8
+    k = (packed.bit_length() + 2 + bits - 1) // bits
     half = 1 << (bits - 1)
-    out = []
-    x = packed
-    while x:
-        d = x & mask
-        if d >= half:
-            d -= 1 << bits
-        out.append(d)
-        x = (x - d) >> bits
+    offset = int.from_bytes(half.to_bytes(width, "little") * k, "little")
+    raw = (packed + offset).to_bytes(width * k, "little")
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+    while out and out[-1] == 0:
+        out.pop()
     return out if out else [0]
 
 

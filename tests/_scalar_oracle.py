@@ -1,15 +1,28 @@
-"""Scalar reference loops for the vectorised float layers.
+"""Scalar reference loops for the vectorised layers.
 
 These are the per-term Python loops the numpy kernels replaced: every
 k-sum adds one term at a time with compensated (Kahan) accumulation under
 the shared truncation rule, and every Euler product takes one factor per
 prime.  Gaps come from the slow divisor-add sieve arith.sigma_r_table, so
 nothing here shares code with the kernels or the pair sieve under test.
+
+The number-theory loops below are the same kind of reference for the
+integer-phase kernels of divpart.arith: characters evaluated one value at
+a time from exact rational angles, with a tolerance-based conductor
+search, and Ramanujan and Gauss-type sums added one residue at a time with
+cmath.exp.  They share only the unit-group structure
+(arith._component_structure) with the code under test.  The von Sterneck
+form of c_m(n), the per-m weighted partial and the alternating series for
+Li_s(-u) are the oracles of arith.ramanujan_sum,
+arith.ramanujan_weighted_partial and dirichlet.polylog_neg.
 """
 
+import cmath
 import math
 from functools import lru_cache
+from itertools import product
 
+from divpart import arith, dirichlet
 from divpart.arith import sigma_r_table
 
 TRUNCATION_RATIO = 1e-18
@@ -167,3 +180,98 @@ def E_r_factor(sigma, r):
 
 def Cprime_factor(r):
     return lambda p: 1.0 + (1.0 - p ** float(-r)) / p ** (r + 1)
+
+
+# ---------------------------------------------------------------------------
+# Number theory
+# ---------------------------------------------------------------------------
+
+def unit_root(num, den):
+    return cmath.exp(arith.TWO_PI * 1j * ((num % den) / den))
+
+
+def _conductor(m, values):
+    """Smallest f | m with chi within CHARACTER_TOL of 1 on every unit
+    congruent to 1 mod f."""
+    for f in arith.divisors(m):
+        if all(
+            abs(values[a] - 1.0) < arith.CHARACTER_TOL
+            for a in range(1, m)
+            if a % f == 1 % f and math.gcd(a, m) == 1
+        ):
+            return f
+    return m
+
+
+def characters(m):
+    """[(values, is_principal, is_primitive, conductor)] for every character
+    mod m >= 2, in the order of arith.characters_mod.
+
+    Character k sends the unit with discrete logs t to e(sum_c k_c t_c / d_c),
+    the angle taken over the product P of the orders d_c and reduced mod 1 in
+    exact integers; int true division rounds correctly, so each angle is
+    float(Fraction(sum_c k_c t_c (P / d_c), P) % 1) at a fraction of the cost.
+    """
+    comps = arith.factorize(m)
+    structures = [arith._component_structure(p, e) for p, e in comps]
+    orders = [d for comp_orders, _ in structures for d in comp_orders]
+    total = math.prod(orders)
+    unit_logs = {}
+    for a in range(m):
+        if math.gcd(a, m) == 1:
+            vec = [t for (p, e), (_, logs) in zip(comps, structures) for t in logs[a % p**e]]
+            unit_logs[a] = [t * (total // d) for t, d in zip(vec, orders)]
+    out = []
+    for ks in product(*(range(d) for d in orders)):
+        values = [complex(0.0)] * m
+        for a, vec in unit_logs.items():
+            num = sum(k * t for k, t in zip(ks, vec))
+            values[a] = cmath.exp(arith.TWO_PI * 1j * ((num % total) / total))
+        cond = _conductor(m, values)
+        out.append((tuple(values), all(k == 0 for k in ks), cond == m, cond))
+    return out
+
+
+def ramanujan_sum_exponential(m, n):
+    """c_m(n) = sum of e(b n / m) over the units b, one residue at a time."""
+    return sum((unit_root(b * n, m) for b in range(m) if math.gcd(b, m) == 1), complex(0.0))
+
+
+def ramanujan_sum_divisor_form(m, n):
+    """c_m(n) = sum over d | gcd(m, n) of d * mu(m/d)  (von Sterneck form)."""
+    return sum(d * arith.mobius(m // d) for d in arith.divisors(math.gcd(m, n)))
+
+
+def ramanujan_weighted_partial(n, m_limit, r):
+    """sum over m <= m_limit of c_m(n) / m^(r+1), one m at a time."""
+    return math.fsum(arith.ramanujan_sum(m, n) / m ** (r + 1) for m in range(1, m_limit + 1))
+
+
+def shifted_identity_max_residual(m_max, n_max):
+    """The shifted-sum identity residual, one (m, n) and one unit at a time,
+    with tau(chi) from arith.character_sums."""
+    worst = 0.0
+    for m in range(1, m_max + 1):
+        phi = arith.euler_phi(m)
+        mu_m = arith.mobius(m)
+        units = [b for b in range(m) if math.gcd(b, m) == 1]
+        g_vec = {b: complex(0.0) for b in units}
+        for chi in arith.characters_mod(m):
+            if chi.is_principal:
+                continue
+            tau = arith.character_sums(chi, 1)[2]
+            for b in units:
+                g_vec[b] += tau * chi.values[b].conjugate()
+        for n in range(1, n_max + 1):
+            lhs = complex(arith.ramanujan_sum(m, n + 1))
+            rhs = mu_m / phi * arith.ramanujan_sum(m, n)
+            rhs += sum(g_vec[b] * unit_root(b * n, m) for b in units) / phi
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def polylog_neg_series(s, u):
+    """Li_s(-u) for 0 < u <= 1 by the accelerated alternating series."""
+    if not 0.0 < u <= 1.0:
+        raise ValueError("series form needs 0 < u <= 1")
+    return -dirichlet._alternating_sum(lambda k: u ** (k + 1) / (k + 1) ** s)

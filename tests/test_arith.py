@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _scalar_oracle as oracle
 from divpart import arith, checks
 
 
@@ -131,6 +132,14 @@ def test_ramanujan_examples():
     assert arith.ramanujan_sum(5, 5) == 4    # phi(5)
 
 
+def test_ramanujan_huge_argument():
+    # c_12(n) depends on gcd(12, n) = 4 only; n is reduced before any phase
+    assert arith.ramanujan_sum(12, 10**30) == arith.ramanujan_sum(12, 4) == -2
+    assert abs(arith.ramanujan_sum_exponential(12, 10**30) - (-2)) < 1e-12
+    sums = arith.ramanujan_sum_exponential(12, [10**30, 10**30 + 1, 6])
+    assert np.abs(sums - np.array([-2, 0, -4])).max() < 1e-12
+
+
 def test_ramanujan_closed_matches_exponential_sum():
     # the check's own sweep and bound: m, n <= 100, 1e-10
     ok, detail = checks.ramanujan_closed_vs_exponential()
@@ -147,13 +156,13 @@ def test_ramanujan_is_mobius_on_coprimes_exhaustive():
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
 def test_divisor_form_agrees(m, n):
-    assert arith.ramanujan_sum(m, n) == arith.ramanujan_sum_divisor_form(m, n)
+    assert arith.ramanujan_sum(m, n) == oracle.ramanujan_sum_divisor_form(m, n)
 
 
 def test_weighted_partial_regrouping_matches_naive():
     for n in (1, 7, 12, 36, 50):
         fast = arith.ramanujan_weighted_partial(n, 2000, 2)
-        slow = arith.ramanujan_weighted_partial_naive(n, 2000, 2)
+        slow = oracle.ramanujan_weighted_partial(n, 2000, 2)
         assert abs(fast - slow) < 1e-12
 
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import _scalar_oracle as oracle
 from divpart import arith
 from divpart import dirichlet as dl
 
@@ -77,7 +78,7 @@ class TestPolylog:
 
     @pytest.mark.parametrize("s,u", [(2.5, 0.5), (3.0, 1.0), (1.5, 0.9), (4.0, 0.25)])
     def test_integral_matches_series(self, s, u):
-        assert abs(dl.polylog_neg(s, u) - dl.polylog_neg_series(s, u)) < 1e-10
+        assert abs(dl.polylog_neg(s, u) - oracle.polylog_neg_series(s, u)) < 1e-10
 
     def test_reaches_u_above_one(self):
         # monotone decreasing in u, and finite
@@ -90,8 +91,6 @@ class TestPolylog:
             dl.polylog_neg(0.0, 1.0)
         with pytest.raises(ValueError):
             dl.polylog_neg(2.0, -1.0)
-        with pytest.raises(ValueError):
-            dl.polylog_neg_series(2.0, 1.5)
 
 
 class TestBeta:
@@ -144,6 +143,11 @@ class TestMpmathOracles:
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 2.0, 3.3, 7.0])
     def test_beta(self, mp, s):
         assert self.rel(dl.beta_dirichlet(s), float(mp.dirichlet(s, [0, 1, 0, -1]))) < 1e-12
+
+    @pytest.mark.parametrize("s", [1.0, 1.0 + 1e-6, 2.0, 5.0])
+    def test_eta(self, mp, s):
+        # eta(1) = log 2 is the removable point; just above it zeta(s) ~ 1/(s-1)
+        assert self.rel(dl.eta_alternating(s), float(mp.altzeta(s))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,13 @@ class TestDoubleSeries:
         sv = dl.dirichlet_d1(3.0, 2, mode="direct", m_limit=1, n_limit=20000)
         head = math.fsum(n**-3.0 for n in range(1, 20001))
         assert abs(sv.value - head) < 1e-14
+
+    @pytest.mark.parametrize("s,r,want", [(3.0, 2, 1.3397841522824694),
+                                          (2.0, 1, 1.9435463125816441),
+                                          (4.0, 2, 1.2253060971325747)])
+    def test_direct_values_pinned(self, s, r, want):
+        # the default budget (m <= 2000, n <= 20000) to the last bit
+        assert dl.dirichlet_d1(s, r, mode="direct").value == want
 
     def test_grouped_matches_naive_loop(self):
         fast = dl.dirichlet_d1(3.0, 2, mode="direct", m_limit=60, n_limit=500).value

@@ -103,3 +103,35 @@ def test_euler_products(name, make, factor):
     cutoff = 10**5
     want = oracle.euler_product(factor, arith.primes_up_to(cutoff))
     assert _close(make(cutoff).value, want), name
+
+
+# ---------------------------------------------------------------------------
+# The integer-phase number-theory kernels of divpart.arith
+# ---------------------------------------------------------------------------
+
+def test_characters_match_scalar_construction():
+    for m in range(2, arith.CHARACTER_MODULUS_LIMIT + 1):
+        chars = arith.characters_mod(m)
+        want = oracle.characters(m)
+        assert len(chars) == len(want) == arith.euler_phi(m)
+        for chi, (values, principal, primitive, conductor) in zip(chars, want):
+            assert (chi.is_principal, chi.is_primitive, chi.conductor) == (
+                principal, primitive, conductor), m
+            assert max(abs(a - b) for a, b in zip(chi.values, values)) <= 1e-15, m
+
+
+def test_shifted_identity_matches_scalar_loop():
+    got = arith.shifted_identity_max_residual(30, 100)
+    want = oracle.shifted_identity_max_residual(30, 100)
+    assert abs(got - want) <= 1e-13 and got < 1e-9, (got, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 30, 97, 120])
+def test_ramanujan_exponential_array_matches_scalar_loop(m):
+    ns = list(range(1, 150)) + [10**18, 10**30 + 7]
+    got = arith.ramanujan_sum_exponential(m, ns)
+    assert got.shape == (len(ns),)
+    for n, value in zip(ns, got):
+        want = oracle.ramanujan_sum_exponential(m, n)
+        assert abs(value - want) <= 1e-12, (m, n)
+        assert abs(arith.ramanujan_sum_exponential(m, n) - want) <= 1e-12, (m, n)
