@@ -231,12 +231,15 @@ def eta_alternating(s: float) -> float:
     """-Li_s(-1) under the standard identity, (1 - 2^(1-s)) zeta(s), for
     s >= 1; eta(1) = log 2, the removable point of the product.
 
-    The prefactor is -expm1((1 - s) log 2), which keeps full relative
-    precision as s comes down to 1 while zeta(s) grows like 1/(s - 1).
+    Below s = 2 the prefactor is -expm1((1 - s) log 2), which keeps full
+    relative precision as s comes down to 1 while zeta(s) grows like
+    1/(s - 1).  From s = 2 on it is 1 - 2^(1-s), exact at the integers.
     """
     if s == 1.0:
         return math.log(2.0)
-    return -math.expm1((1.0 - s) * math.log(2.0)) * zeta_real(s)
+    if s < 2.0:
+        return -math.expm1((1.0 - s) * math.log(2.0)) * zeta_real(s)
+    return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s)
 
 
 def eta_shifted_zeta(s: float) -> float:
