@@ -385,15 +385,6 @@ class DirichletCharacter:
     def __call__(self, a: int) -> complex:
         return self.values[a % self.modulus]
 
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            modulus=self.modulus,
-            values=tuple(v.conjugate() for v in self.values),
-            is_principal=self.is_principal,
-            is_primitive=self.is_primitive,
-            conductor=self.conductor,
-        )
-
 
 @lru_cache(maxsize=512)
 def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[DirichletCharacter, ...]:
@@ -465,26 +456,6 @@ def character_sums(chi: DirichletCharacter, n: int) -> tuple[complex, complex, c
         if math.gcd(b, m) == 1:
             cp += v * _unit_root(b * n, m)
     return c, cp, tau
-
-
-def shifted_ramanujan_residual(m: int, n: int) -> float:
-    """|c_m(n+1) - [mu(m)/phi(m) c_m(n) + (1/phi(m)) sum over non-principal
-    chi of tau(chi) c'_{conj chi}(n)]| in complex arithmetic.
-
-    Contract: < 1e-9 for every valid (m, n).
-    """
-    if m < 1 or n < 1:
-        raise ValueError("shifted_ramanujan_residual requires m, n >= 1")
-    lhs = complex(ramanujan_sum(m, n + 1))
-    phi = euler_phi(m)
-    rhs = mobius(m) / phi * ramanujan_sum(m, n)
-    for chi in characters_mod(m):
-        if chi.is_principal:
-            continue
-        tau = character_sums(chi, 1)[2]
-        cbar = character_sums(chi.conjugate(), n)[1]
-        rhs += tau * cbar / phi
-    return abs(lhs - rhs)
 
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:

@@ -60,7 +60,6 @@ class RunConfig:
     u: float = 1.0
     mode: str = "general"
     prime_cutoff: int = dirichlet.DEFAULT_PRIME_CUTOFF
-    tolerance: float = 1e-8
     s: float = 3.0
     x_grid: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
     theta_grid: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
@@ -87,6 +86,8 @@ class RunConfig:
             raise ValueError("--prime-cutoff must be >= 100")
         if not 0.0 < self.u < math.inf:
             raise ValueError("--u must be positive and finite")
+        if self.subcommand == "dirichlet-check" and not 1.0 < self.s < math.inf:
+            raise ValueError("--s must be finite and > 1")
         if self.subcommand == "table" and self.table_limit < 0:
             raise ValueError("--N must be >= 0")
         if self.subcommand in ("saddle", "mgf") and self.n < 1:
@@ -115,7 +116,7 @@ def _cmd_table(cfg: RunConfig) -> int:
 
 
 def _cmd_constants(cfg: RunConfig) -> int:
-    c_val = dirichlet.constant_C(cfg.r, cutoff=cfg.prime_cutoff, tol=cfg.tolerance)
+    c_val = dirichlet.constant_C(cfg.r, cutoff=cfg.prime_cutoff)
     k1 = dirichlet.euler_K(1.0, cfg.r, cutoff=cfg.prime_cutoff)
     if cfg.r >= 2:
         e1, cp = dirichlet.E_r_and_Cprime(1.0, cfg.r, cutoff=cfg.prime_cutoff)
@@ -304,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
                    default=dirichlet.DEFAULT_PRIME_CUTOFF,
                    help="Euler-product prime cutoff (default 1000000)")
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="product tail tolerance (default 1e-8)")
     p.add_argument("--convention", choices=("standard", "shifted-zeta"),
                    default="standard",
                    help="-Li_s(-1) convention for C_mu/C_sigma (default standard)")

@@ -507,52 +507,39 @@ def d2_direct_probe(
     return total
 
 
-def _b_factor_chi(p: int, s: float, r: int, chi_p: int) -> float:
-    """The nested correction series for one prime in the quartic-character
-    products: numerator sum_{k>=2} chi^k (p^-(k(s+r)+1) - p^-(k(s+r+1)))
-    over the matching signed denominator."""
-    num = 0.0
-    den_series = 0.0
-    k = 2
-    while True:
-        term = chi_p**k * (p ** -(k * (s + r) + 1.0) - p ** (-k * (s + r + 1.0)))
-        num += term
-        den_series += term
-        if abs(term) < 1e-18 * (abs(num) + 1e-300):
-            break
-        k += 1
-        if k > 200:
-            break
-    den = 1.0 + chi_p * (p ** (-(s + r + 1.0)) - p ** (-(s + r))) - den_series
-    return num / den
-
-
 def d2_quartic_character(
     s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-6
 ) -> SeriesValue:
     """The companion series specialized to the nontrivial character mod 4:
     beta(s) beta(s+r+1) / beta(s+r) times Euler products over p = 1 (mod 4)
-    and p = 3 (mod 4)."""
+    and p = 3 (mod 4).
+
+    With x = chi(p) p^-(s+r), y = chi(p) p^-(s+r+1) and d = 1 + y - x,
+    the factor of an odd prime is 1 + (1 + chi(p) p^-s) / (p^(r+1) d)
+    (1 - b), where b = N / (d - N) and N is the geometric series
+    sum_{k>=2} chi^k (p^-(k(s+r)+1) - p^-(k(s+r+1))) =
+    x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1."""
     if s <= 1.0 or r <= 1:
         raise ValueError("d2_quartic_character requires s > 1 and r > 1")
-    logs = []
-    count = 0
-    for p in primes(cutoff):
-        if p == 2:
-            continue
-        chi_p = 1 if p % 4 == 1 else -1
-        b = _b_factor_chi(p, s, r, chi_p)
-        lead = (1.0 + chi_p * p**-s) / p ** (r + 1)
-        inner = 1.0 / (1.0 + chi_p * (p ** (-(s + r + 1.0)) - p ** (-(s + r))))
-        factor = 1.0 + lead * inner * (1.0 - b)
-        logs.append(math.log(factor))
-        count += 1
-    prod = math.exp(math.fsum(logs))
+
+    def factor(p: np.ndarray) -> np.ndarray:
+        chi = np.where(p % 4.0 == 1.0, 1.0, -1.0)
+        x = chi * p ** -(s + r)
+        y = chi * p ** -(s + r + 1.0)
+        d = 1.0 + y - x
+        num = x * x / ((1.0 - x) * p) - y * y / (1.0 - y)
+        lead = (1.0 + chi * p**-s) / p ** (r + 1)
+        return np.where(p == 2.0, 1.0, 1.0 + lead / d * (1.0 - num / (d - num)))
+
+    prod = _euler_product(factor, tail_const=4.0, tail_alpha=r + 1.0, cutoff=cutoff, tol=tol)
     scale = beta_dirichlet(s) * beta_dirichlet(s + r + 1.0) / beta_dirichlet(s + r)
-    tail_log = 4.0 * cutoff ** float(-r) / r
-    value = scale * prod
-    tail = abs(value) * math.expm1(tail_log)
-    return SeriesValue(value=value, terms_used=count, truncation_bound=tail, converged=tail < tol)
+    tail = abs(scale) * prod.tail_estimate
+    return SeriesValue(
+        value=scale * prod.value,
+        terms_used=int(np.count_nonzero(_prime_array(cutoff) != 2.0)),
+        truncation_bound=tail,
+        converged=tail < tol,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ saddle-point equation in both the gap-weighted and plain forms, and
 numeric probes of the leading-order Mellin asymptotics, the minor-arc
 decay, and the trigonometric kernel lower bound.
 
-Every k-sum but the Mellin double sum runs through one numpy kernel,
-_ksum, under the shared truncation rule: stop once
-max(|gap(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the running total,
+Every k-sum, the Mellin double sums included, runs through one numpy
+kernel, _ksum, under the shared truncation rule: stop once
+max(|w(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the running total,
 hard-capped at 10^7 terms.  The kernel adds the terms of each block of k
 by numpy's pairwise summation and the block sums by math.fsum, so a sum
 is good to a few ulps of sum |term| rather than of |sum|; the tests hold
-it to 1e-13 relative against a compensated scalar loop.  The Mellin
-double sum keeps its own compensated scalar loop.
+it to 1e-13 relative against a compensated scalar loop.
 """
 
 from __future__ import annotations
@@ -104,9 +103,11 @@ def _ksum(
     summands: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
     k_cap: int | None = None,
     stop_power: float = 4,
+    shift: int | None = None,
 ) -> list[float]:
     """sum_{k>=1} w(k) s_i(k, e^(-gamma k)) for every array s_i that
-    summands(k, q) returns, with w = gap_r (r given) or w = 1 (r None).
+    summands(k, q) returns, with w = gap_r (r given), w = sigma_r(k + shift)
+    (r and shift given) or w = 1 (r None).
 
     Each sum stops at the first k where
     max(|w(k)|, 1) k^stop_power e^(-gamma k) < TRUNCATION_RATIO * |its
@@ -132,11 +133,14 @@ def _ksum(
             bound = k**stop_power * q
             terms = summands(k, q)
             if r is not None:
-                # exact gaps, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
-                gap = np.diff(divisor_sums(r, end + 1)[start : end + 2]).astype(np.float64)
-                bound *= np.maximum(np.abs(gap), 1.0)
-                terms = [gap * t for t in terms]
-                zero = gap == 0.0
+                # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
+                if shift is None:
+                    w = np.diff(divisor_sums(r, end + 1)[start : end + 2]).astype(np.float64)
+                else:
+                    w = divisor_sums(r, end + shift)[start + shift : end + shift + 1].astype(np.float64)
+                bound *= np.maximum(np.abs(w), 1.0)
+                terms = [w * t for t in terms]
+                zero = w == 0.0
                 if zero.any():  # a zero weight drops its term, finite or not
                     for t in terms:
                         t[zero] = 0.0
@@ -364,35 +368,21 @@ def mean_variance_saddle(n: int, r: int, mode: str = "paper_literal") -> tuple[f
 # ---------------------------------------------------------------------------
 
 def _sigma_double_sum(j: int, gamma: float, u: float, r: int, shifted: bool) -> float:
-    """sum_n sigma_r(n + shifted) n^j sum_l (-u)^l l^(j-1) e^(-n l gamma)."""
-    sums = divisor_sums(r, 1024)
-    total = 0.0
-    comp = 0.0
-    n = 0
-    while True:
-        n += 1
-        if n + 1 == len(sums):
-            sums = divisor_sums(r, len(sums))
-        sig = float(sums[n + 1] if shifted else sums[n])
-        inner = 0.0
-        sign_u = -u
-        l = 1
-        while True:
-            e_term = math.exp(-n * l * gamma)
-            term = sign_u * float(l) ** (j - 1) * e_term
-            inner += term
-            if abs(term) < 1e-18 * max(abs(inner), 1e-300) or n * l * gamma > 60.0:
-                break
-            sign_u *= -u
-            l += 1
-        term = sig * float(n) ** j * inner
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        # sigma_r(n+1) < zeta(r) (n+1)^r keeps this stop bound valid
-        if sig * float(n) ** j * math.exp(-n * gamma) * 2.0 * u < 1e-18 * max(abs(total), 1e-300):
-            return total
+    """sum_n sigma_r(n + shifted) n^j sum_l (-u)^l l^(j-1) e^(-n l gamma).
+
+    n^j times the l-sum is (-1)^(j+1) times the j-th gamma-derivative of
+    log(1 + u e^(-gamma n)), so the double sum is one kernel pass over
+    the closed-form partials, j = 0..4; unlike the l-series it holds for
+    u > 1 too.
+    """
+    if not 0 <= j <= 4:
+        raise ValueError(f"the Mellin double sums need 0 <= j <= 4, got j = {j}")
+    if gamma <= 0.0 or u <= 0.0:
+        raise ValueError("the Mellin double sums need gamma > 0 and u > 0")
+    sign = (-1.0) ** (j + 1)
+    return _ksum(
+        gamma, r, lambda k, q: [sign * _partial_terms(j, 0, k, q, u)], shift=int(shifted)
+    )[0]
 
 
 def mellin_ratio_check(

@@ -3,8 +3,11 @@
 These are the per-term Python loops the numpy kernels replaced: every
 k-sum adds one term at a time with compensated (Kahan) accumulation under
 the shared truncation rule, and every Euler product takes one factor per
-prime.  Gaps come from the slow divisor-add sieve arith.sigma_r_table, so
-nothing here shares code with the kernels or the pair sieve under test.
+prime.  The Mellin double sums add their inner l-series term by term under
+their own stop rule, and the quartic-character product sums each prime's
+nested correction series term by term.  Gaps and sigma values come from
+the slow divisor-add sieve arith.sigma_r_table, so nothing here shares
+code with the kernels or the pair sieve under test.
 
 The number-theory loops below are the same kind of reference for the
 integer-phase kernels of divpart.arith: characters evaluated one value at
@@ -180,6 +183,83 @@ def E_r_factor(sigma, r):
 
 def Cprime_factor(r):
     return lambda p: 1.0 + (1.0 - p ** float(-r)) / p ** (r + 1)
+
+
+@lru_cache(maxsize=None)
+def _float_sigmas(r, limit):
+    """sigma_r(0..limit) as correctly rounded floats."""
+    return [float(v) for v in sigma_r_table(limit, r)]
+
+
+def sigma_double_sum(j, gamma, u, r, shifted):
+    """sum_n sigma_r(n + shifted) n^j sum_l (-u)^l l^(j-1) e^(-n l gamma):
+    the l-series added term by term (so only for u e^(-gamma) < 1), the
+    n-sum compensated and stopped by its own bound."""
+    sums = _float_sigmas(r, 1024)
+    total = 0.0
+    comp = 0.0
+    n = 0
+    while True:
+        n += 1
+        if n + 1 == len(sums):
+            sums = _float_sigmas(r, 2 * (len(sums) - 1))
+        sig = sums[n + 1] if shifted else sums[n]
+        inner = 0.0
+        sign_u = -u
+        l = 1
+        while True:
+            e_term = math.exp(-n * l * gamma)
+            term = sign_u * float(l) ** (j - 1) * e_term
+            inner += term
+            if abs(term) < 1e-18 * max(abs(inner), 1e-300) or n * l * gamma > 60.0:
+                break
+            sign_u *= -u
+            l += 1
+        term = sig * float(n) ** j * inner
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        # sigma_r(n+1) < zeta(r) (n+1)^r keeps this stop bound valid
+        if sig * float(n) ** j * math.exp(-n * gamma) * 2.0 * u < 1e-18 * max(abs(total), 1e-300):
+            return total
+
+
+def _b_factor_chi(p, s, r, chi_p):
+    """The nested correction series of one odd prime in the quartic-character
+    product, summed term by term."""
+    num = 0.0
+    den_series = 0.0
+    k = 2
+    while True:
+        term = chi_p**k * (p ** -(k * (s + r) + 1.0) - p ** (-k * (s + r + 1.0)))
+        num += term
+        den_series += term
+        if abs(term) < 1e-18 * (abs(num) + 1e-300):
+            break
+        k += 1
+        if k > 200:
+            break
+    den = 1.0 + chi_p * (p ** (-(s + r + 1.0)) - p ** (-(s + r))) - den_series
+    return num / den
+
+
+def d2_quartic_character(s, r, cutoff):
+    """(value, odd primes used, truncation bound) of
+    dirichlet.d2_quartic_character, one odd prime at a time."""
+    logs = []
+    for p in arith.primes_up_to(cutoff):
+        if p == 2:
+            continue
+        chi_p = 1 if p % 4 == 1 else -1
+        b = _b_factor_chi(p, s, r, chi_p)
+        lead = (1.0 + chi_p * p**-s) / p ** (r + 1)
+        inner = 1.0 / (1.0 + chi_p * (p ** (-(s + r + 1.0)) - p ** (-(s + r))))
+        logs.append(math.log(1.0 + lead * inner * (1.0 - b)))
+    scale = (dirichlet.beta_dirichlet(s) * dirichlet.beta_dirichlet(s + r + 1.0)
+             / dirichlet.beta_dirichlet(s + r))
+    value = scale * math.exp(math.fsum(logs))
+    return value, len(logs), abs(value) * math.expm1(4.0 * cutoff ** float(-r) / r)
 
 
 # ---------------------------------------------------------------------------

@@ -274,10 +274,10 @@ class TestCharacterSums:
 
 class TestShiftedIdentity:
     def test_trivial_modulus_exact(self):
-        assert arith.shifted_ramanujan_residual(1, 10) == 0.0
+        assert arith.shifted_identity_max_residual(1, 10) == 0.0
 
     def test_example(self):
-        assert arith.shifted_ramanujan_residual(6, 7) < 1e-9
+        assert arith.shifted_identity_max_residual(6, 7) < 1e-9
 
     def test_small_sweep(self):
         # the check's bound: 1e-9

@@ -187,6 +187,9 @@ class TestConfigErrors:
         ["clt-report", "--n-list", "400,200"],
         ["clt-report", "--n-list", ","],
         ["clt-report", "--n-list=-5,10"],
+        ["dirichlet-check", "--s", "inf"],
+        ["dirichlet-check", "--s", "nan"],
+        ["dirichlet-check", "--s", "1"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows

@@ -1,6 +1,6 @@
 """The vectorised float layers against the scalar loops they replaced
-(tests/_scalar_oracle.py): the k-sum kernel, the pair divisor sieve and
-the array Euler products."""
+(tests/_scalar_oracle.py): the k-sum kernel, the Mellin double sums, the
+pair divisor sieve and the array Euler products."""
 
 import math
 
@@ -103,6 +103,27 @@ def test_euler_products(name, make, factor):
     cutoff = 10**5
     want = oracle.euler_product(factor, arith.primes_up_to(cutoff))
     assert _close(make(cutoff).value, want), name
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_mellin_double_sums(r, shifted):
+    for gamma in (0.1, 0.05, 0.02, 0.01):
+        for u in (1.0, 0.5, 1e-4):
+            for j in range(5):
+                want = oracle.sigma_double_sum(j, gamma, u, r, shifted)
+                got = sd._sigma_double_sum(j, gamma, u, r, shifted)
+                assert _close(got, want), (gamma, u, j, got, want)
+
+
+@pytest.mark.parametrize("s,r", [(3.0, 2), (1.5, 2), (2.0, 3), (1.1, 4), (5.0, 3)])
+@pytest.mark.parametrize("cutoff", [10**3, 10**4, 10**5])
+def test_quartic_character_product(s, r, cutoff):
+    value, odd_primes, bound = oracle.d2_quartic_character(s, r, cutoff)
+    got = dl.d2_quartic_character(s, r, cutoff=cutoff)
+    assert got.terms_used == odd_primes
+    assert abs(got.value - value) <= 1e-14 * abs(value)
+    assert abs(got.truncation_bound - bound) <= 1e-14 * bound
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,19 @@ class TestMellinLeadingOrder:
         with pytest.raises(ValueError):
             sd.mellin_ratio_check(0, [0.05, 0.1], 1.0, 2)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_u_above_one(self, r):
+        # the l-series of the double sum diverges for u e^(-gamma) > 1; the
+        # closed-form partials do not
+        ratios = sd.mellin_ratio_check(0, [0.1, 0.05, 0.02], 2.0, r)
+        assert abs(ratios[-1] - 1.0) < 0.05
+
+    def test_j_outside_the_partials_table(self):
+        with pytest.raises(ValueError):
+            sd.mellin_ratio_check(5, [0.1], 1.0, 2)
+        with pytest.raises(ValueError):
+            sd.h1_boundedness_probe(5, 0.1, 1.0, 2)
+
 
 class TestShiftedSumProbe:
     @pytest.mark.parametrize("j", [0, 1])
@@ -202,6 +215,12 @@ class TestShiftedSumProbe:
         v2, _, _ = sd.h1_boundedness_probe(0, 0.025, 1.0, 2)
         # the gamma power is r + j + 1 = 3
         assert abs(v2 / v1 - 8.0) / 8.0 < 0.2
+
+    @pytest.mark.parametrize("gamma,u", [(0.0, 1.0), (0.05, 0.0)])
+    def test_domain(self, gamma, u):
+        # gamma = 0 would never meet the stop rule, u = 0 only at the hard cap
+        with pytest.raises(ValueError):
+            sd.h1_boundedness_probe(0, gamma, u, 2)
 
 
 class TestMinorArc:
