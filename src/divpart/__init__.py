@@ -10,10 +10,23 @@ Subpackages by concern:
 - cltlab: distributional validation against the Gaussian limit
 - checks: the invariant checks behind verify and the acceptance gate
 - cli: deterministic command-line front door
+
+``import divpart`` loads none of them: each is imported on first access
+(``divpart.arith``, ``from divpart import cltlab``), so a process pays only
+for the modules it uses.
 """
 
-from . import arith, cltlab, dirichlet, partition, saddle
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = ["arith", "partition", "dirichlet", "saddle", "cltlab", "__version__"]
+
+_SUBMODULES = frozenset({"arith", "partition", "dirichlet", "saddle", "cltlab",
+                         "checks", "cli"})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

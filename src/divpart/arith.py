@@ -16,7 +16,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from itertools import product as _iproduct
 
 import numpy as np
@@ -32,22 +31,31 @@ FACTORIZATION_LIMIT = 10**14
 #: Numeric tolerance for identities between tabulated character values.
 CHARACTER_TOL = 1e-9
 
+#: Default prime cutoff of the Euler products (and of the CLI's --prime-cutoff).
+DEFAULT_PRIME_CUTOFF = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Primes and factorization
 # ---------------------------------------------------------------------------
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by a bytearray Eratosthenes sieve."""
+    """All primes <= limit, as Python ints, by an Eratosthenes sieve over
+    the odd numbers in a numpy boolean array (entry i stands for 2i + 1)."""
     if limit < 2:
         return []
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-    return list(compress(range(limit + 1), sieve))
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    # entry 0 (the number 1) stays set and becomes 2: one index array, made
+    # odd in place, and one list, with no copy of either
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes.tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -5,6 +5,9 @@ artifacts.  Floats are therefore always emitted as decimal strings with 17
 significant digits, JSON keys are sorted, CSV uses LF line endings, and
 verify's worker-count flag changes nothing.
 
+Each handler imports the library modules it runs, so a subcommand loads
+only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
+
 Exit codes: 0 success, 1 invariant failure (verify), 2 configuration error.
 """
 
@@ -17,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import checks, cltlab, dirichlet, partition, saddle
+from .arith import DEFAULT_PRIME_CUTOFF
 
 
 def fmt(x: Any) -> Any:
@@ -59,7 +62,7 @@ class RunConfig:
     table_limit: int = 40
     u: float = 1.0
     mode: str = "general"
-    prime_cutoff: int = dirichlet.DEFAULT_PRIME_CUTOFF
+    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
     s: float = 3.0
     x_grid: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
     theta_grid: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
@@ -107,6 +110,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_table(cfg: RunConfig) -> int:
+    from . import partition
     tab = partition.build_table(cfg.r, cfg.table_limit)
     if cfg.format == "csv":
         emit_text(tab.to_csv(), cfg.output)
@@ -116,6 +120,7 @@ def _cmd_table(cfg: RunConfig) -> int:
 
 
 def _cmd_constants(cfg: RunConfig) -> int:
+    from . import dirichlet
     c_val = dirichlet.constant_C(cfg.r, cutoff=cfg.prime_cutoff)
     k1 = dirichlet.euler_K(1.0, cfg.r, cutoff=cfg.prime_cutoff)
     if cfg.r >= 2:
@@ -152,6 +157,7 @@ def _cmd_constants(cfg: RunConfig) -> int:
 
 
 def _cmd_dirichlet_check(cfg: RunConfig) -> int:
+    from . import dirichlet
     closed = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="closed", cutoff=cfg.prime_cutoff)
     direct = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="direct")
     doc = {
@@ -178,6 +184,7 @@ def _cmd_dirichlet_check(cfg: RunConfig) -> int:
 
 
 def _cmd_saddle(cfg: RunConfig) -> int:
+    from . import saddle
     sp = saddle.solve_saddle(cfg.n, cfg.u, cfg.r, mode=cfg.mode)
     mu, nu2 = saddle.mean_variance_saddle(cfg.n, cfg.r, mode=cfg.mode)
     emit_json({
@@ -190,6 +197,7 @@ def _cmd_saddle(cfg: RunConfig) -> int:
 
 
 def _cmd_clt_report(cfg: RunConfig) -> int:
+    from . import cltlab
     report = cltlab.clt_report(cfg.r, cfg.n_list,
                                max_negative_mass=cfg.max_negative_mass)
     lines = ["n,mean_exact,var_exact,mu_general,nu2_general,mu_literal,"
@@ -217,6 +225,7 @@ def _cmd_clt_report(cfg: RunConfig) -> int:
 
 
 def _cmd_tail(cfg: RunConfig) -> int:
+    from . import cltlab
     report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid, slack=0.5,
                                 max_negative_mass=cfg.max_negative_mass)
     lines = ["x,side,prob,bound,branch,ok"]
@@ -232,6 +241,7 @@ def _cmd_tail(cfg: RunConfig) -> int:
 
 
 def _cmd_mgf(cfg: RunConfig) -> int:
+    from . import cltlab
     profile = cltlab.mgf_profile(cfg.n, cfg.r, cfg.theta_grid,
                                  max_negative_mass=cfg.max_negative_mass)
     lines = ["theta,mgf_exact,gauss_target,rel_deviation"]
@@ -250,6 +260,7 @@ def _cmd_mgf(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from . import checks
     results = checks.run(cfg.quick)
     lines = []
     failures = 0
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="emit the derived constants as JSON")
     p.add_argument("--r", type=int, default=1, help="divisor power (default 1)")
     p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=dirichlet.DEFAULT_PRIME_CUTOFF,
+                   default=DEFAULT_PRIME_CUTOFF,
                    help="Euler-product prime cutoff (default 1000000)")
     p.add_argument("--convention", choices=("standard", "shifted-zeta"),
                    default="standard",
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--s", type=float, default=5.0)
     p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=dirichlet.DEFAULT_PRIME_CUTOFF)
+                   default=DEFAULT_PRIME_CUTOFF)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("saddle", help="solve the saddle equation at one n")

@@ -22,9 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import arith
-from .arith import characters_mod, character_sums, mu_phi_tables
-
-DEFAULT_PRIME_CUTOFF = 10**6
+from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, character_sums, mu_phi_tables
 
 # (limit, the primes <= limit, the same as a read-only float64 array)
 _PRIME_CACHE: tuple[int, list[int], np.ndarray] = (0, [], np.empty(0))
@@ -85,6 +83,10 @@ def zeta_real(s: float) -> float:
     rising = s
     power = n0 ** (-s - 1.0)
     for k, coeff in enumerate(_EM_COEFF, start=1):
+        if power == 0.0:
+            # every later correction is zero too, while rising may reach inf
+            # (from s ~ 5e23 on), so 0 * inf would make the sum nan
+            break
         tail += coeff * rising * power
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         power /= n0 * n0
@@ -279,7 +281,10 @@ def _euler_product(
     tol: float,
 ) -> EulerProductValue:
     """prod over p <= cutoff of factor(p), with factor evaluated once over
-    the float array of the primes; the logs are added by math.fsum."""
+    the float array of the primes; the logs are added by math.fsum.
+
+    Past p ~ 10^4 most factors round to exactly 1.0, so only the nonzero
+    logs go to fsum: adding 0.0 cannot change a correctly rounded sum."""
     if tail_alpha <= 1.0:
         raise ValueError("divergent parameter region (tail exponent <= 1)")
     p = _prime_array(cutoff)
@@ -288,7 +293,8 @@ def _euler_product(
     bad = np.flatnonzero(~(f > 0.0))
     if bad.size:
         raise ValueError(f"nonpositive Euler factor at p = {int(p[bad[0]])}")
-    value = math.exp(math.fsum(np.log(f)))
+    logs = np.log(f)
+    value = math.exp(math.fsum(logs[logs != 0.0].tolist()))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
     tail = abs(value) * math.expm1(log_tail)
     return EulerProductValue(value, cutoff, tail, tail < tol)
@@ -378,7 +384,7 @@ def dirichlet_d1(
         scale = zeta_real(s) / zeta_real(s + r + 1.0)
         return SeriesValue(
             value=scale * k_val.value,
-            terms_used=len(primes(cutoff)),
+            terms_used=_prime_array(cutoff).size,
             truncation_bound=abs(scale) * k_val.tail_estimate,
             converged=k_val.converged,
         )
@@ -554,6 +560,17 @@ def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
     return arith.divisor_sum_sieve(r, limit, np.float64)
 
 
+def _divisor_series(r: int, s: float, n_cutoff: int, shift: int) -> float:
+    """sum_{n <= n_cutoff} sigma_r(n + shift) n^-s, in one work array:
+    n^-s and the products are formed in place, so a 10^6-term sum holds
+    one array beside the sigma table instead of three."""
+    sig = _sigma_float_sieve(r, n_cutoff + 1)
+    terms = np.arange(1, n_cutoff + 1, dtype=np.float64)
+    np.power(terms, -s, out=terms)
+    terms *= sig[1 + shift : n_cutoff + 1 + shift]
+    return float(np.sum(terms))
+
+
 @dataclass(frozen=True)
 class ShiftedSeriesCheck:
     direct: float
@@ -576,9 +593,7 @@ def shifted_series_residual(
         raise ValueError("shifted_series_residual requires r >= 2")
     if s - r <= 1.0:
         raise ValueError("need s - r > 1 so every shifted argument stays in range")
-    sig = _sigma_float_sieve(r, n_cutoff + 1)
-    n_arr = np.arange(1, n_cutoff + 1, dtype=np.float64)
-    direct = float(np.sum(sig[2 : n_cutoff + 2] * n_arr**(-s)))
+    direct = _divisor_series(r, s, n_cutoff, shift=1)
     # sigma_r(n+1) <= zeta(r) (n+1)^r <= zeta(r) 2^r n^r
     trunc = zeta_real(float(r)) * 2.0**r * n_cutoff ** (r + 1.0 - s) / (s - r - 1.0)
 
@@ -607,9 +622,7 @@ def dsigma_residual(s: float, r: int, n_cutoff: int = 10**6) -> float:
     """|sum_n sigma_r(n)/n^s - zeta(s) zeta(s-r)| at the same truncation."""
     if s - r <= 1.0:
         raise ValueError("need s - r > 1")
-    sig = _sigma_float_sieve(r, n_cutoff + 1)
-    n_arr = np.arange(1, n_cutoff + 1, dtype=np.float64)
-    direct = float(np.sum(sig[1 : n_cutoff + 1] * n_arr**(-s)))
+    direct = _divisor_series(r, s, n_cutoff, shift=0)
     return abs(direct - zeta_real(s) * zeta_real(s - r))
 
 

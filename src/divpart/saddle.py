@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import dirichlet
 from .arith import divisor_sums
 
 TRUNCATION_RATIO = 1e-18
@@ -391,6 +390,8 @@ def mellin_ratio_check(
     """For each gamma, the unshifted double sum over the closed leading term
     zeta(r+1) Li_{r+2}(-u) Gamma(j+r+1) gamma^-(j+r+1); the ratios should
     approach 1 monotonically as gamma decreases."""
+    from . import dirichlet  # only the Mellin probes need the special functions
+
     if any(b >= a for a, b in zip(gamma_list, gamma_list[1:])):
         raise ValueError("gamma_list must be strictly decreasing")
     lead = (
@@ -413,6 +414,8 @@ def h1_boundedness_probe(
 
     A violation is a reportable finding about the constants, not a crash.
     """
+    from . import dirichlet
+
     value = _sigma_double_sum(j, gamma, u, r, shifted=True)
     n_const = dirichlet.growth_constants(r).N
     bound = (

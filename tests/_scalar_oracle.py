@@ -17,13 +17,15 @@ cmath.exp.  They share only the unit-group structure
 (arith._component_structure) with the code under test.  The von Sterneck
 form of c_m(n), the per-m weighted partial and the alternating series for
 Li_s(-u) are the oracles of arith.ramanujan_sum,
-arith.ramanujan_weighted_partial and dirichlet.polylog_neg.
+arith.ramanujan_weighted_partial and dirichlet.polylog_neg, and the
+bytearray sieve over every integer is the oracle of the odd-only numpy
+sieve arith.primes_up_to.
 """
 
 import cmath
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 from divpart import arith, dirichlet
 from divpart.arith import sigma_r_table
@@ -265,6 +267,20 @@ def d2_quartic_character(s, r, cutoff):
 # ---------------------------------------------------------------------------
 # Number theory
 # ---------------------------------------------------------------------------
+
+def primes_up_to(limit):
+    """All primes <= limit, by a bytearray Eratosthenes sieve over every
+    integer."""
+    if limit < 2:
+        return []
+    sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
+    return list(compress(range(limit + 1), sieve))
+
 
 def unit_root(num, den):
     return cmath.exp(arith.TWO_PI * 1j * ((num % den) / den))

@@ -9,6 +9,11 @@ import pytest
 from divpart import cli, partition, saddle
 
 
+def _src_env():
+    """The environment for a fresh interpreter that imports this divpart."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
@@ -125,6 +130,14 @@ class TestDirichletCheck:
         assert float(doc["d1_difference"]) < 1e-3
         assert float(doc["dsigma_residual"]) < 1e-6
 
+    def test_huge_s_stays_finite(self):
+        proc = subprocess.run([sys.executable, "-m", "divpart", "dirichlet-check",
+                               "--r", "2", "--s", "1e100"],
+                              capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "nan" not in proc.stdout and "inf" not in proc.stdout
+        assert json.loads(proc.stdout)["shifted_ok"] is True
+
 
 class TestVerify:
     def test_quick_passes(self, capsys, tmp_path):
@@ -213,3 +226,50 @@ class TestConfigErrors:
         out = capsys.readouterr().out
         assert "--prime-cutoff" in out
         assert "1000000" in out
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the library modules it runs."""
+
+    PROBE = ("import atexit, json, sys\n"
+             "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+             "from divpart.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    def _loaded(self, *args):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *args], capture_output=True,
+                              text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stderr.splitlines()[-1]))
+
+    @pytest.mark.parametrize("args,runs,absent", [
+        (["table", "--r", "2", "--N", "8"], "partition",
+         ("dirichlet", "saddle", "cltlab", "checks")),
+        (["saddle", "--n", "50", "--r", "2"], "saddle",
+         ("dirichlet", "partition", "cltlab", "checks")),
+        (["constants", "--r", "2", "--prime-cutoff", "1000"], "dirichlet",
+         ("saddle", "partition", "cltlab", "checks")),
+        (["dirichlet-check", "--r", "2", "--s", "5", "--prime-cutoff", "1000"], "dirichlet",
+         ("saddle", "partition", "cltlab", "checks")),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, args, runs, absent):
+        loaded = self._loaded(*args)
+        assert f"divpart.{runs}" in loaded
+        assert not loaded & {f"divpart.{name}" for name in absent}, sorted(loaded)
+
+    def test_bare_import_loads_no_numpy(self):
+        code = ("import json, sys, divpart\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.startswith(('numpy', 'divpart.')))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_submodules_still_reachable_as_attributes(self):
+        import divpart
+
+        assert divpart.arith.primes_up_to(10) == [2, 3, 5, 7]
+        assert all(hasattr(divpart, name) for name in divpart.__all__)
+        with pytest.raises(AttributeError):
+            divpart.no_such_module  # noqa: B018

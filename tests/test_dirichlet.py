@@ -24,6 +24,12 @@ class TestZeta:
         tail = (n0 + 1) ** -2.0 / 2.0 + 0.5 * (n0 + 1) ** -3.0
         assert abs(dl.zeta_real(3.0) - (direct + tail)) < 1e-10
 
+    @pytest.mark.parametrize("s", [1e24, 1e100, 1e300])
+    def test_huge_argument_is_one(self, s):
+        # the Euler-Maclaurin corrections stop before 0 * inf makes nan
+        assert dl.zeta_real(s) == 1.0
+        assert dl.eta_alternating(s) == 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.zeta_real(1.0)

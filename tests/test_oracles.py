@@ -1,6 +1,6 @@
 """The vectorised float layers against the scalar loops they replaced
 (tests/_scalar_oracle.py): the k-sum kernel, the Mellin double sums, the
-pair divisor sieve and the array Euler products."""
+pair divisor sieve, the array Euler products and the numpy prime sieve."""
 
 import math
 
@@ -124,6 +124,27 @@ def test_quartic_character_product(s, r, cutoff):
     assert got.terms_used == odd_primes
     assert abs(got.value - value) <= 1e-14 * abs(value)
     assert abs(got.truncation_bound - bound) <= 1e-14 * bound
+
+
+def _sieve_agrees(limit):
+    got = arith.primes_up_to(limit)
+    assert got == oracle.primes_up_to(limit), limit
+    # Python ints, not numpy scalars: p ** (r + 1) must not wrap in int64
+    assert all(type(p) is int for p in got), limit
+
+
+def test_prime_sieve_small_limits():
+    for limit in range(401):
+        _sieve_agrees(limit)
+
+
+@pytest.mark.parametrize("limit", [
+    10**5, 10**6,
+    99991, 99990, 999983, 999982,       # a prime and the number below it
+    316**2, 317**2, 997**2, 1009**2,    # perfect squares, of primes and not
+])
+def test_prime_sieve_large_limits(limit):
+    _sieve_agrees(limit)
 
 
 # ---------------------------------------------------------------------------
