@@ -10,7 +10,7 @@ a non-zero exit, a traceback, a refusal line or an output off its
 reference fails the variant.
 
 Example, from the root of a checkout:
-    python scripts/check_table_digests.py
+    python scripts/check_catalog.py
 """
 
 import json

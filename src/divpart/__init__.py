@@ -22,11 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = ["arith", "partition", "dirichlet", "saddle", "cltlab", "__version__"]
 
-_SUBMODULES = frozenset({"arith", "partition", "dirichlet", "saddle", "cltlab",
-                         "checks", "cli"})
-
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
+    if name in __all__:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
