@@ -5,8 +5,13 @@ character sums.
 Everything here is exact integer arithmetic except for character values,
 which are tabulated complex roots of unity (tolerance 1e-9 on all
 character identities).  Caches are built once and read-only afterwards,
-so concurrent readers are safe.  Every layer reads sigma_r from one
-exact table per r (divisor_sums), which grows under a lock.
+so concurrent readers are safe.  sigma_r has two exact sources: the exact
+layers (GapSequence, hence the partition tables) read the pure-Python
+divisor-add sieve sigma_r_table, and the float kernels and Mellin probes
+read one numpy table per r (divisor_sums), which grows under a lock.
+
+numpy is imported inside the functions that use it, so the exact layers
+(GapSequence, factorization, Ramanujan sums) load without it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,23 +46,30 @@ DEFAULT_PRIME_CUTOFF = 10**6
 # Primes and factorization
 # ---------------------------------------------------------------------------
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, as Python ints, by an Eratosthenes sieve over
+def prime_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit as an integer array, by an Eratosthenes sieve over
     the odd numbers in a numpy boolean array (entry i stands for 2i + 1)."""
+    import numpy as np
+
     if limit < 2:
-        return []
+        return np.empty(0, dtype=np.intp)
     odd = np.ones((limit + 1) // 2, dtype=bool)
     for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
     # entry 0 (the number 1) stays set and becomes 2: one index array, made
-    # odd in place, and one list, with no copy of either
+    # odd in place, with no copy
     primes = np.flatnonzero(odd)
     primes *= 2
     primes += 1
     primes[0] = 2
-    return primes.tolist()
+    return primes
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, as Python ints (prime_sieve as a list)."""
+    return prime_sieve(limit).tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -162,7 +176,9 @@ def sigma_r(n: int, r: int) -> int:
 
 
 def sigma_r_table(limit: int, r: int) -> list[int]:
-    """sigma_r(1..limit) as exact integers via the divisor-add sieve."""
+    """sigma_r(0..limit) (entry 0 is 0) as exact Python ints via the
+    divisor-add sieve; the sigma source of GapSequence, so the exact
+    layers never load numpy."""
     table = [0] * (limit + 1)
     for d in range(1, limit + 1):
         dr = d**r
@@ -183,6 +199,8 @@ def divisor_sum_sieve(r: int, limit: int, dtype) -> np.ndarray:
     the table; d = e counts once.  A float dtype rounds once a power or sum
     passes 2^53.
     """
+    import numpy as np
+
     arr = np.zeros(limit + 1, dtype=dtype)
     for d in range(1, math.isqrt(limit) + 1):
         top = limit // d
@@ -210,6 +228,8 @@ def divisor_sums(r: int, limit: int) -> np.ndarray:
     r >= 2, as sigma_r(n) < zeta(2) n^r; below L (1 + ln L) for r = 1),
     else object (Python ints).
     """
+    import numpy as np
+
     if r < 1:
         raise ValueError("divisor_sums requires r >= 1")
     with _SIGMA_LOCK:
@@ -239,8 +259,9 @@ class GapSequence:
     def build(cls, r: int, limit: int) -> "GapSequence":
         if r < 1 or limit < 1:
             raise ValueError("GapSequence requires r >= 1 and limit >= 1")
-        sig = divisor_sums(r, limit + 1)[1 : limit + 2]
-        return cls(r=r, limit=limit, sigma=tuple(sig.tolist()), gaps=tuple(np.diff(sig).tolist()))
+        sig = sigma_r_table(limit + 1, r)[1:]
+        return cls(r=r, limit=limit, sigma=tuple(sig),
+                   gaps=tuple(b - a for a, b in zip(sig, sig[1:])))
 
     def sigma_at(self, n: int) -> int:
         return self.sigma[n - 1]
@@ -286,6 +307,8 @@ def ramanujan_sum_exponential(m: int, n):
     n is reduced mod m in exact integers first, so no size of n can
     overflow the phases.
     """
+    import numpy as np
+
     reduced = (np.atleast_1d(np.asarray(n)) % m).astype(np.int64)
     units = _units(m)
     sums = _unit_roots(units[:, None] * reduced % m, m).sum(axis=0)
@@ -329,11 +352,15 @@ def _unit_root(num: int, den: int) -> complex:
 
 def _unit_roots(phase: np.ndarray, den: int) -> np.ndarray:
     """e(phase/den) entrywise for an integer array of reduced phases."""
+    import numpy as np
+
     return np.exp(TWO_PI * 1j * (phase / den))
 
 
 def _units(m: int) -> np.ndarray:
     """The residues 0 <= b < m coprime to m (just 0 for m = 1)."""
+    import numpy as np
+
     return np.flatnonzero(np.gcd(np.arange(m), m) == 1)
 
 
@@ -406,6 +433,8 @@ def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[Dirich
     The conductor is the smallest f | m with phase 0 on every unit
     congruent to 1 mod f, an exact test.
     """
+    import numpy as np
+
     if m < 1:
         raise ValueError("characters_mod requires m >= 1")
     if m > limit:
@@ -474,6 +503,8 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
     tau = V e(b/m), G(b) = sum over chi of tau(chi) conj(chi(b)) = tau
     conj(V), and every n at once as the phase matrix e(b n / m) times G.
     """
+    import numpy as np
+
     worst = 0.0
     for m in range(1, m_max + 1):
         phi = euler_phi(m)

@@ -97,10 +97,13 @@ class RunConfig:
             raise ValueError(f"{self.subcommand} needs --n >= 1")
         if self.subcommand == "tail" and self.n < 2:
             raise ValueError("tail needs --n >= 2 (its budget divides by log n)")
-        if not all(abs(t) <= 2.0 for t in self.theta_grid):
-            raise ValueError("--theta-grid values must lie in [-2, 2]")
-        if not all(x > 0.0 for x in self.x_grid):
-            raise ValueError("--x-grid values must be positive")
+        if not self.theta_grid or not all(abs(t) <= 2.0 for t in self.theta_grid):
+            raise ValueError("--theta-grid must be non-empty, with values in [-2, 2]")
+        if not self.x_grid or not all(x > 0.0 for x in self.x_grid):
+            raise ValueError("--x-grid must be non-empty, with positive values")
+        # written so that NaN fails too; inf admits every row
+        if not self.max_negative_mass >= 0.0:
+            raise ValueError("--max-negative-mass must be >= 0 (inf admits every row)")
         if not self.n_list or sorted(self.n_list) != self.n_list or self.n_list[0] < 1:
             raise ValueError("--n-list must be non-empty, increasing and positive")
 

@@ -11,6 +11,9 @@ probabilistic entry points accept an explicit max_negative_mass override
 for diagnostics on rows whose signed defect is negligible.  The default
 stays strict.  Standardization uses the exact rational mean and variance
 converted to float at the last step.
+
+saddle (and with it numpy) is imported only by clt_report and
+exponent_fit, so the MGF and tail checks run on the exact layers alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import saddle
 from .partition import ExactDistribution, PartitionTable, build_table, exact_distribution
 
 
@@ -52,7 +54,8 @@ def _row_gate(dist: ExactDistribution, max_negative_mass: float) -> str | None:
     """None when the row may be read as a probability law, else the reason."""
     if not dist.total_positive:
         return "nonpositive row total"
-    if dist.negativity_flags and float(dist.negative_mass) > max_negative_mass:
+    # written so that a NaN limit refuses the row instead of admitting it
+    if dist.negativity_flags and not float(dist.negative_mass) <= max_negative_mass:
         return (
             f"negative cells at k = {dist.negativity_flags[:8]} "
             f"(signed defect {float(dist.negative_mass):.3e})"
@@ -113,6 +116,8 @@ def clt_report(
     """Per-n exact mean/variance, KS distance to the standard normal on
     admissible rows, saddle mean/variance in both equation forms, and
     log-log exponent fits of the gap-weighted saddle mean/variance."""
+    from . import saddle
+
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be increasing")
     if table is None:
@@ -345,6 +350,8 @@ def exponent_fit(r: int, n_grid: list[int], mode: str = "general") -> ExponentFi
     The gap-weighted equation form is the default: the plain form scales
     the root like n^(-1/2) and cannot reproduce that exponent.
     """
+    from . import saddle
+
     if len(n_grid) < 4:
         raise ValueError("exponent fit needs at least 4 grid points")
     logs_n = []

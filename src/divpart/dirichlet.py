@@ -37,10 +37,10 @@ def _prime_cache(limit: int) -> tuple[list[int], np.ndarray]:
     global _PRIME_CACHE
     with _PRIMES_LOCK:
         if limit > _PRIME_CACHE[0]:
-            found = arith.primes_up_to(limit)
-            floats = np.array(found, dtype=np.float64)
+            sieved = arith.prime_sieve(limit)
+            floats = sieved.astype(np.float64)
             floats.flags.writeable = False
-            _PRIME_CACHE = (limit, found, floats)
+            _PRIME_CACHE = (limit, sieved.tolist(), floats)
         return _PRIME_CACHE[1], _PRIME_CACHE[2]
 
 

@@ -96,6 +96,20 @@ class PartitionTable:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _log_majorant(gaps: tuple[int, ...], n_max: int, z0: float) -> float:
+    """log(G(z0) / z0^n_max) for the absolute-value majorant G below."""
+    log_g = 0.0
+    for j, d in enumerate(gaps[:n_max], start=1):
+        zj = z0**j
+        if zj < 1e-300:
+            break
+        if d > 0:
+            log_g += d * math.log1p(zj)
+        elif d < 0:
+            log_g += -d * -math.log1p(-zj)
+    return log_g - n_max * math.log(z0)
+
+
 def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
     """Bit width L such that every intermediate coefficient fits a balanced
     base-2^L digit.
@@ -104,23 +118,17 @@ def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
     coefficient of the absolute-value majorant
         prod_{gap>0} (1+z^j)^gap * prod_{gap<0} (1-z^j)^gap,
     all of whose coefficients are nonnegative, and [z^n] G <= G(z0)/z0^n
-    for any 0 < z0 < 1.  Minimize the bound over a z0 grid.
+    for any 0 < z0 < 1.  Minimize the bound over the grid z0 = i/40 and,
+    below it, z0 = 2^(-k/2)/40: the bound is convex in log z0, so the walk
+    down stops at the first point that does not lower it.  Large r has huge
+    gaps, which put the best z0 far below 1/40.
     """
-    best = float("inf")
-    for i in range(1, 40):
-        z0 = i / 40.0
-        log_g = 0.0
-        for j, d in enumerate(gaps[:n_max], start=1):
-            zj = z0**j
-            if zj < 1e-300:
-                break
-            if d > 0:
-                log_g += d * math.log1p(zj)
-            elif d < 0:
-                log_g += -d * -math.log1p(-zj)
-        bound = log_g - n_max * math.log(z0)
-        best = min(best, bound)
-    bits = int(best / math.log(2.0)) + 1
+    best = min(_log_majorant(gaps, n_max, i / 40.0) for i in range(2, 40))
+    z0 = 1 / 40.0
+    lower = _log_majorant(gaps, n_max, z0)
+    while (step := _log_majorant(gaps, n_max, z0 * math.sqrt(0.5))) < lower:
+        z0, lower = z0 * math.sqrt(0.5), step
+    bits = int(min(best, lower) / math.log(2.0)) + 1
     # whole bytes, so _unpack_row reads the digits straight from to_bytes
     return -(-max(32, bits + 16) // 8) * 8
 

@@ -80,6 +80,17 @@ class TestGapSequence:
         for k in range(1, 151):
             assert seq.gap(k) == seq.sigma_at(k + 1) - seq.sigma_at(k)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 7])
+    def test_against_factorization_and_numpy_table(self, r):
+        # sigma by one factorization per n, gaps by differencing the numpy
+        # table of the float kernels (r = 7 reaches its object path)
+        limit = 2000
+        seq = arith.GapSequence.build(r, limit)
+        assert seq.sigma == tuple(arith.sigma_r(n, r) for n in range(1, limit + 2))
+        table = arith.divisor_sums(r, limit + 1)
+        assert seq.gaps == tuple(np.diff(table[1 : limit + 2]).tolist())
+        assert all(type(v) is int for v in seq.sigma + seq.gaps)
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_power_sandwich(self, r):
         # n^r < sigma_r(n) < n^r zeta(r) for n >= 2

@@ -53,6 +53,12 @@ class TestTable:
         doc = json.loads(out)
         assert doc["n_max"] == 5
 
+    def test_large_r_fits_the_digit_width(self, capsys):
+        # a z0 grid that stopped at 1/40 asked for ~2.6e26-bit digits here
+        code, out, err = run_cli(["table", "--r", "40", "--N", "30"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("30,30,")
+
     def test_digit_width_failure_is_an_error_not_a_traceback(self, capsys, monkeypatch):
         monkeypatch.setattr(partition, "_digit_bits", lambda gaps, n_max: 8)
         code, out, err = run_cli(["table", "--r", "2", "--N", "40"], capsys)
@@ -203,6 +209,11 @@ class TestConfigErrors:
         ["dirichlet-check", "--s", "inf"],
         ["dirichlet-check", "--s", "nan"],
         ["dirichlet-check", "--s", "1"],
+        ["tail", "--n", "300", "--r", "2", "--x-grid", "1", "--max-negative-mass", "nan"],
+        ["mgf", "--max-negative-mass=-0.5"],
+        ["clt-report", "--max-negative-mass", "nan"],
+        ["tail", "--x-grid="],
+        ["mgf", "--theta-grid="],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows
@@ -251,20 +262,51 @@ class TestImportFootprint:
          ("saddle", "partition", "cltlab", "checks")),
         (["dirichlet-check", "--r", "2", "--s", "5", "--prime-cutoff", "1000"], "dirichlet",
          ("saddle", "partition", "cltlab", "checks")),
+        (["clt-report", "--r", "3", "--n-list", "20,40"], "saddle",
+         ("dirichlet", "checks")),
     ])
     def test_subcommand_loads_only_what_it_runs(self, args, runs, absent):
         loaded = self._loaded(*args)
         assert f"divpart.{runs}" in loaded
         assert not loaded & {f"divpart.{name}" for name in absent}, sorted(loaded)
 
-    def test_bare_import_loads_no_numpy(self):
-        code = ("import json, sys, divpart\n"
+    EXACT_JOBS = [
+        ["table", "--r", "2", "--N", "8"],
+        ["tail", "--n", "60", "--r", "3", "--max-negative-mass", "1e-12"],
+        ["mgf", "--n", "60", "--r", "3", "--max-negative-mass", "1e-12"],
+    ]
+
+    @pytest.mark.parametrize("args", EXACT_JOBS, ids=lambda args: args[0])
+    def test_exact_law_jobs_load_no_numpy(self, args):
+        loaded = self._loaded(*args)
+        assert not {m for m in loaded if m.split(".")[0] == "numpy"}, sorted(loaded)
+        assert "divpart.saddle" not in loaded
+
+    @pytest.mark.parametrize("args", EXACT_JOBS, ids=lambda args: args[0])
+    def test_exact_law_jobs_run_with_numpy_blocked(self, args, capsys):
+        # a None entry makes every import of numpy fail, a transient one too
+        probe = "import sys\nsys.modules['numpy'] = None\n" + self.PROBE
+        proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                              text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and proc.stdout == out
+
+    def _imported(self, module):
+        """numpy and divpart submodules loaded by importing module."""
+        code = (f"import json, sys, {module}\n"
                 "print(json.dumps(sorted(m for m in sys.modules\n"
                 "                        if m.startswith(('numpy', 'divpart.')))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env=_src_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        return json.loads(proc.stdout)
+
+    def test_bare_import_loads_no_numpy(self):
+        assert self._imported("divpart") == []
+
+    def test_arith_import_loads_no_numpy(self):
+        assert self._imported("divpart.arith") == ["divpart.arith"]
 
     def test_submodules_still_reachable_as_attributes(self):
         import divpart

@@ -96,6 +96,11 @@ class TestMgfProfile:
         with pytest.raises(ValueError, match="refused"):
             cltlab.mgf_profile(50, 2, [0.5], table=table_r2_400)
 
+    def test_nan_limit_refuses_signed_rows(self, table_r2_400):
+        with pytest.raises(ValueError, match="refused"):
+            cltlab.mgf_profile(50, 2, [0.5], table=table_r2_400,
+                               max_negative_mass=math.nan)
+
     def test_movement_toward_gaussian(self, table_r2_400):
         out = {}
         for n in (50, 100, 200):

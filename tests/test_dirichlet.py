@@ -228,14 +228,14 @@ class TestEulerProductContracts:
 class TestPrimeCache:
     def test_cold_cache_sieves_once_under_threads(self, monkeypatch, run_in_threads):
         calls = []
-        real = arith.primes_up_to
+        real = arith.prime_sieve
 
         def counting(limit):
             calls.append(limit)
             time.sleep(0.05)  # hold the window in which another thread could miss
             return real(limit)
 
-        monkeypatch.setattr(dl.arith, "primes_up_to", counting)
+        monkeypatch.setattr(dl.arith, "prime_sieve", counting)
         monkeypatch.setattr(dl, "_PRIME_CACHE", (0, [], np.empty(0)))
         counts = run_in_threads(
             lambda: (len(dl.primes(10**4)), dl._prime_array(10**4).size)
@@ -247,6 +247,10 @@ class TestPrimeCache:
         big = dl.primes(10**4)
         assert dl.primes(100) == big[:25]
         assert dl._prime_array(100).tolist() == [float(p) for p in big[:25]]
+        # Python ints beside a read-only float64 copy of the same sieve
+        assert all(type(p) is int for p in big)
+        floats = dl._prime_array(10**4)
+        assert floats.dtype == np.float64 and not floats.flags.writeable
 
 
 class TestDoubleSeries:

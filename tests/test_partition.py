@@ -120,6 +120,21 @@ def test_doubling_cost_guard():
     assert best_time(128) / best_time(64) <= 8.0
 
 
+@pytest.mark.parametrize("r,n_max", [(12, 60), (16, 60), (24, 40), (40, 30)])
+def test_digit_width_stays_tight_for_large_r(r, n_max):
+    # huge gaps put the best z0 far below the i/40 grid; the width must stay
+    # rigorous (the build's row-sum check passes) and near the widest cell
+    table = build_table(r, n_max)
+    widest = max(abs(c).bit_length() for row in table.coeff for c in row)
+    bits = partition._digit_bits(GapSequence.build(r, n_max).gaps, n_max)
+    assert widest < bits <= 2 * widest + 64
+
+
+@pytest.mark.parametrize("r,n_max,bits", [(2, 600, 312), (3, 350, 360)])
+def test_digit_width_unchanged_at_small_r(r, n_max, bits):
+    assert partition._digit_bits(GapSequence.build(r, n_max).gaps, n_max) == bits
+
+
 class TestExactDistribution:
     def test_single_cell_row(self):
         t = build_table(2, 1)
