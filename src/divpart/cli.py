@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -406,6 +407,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # BLAS here is a few tiny products; a second OpenBLAS thread only costs start-up CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     fields = {f for f in RunConfig.__dataclass_fields__}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,18 +97,31 @@ class PartitionTable:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _log_majorant(gaps: tuple[int, ...], n_max: int, z0: float) -> float:
-    """log(G(z0) / z0^n_max) for the absolute-value majorant G below."""
+_LOG_TINY = math.log(sys.float_info.min)  # below this, exp() leaves the normal floats
+
+
+def _log_majorant(log_gaps: list[tuple[int, float, bool]], n_max: int, log_z0: float) -> float:
+    """log(G(z0) / z0^n_max) for the absolute-value majorant G below, or inf.
+
+    log_gaps holds (j, log|gap(j)|, gap(j) > 0) for every nonzero gap.  Each
+    term |gap| * log1p(+-z0^j) is summed as exp(log|gap| + log log1p(...)),
+    so a gap too large for a float still counts; where z0^j underflows,
+    j log z0 is that logarithm to double precision.  A term too large for a
+    float makes the bound inf.
+    """
     log_g = 0.0
-    for j, d in enumerate(gaps[:n_max], start=1):
-        zj = z0**j
-        if zj < 1e-300:
-            break
-        if d > 0:
-            log_g += d * math.log1p(zj)
-        elif d < 0:
-            log_g += -d * -math.log1p(-zj)
-    return log_g - n_max * math.log(z0)
+    for j, log_d, positive in log_gaps:
+        log_zj = j * log_z0
+        if log_zj < _LOG_TINY:
+            log_term = log_zj
+        else:
+            zj = math.exp(log_zj)
+            log_term = math.log(math.log1p(zj) if positive else -math.log1p(-zj))
+        try:
+            log_g += math.exp(log_d + log_term)
+        except OverflowError:
+            return math.inf
+    return log_g - n_max * log_z0
 
 
 def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
@@ -119,15 +133,18 @@ def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
         prod_{gap>0} (1+z^j)^gap * prod_{gap<0} (1-z^j)^gap,
     all of whose coefficients are nonnegative, and [z^n] G <= G(z0)/z0^n
     for any 0 < z0 < 1.  Minimize the bound over the grid z0 = i/40 and,
-    below it, z0 = 2^(-k/2)/40: the bound is convex in log z0, so the walk
-    down stops at the first point that does not lower it.  Large r has huge
-    gaps, which put the best z0 far below 1/40.
+    below it, z0 = 2^(-k/2)/40, walking down while the bound is inf or
+    falls.  The bound is convex in log z0 and finite once z0 is small
+    enough, so the walk ends at the first finite point that does not lower
+    it.  Large r has huge gaps, which put the best z0 far below 1/40 (below
+    the float range past r of about 1,900, hence the walk in log z0).
     """
-    best = min(_log_majorant(gaps, n_max, i / 40.0) for i in range(2, 40))
-    z0 = 1 / 40.0
-    lower = _log_majorant(gaps, n_max, z0)
-    while (step := _log_majorant(gaps, n_max, z0 * math.sqrt(0.5))) < lower:
-        z0, lower = z0 * math.sqrt(0.5), step
+    log_gaps = [(j, math.log(abs(d)), d > 0) for j, d in enumerate(gaps[:n_max], start=1) if d]
+    best = min(_log_majorant(log_gaps, n_max, math.log(i / 40.0)) for i in range(2, 40))
+    log_z0, half_bit = math.log(1 / 40.0), 0.5 * math.log(2.0)
+    lower = _log_majorant(log_gaps, n_max, log_z0)
+    while (step := _log_majorant(log_gaps, n_max, log_z0 - half_bit)) < lower or math.isinf(lower):
+        log_z0, lower = log_z0 - half_bit, step
     bits = int(min(best, lower) / math.log(2.0)) + 1
     # whole bytes, so _unpack_row reads the digits straight from to_bytes
     return -(-max(32, bits + 16) // 8) * 8

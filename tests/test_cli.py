@@ -53,6 +53,12 @@ class TestTable:
         doc = json.loads(out)
         assert doc["n_max"] == 5
 
+    def test_huge_r_fits_the_digit_width(self, capsys):
+        # gaps past the float range once made the width bound raise
+        code, out, err = run_cli(["table", "--r", "300", "--N", "30"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("30,30,")
+
     def test_large_r_fits_the_digit_width(self, capsys):
         # a z0 grid that stopped at 1/40 asked for ~2.6e26-bit digits here
         code, out, err = run_cli(["table", "--r", "40", "--N", "30"], capsys)
@@ -237,6 +243,45 @@ class TestConfigErrors:
         out = capsys.readouterr().out
         assert "--prime-cutoff" in out
         assert "1000000" in out
+
+
+class TestBlasThreads:
+    """cli.main runs OpenBLAS on one thread unless the caller chose a count."""
+
+    PROBE = ("import atexit, json, os, sys\n"
+             "tasks = '/proc/self/task'\n"
+             "atexit.register(lambda: print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+             "    len(os.listdir(tasks)) if os.path.isdir(tasks) else None]), file=sys.stderr))\n"
+             "from divpart.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    def _child(self, code, *args, **blas):
+        """Run code in a fresh interpreter whose OPENBLAS_NUM_THREADS is only
+        what blas gives (in-process cli.main calls set it in this process)."""
+        env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, timeout=120, env={**env, **blas})
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def _saddle(self, **blas):
+        proc = self._child(self.PROBE, "saddle", "--n", "50", "--r", "2", **blas)
+        return json.loads(proc.stderr.splitlines()[-1])
+
+    def test_default_is_one_thread(self):
+        value, tasks = self._saddle()
+        assert value == "1"
+        if sys.platform.startswith("linux"):
+            assert tasks == 1
+
+    def test_a_value_the_caller_set_wins(self):
+        value, _ = self._saddle(OPENBLAS_NUM_THREADS="2")
+        assert value == "2"
+
+    def test_library_import_leaves_the_environment_alone(self):
+        code = ("import os, divpart.cli, divpart.saddle\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert self._child(code).stdout.strip() == "None"
 
 
 class TestImportFootprint:

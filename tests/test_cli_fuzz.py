@@ -1,0 +1,105 @@
+"""Fuzzing the CLI's flag domains: whatever the flags, a subcommand exits 0,
+1 or 2 and never ends in a traceback.
+
+Each example runs cli.main in-process, with a deadline, over a domain that
+mixes valid values with out-of-domain ones (negative sizes, NaN, inf, empty
+lists, non-numbers).  Sizes stay small enough for tier-1; saddle keeps
+u >= 1e-3 and n <= 10^6, clear of the r >= 3, u -> 0 cost of the object-dtype
+sigma table.  Every value is passed as --flag=value, so a leading minus is a
+value, not an option.
+"""
+
+import contextlib
+import io
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divpart import cli
+
+FUZZ = settings(max_examples=40, deadline=timedelta(seconds=10))
+
+ODD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-0.0", "x", ""])
+
+
+def mostly(usual, odd):
+    """usual four times in five, odd otherwise."""
+    return st.tuples(st.integers(0, 4), usual, odd).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def floats(lo, hi):
+    return mostly(st.floats(lo, hi).map(repr), ODD_FLOATS)
+
+
+def float_lists(lo, hi):
+    usual = st.lists(st.floats(lo, hi).map(repr), min_size=1, max_size=4).map(",".join)
+    return mostly(usual, st.sampled_from(["", ",", "nan", "-1,2", "3", "0.5,inf", "1,x"]))
+
+
+def choices(*names):
+    return mostly(st.sampled_from(names), st.just("bogus"))
+
+
+def flags(**domains):
+    """argv tails: each flag absent one time in five, else --flag=value."""
+    parts = [mostly(domain.map(lambda v, f=flag: f"--{f.replace('_', '-')}={v}"), st.none())
+             for flag, domain in domains.items()]
+    return st.tuples(*parts).map(lambda ps: [p for p in ps if p is not None])
+
+
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@FUZZ
+@given(flags(r=ints(-2, 400), N=ints(-3, 30), format=choices("csv", "json")))
+def test_table(argv):
+    assert_clean_exit(["table", *argv])
+
+
+@FUZZ
+@given(flags(n=ints(-3, 100), r=ints(-1, 4), x_grid=float_lists(0, 10),
+             max_negative_mass=floats(0, 1)))
+def test_tail(argv):
+    assert_clean_exit(["tail", *argv])
+
+
+@FUZZ
+@given(flags(n=ints(-3, 100), r=ints(-1, 4), theta_grid=float_lists(-2, 2),
+             max_negative_mass=floats(0, 1)))
+def test_mgf(argv):
+    assert_clean_exit(["mgf", *argv])
+
+
+@FUZZ
+@given(flags(n=ints(-3, 10**6), r=ints(-1, 4),
+             u=floats(1e-3, 1e3),
+             mode=choices("general", "paper_literal")))
+def test_saddle(argv):
+    # --n is required: without it argparse exits 2, which is covered too
+    assert_clean_exit(["saddle", *argv])
+
+
+@FUZZ
+@given(flags(r=ints(-1, 6), prime_cutoff=ints(-10, 20000),
+             convention=choices("standard", "shifted-zeta")))
+def test_constants(argv):
+    assert_clean_exit(["constants", *argv])
+
+
+@FUZZ
+@given(flags(r=ints(-1, 5), s=floats(0.5, 1e6), prime_cutoff=ints(-10, 20000)))
+def test_dirichlet_check(argv):
+    assert_clean_exit(["dirichlet-check", *argv])

@@ -120,17 +120,19 @@ def test_doubling_cost_guard():
     assert best_time(128) / best_time(64) <= 8.0
 
 
-@pytest.mark.parametrize("r,n_max", [(12, 60), (16, 60), (24, 40), (40, 30)])
+@pytest.mark.parametrize("r,n_max", [(12, 60), (16, 60), (24, 40), (40, 30),
+                                     (200, 30), (300, 30), (400, 30), (1000, 20), (2000, 5)])
 def test_digit_width_stays_tight_for_large_r(r, n_max):
-    # huge gaps put the best z0 far below the i/40 grid; the width must stay
-    # rigorous (the build's row-sum check passes) and near the widest cell
+    # huge gaps put the best z0 far below the i/40 grid, and at r = 2000 below
+    # the float range; the width must stay rigorous (the build's row-sum
+    # check passes) and near the widest cell
     table = build_table(r, n_max)
     widest = max(abs(c).bit_length() for row in table.coeff for c in row)
     bits = partition._digit_bits(GapSequence.build(r, n_max).gaps, n_max)
     assert widest < bits <= 2 * widest + 64
 
 
-@pytest.mark.parametrize("r,n_max,bits", [(2, 600, 312), (3, 350, 360)])
+@pytest.mark.parametrize("r,n_max,bits", [(2, 600, 312), (3, 350, 360), (40, 30, 1120)])
 def test_digit_width_unchanged_at_small_r(r, n_max, bits):
     assert partition._digit_bits(GapSequence.build(r, n_max).gaps, n_max) == bits
 
