@@ -8,22 +8,30 @@ part count and two independent brute-force oracles.
 Negative gaps are handled by the generalized binomial expansion of
 (1 + u z^k)^d for d < 0; all coefficients stay integers.  The fast builder
 packs each z-row's u-polynomial into a single big integer with balanced
-base-2^L digits (Kronecker substitution), so the inner convolution is one
-multiply-then-shift-add per expansion term.  It applies the commuting
+base-2^L digits (Kronecker substitution).  It applies the commuting
 factors largest part first: while factor j is applied, every part present
 is >= j, so row n holds at most n/j digits and rows 1..j-1 are still zero.
-A rigorous a-priori digit-width bound plus a row-sum cross-check against
-the log-derivative recurrence of the u = 1 series rule out digit overflow.
+Rows keep their digits in reversed order, highest u-power lowest, aligned
+so that each expansion term is one shift-free multiply-add, until the
+padding that this alignment needs outgrows the row; then every row is
+flipped once to the standard order.  Terms never read the rows known to
+be zero, and a factor whose |gap| is small is applied as single-term
+sweeps (an add per row).  A rigorous a-priori digit-width bound plus a
+row-sum cross-check against the log-derivative recurrence of the u = 1
+series rule out digit overflow.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .arith import GapSequence
 
@@ -47,6 +55,30 @@ def _expansion_terms(d: int, j: int, n_max: int) -> list[tuple[int, int]]:
     if d > 0:
         m_cap = min(m_cap, d)
     return [(general_binomial(d, m), m) for m in range(1, m_cap + 1)]
+
+
+_INT_STR_LOCK = threading.Lock()
+
+
+def _unlimited_int_str(export):
+    """Run export with Python's int-to-str digit limit (4,300 by default
+    since 3.11) lifted, then restore it: at large r the exact coefficients
+    are longer than that.  The limit is per process, so exports in
+    different threads take turns, and each restores what it found."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return export
+
+    @functools.wraps(export)
+    def lifted(*args, **kwargs):
+        with _INT_STR_LOCK:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return export(*args, **kwargs)
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+    return lifted
 
 
 @dataclass
@@ -73,6 +105,7 @@ class PartitionTable:
     def negative_cells(self, n: int) -> list[int]:
         return [k for k, c in enumerate(self.coeff[n]) if c < 0]
 
+    @_unlimited_int_str
     def to_csv(self) -> str:
         lines = ["n,k,coefficient"]
         for n in range(self.n_max + 1):
@@ -81,6 +114,7 @@ class PartitionTable:
                     lines.append(f"{n},{k},{c}")
         return "\n".join(lines) + "\n"
 
+    @_unlimited_int_str
     def to_json(self) -> str:
         doc = {
             "r": self.r,
@@ -135,39 +169,70 @@ def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
     for any 0 < z0 < 1.  Minimize the bound over the grid z0 = i/40 and,
     below it, z0 = 2^(-k/2)/40, walking down while the bound is inf or
     falls.  The bound is convex in log z0 and finite once z0 is small
-    enough, so the walk ends at the first finite point that does not lower
-    it.  Large r has huge gaps, which put the best z0 far below 1/40 (below
-    the float range past r of about 1,900, hence the walk in log z0).
+    enough, so along the grid it falls, then rises (inf only at the top):
+    a binary search for the first i where it stops falling finds the grid
+    minimum, and the walk ends at the first finite point that does not
+    lower it.  Large r has huge gaps, which put the best z0 far below 1/40
+    (below the float range past r of about 1,900, hence the walk in log z0).
     """
     log_gaps = [(j, math.log(abs(d)), d > 0) for j, d in enumerate(gaps[:n_max], start=1) if d]
-    best = min(_log_majorant(log_gaps, n_max, math.log(i / 40.0)) for i in range(2, 40))
+
+    @functools.cache
+    def on_grid(i: int) -> float:
+        return _log_majorant(log_gaps, n_max, math.log(i / 40.0))
+
+    lo, hi = 2, 39
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if on_grid(mid) <= on_grid(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    best = on_grid(lo)
     log_z0, half_bit = math.log(1 / 40.0), 0.5 * math.log(2.0)
     lower = _log_majorant(log_gaps, n_max, log_z0)
     while (step := _log_majorant(log_gaps, n_max, log_z0 - half_bit)) < lower or math.isinf(lower):
         log_z0, lower = log_z0 - half_bit, step
     bits = int(min(best, lower) / math.log(2.0)) + 1
-    # whole bytes, so _unpack_row reads the digits straight from to_bytes
+    # whole bytes, so _unpack_row and _flip read the digits straight from to_bytes
     return -(-max(32, bits + 16) // 8) * 8
+
+
+def _offset_bytes(packed: int, bits: int, slots: int) -> tuple[bytes, int]:
+    """packed plus an offset of half = 2^(bits-1) in each of `slots`
+    balanced base-2^bits digit slots, as little-endian bytes, and that
+    offset; bits is a whole number of bytes.
+
+    The offset turns each digit d in [-half, half) into d + half in
+    [0, 2^bits), so one to_bytes call lays out every digit in linear time.
+    What does not fit the slots, which only a too-narrow width leaves, is
+    cut off, and the build's row-sum check then fails.
+    """
+    size = bits * slots
+    offset = int.from_bytes((1 << (bits - 1)).to_bytes(bits // 8, "little") * slots, "little")
+    return ((packed + offset) & ((1 << size) - 1)).to_bytes(size // 8, "little"), offset
 
 
 def _unpack_row(packed: int, bits: int) -> list[int]:
     """Balanced base-2^bits digits of packed (signed coefficients), lowest
-    first, without trailing zeros; bits is a whole number of bytes.
-
-    Adding half = 2^(bits-1) to every one of k digit slots turns each
-    balanced digit d in [-half, half) into d + half in [0, 2^bits), so one
-    to_bytes call reads every digit in linear time.  k covers the row's bit
-    length plus two bits, so the offset row never overflows its bytes.
-    """
-    width = bits // 8
-    k = (packed.bit_length() + 2 + bits - 1) // bits
-    half = 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * k, "little")
-    raw = (packed + offset).to_bytes(width * k, "little")
+    first, without trailing zeros; bits is a whole number of bytes.  The
+    slots cover packed's bit length plus two bits, so nothing is cut off."""
+    width, half = bits // 8, 1 << (bits - 1)
+    raw, _ = _offset_bytes(packed, bits, (packed.bit_length() + 2 + bits - 1) // bits)
     out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
     while out and out[-1] == 0:
         out.pop()
     return out if out else [0]
+
+
+def _flip(packed: int, bits: int, top: int) -> int:
+    """packed with its top + 1 balanced base-2^bits digits in reverse order
+    (the digit in slot k moves to slot top - k); bits is a whole number of
+    bytes.  Its own inverse."""
+    width = bits // 8
+    raw, offset = _offset_bytes(packed, bits, top + 1)
+    slots = [raw[i - width : i] for i in range(len(raw), 0, -width)]
+    return int.from_bytes(b"".join(slots), "little") - offset
 
 
 def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
@@ -182,7 +247,7 @@ def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
             b[N] += jd if m & 1 else -jd
     tot = [1] + [0] * n_max
     for n in range(1, n_max + 1):
-        q, rem = divmod(sum(b[N] * tot[n - N] for N in range(1, n + 1)), n)
+        q, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(tot[:n]))), n)
         if rem:
             raise RuntimeError(f"log-derivative recurrence: inexact division at n = {n}")
         tot[n] = q
@@ -198,13 +263,31 @@ def build_table(
 
     The default order is n_max, ..., 1.  The product commutes, so any order
     gives the same table, but largest-first keeps the rows short: when
-    factor j is applied, row n has u-degree <= n/j.  Each of the
-    O(n_max^2 log n_max) expansion terms is one multiply-add of a packed row
-    of at most n/j digits (in ascending order, up to n digits); the small
-    coefficient multiplies the row before the shift, so it never runs over
-    the shifted-in zero digits.  Memory is one packed integer per z-degree.
-    Every row sum must equal the u = 1 coefficient from
-    _univariate_totals, an independent recurrence.
+    factor j is applied, row n has u-degree <= n/j.  Memory is one packed
+    integer per z-degree.
+
+    Layouts.  While the factors descend, row n keeps its u^k digit in slot
+    top(n) - k with top(n) = n // j, j the factor being applied.  Then
+    top(n) - top(n - mj) = m, so the expansion term c u^m z^(mj) is the
+    shift-free multiply-add rows[n] += c * rows[n - mj]; between factors
+    only the rows whose n // j grew are shifted up.  Every row is flipped
+    once to the standard layout (u^k digit in slot k, term shifted by m
+    digits) at the first factor larger than the one before it, or when on
+    row n_max the new top would exceed its u-degree by more than half its
+    digit count (padding that the multiplies would carry).
+
+    Work skipped.  Rows 1..lo-1 are zero, lo the smallest factor applied so
+    far, so a term reads only sources n - mj >= lo, and row 0's term (the
+    bare coefficient) is added once per factor.  When |gap(j)| <= n_max // j,
+    that is, at most the number of expansion terms, the factor is |gap(j)|
+    single-term sweeps instead: multiply by 1 + u z^j with n descending,
+    or divide by it with n ascending, each an add per row and no
+    multiplication.
+
+    The arithmetic is exact integer linear algebra, so only the final
+    digits must fit the width of _digit_bits (the bound also covers every
+    partial product that _flip reads); every row sum must equal the u = 1
+    coefficient from _univariate_totals, an independent recurrence.
     """
     if r < 1 or n_max < 0:
         raise ValueError("build_table requires r >= 1 and n_max >= 0")
@@ -216,21 +299,47 @@ def build_table(
     bits = _digit_bits(gaps, n_max) if n_max else 64
     rows = [0] * (n_max + 1)
     rows[0] = 1
+    standard = False
+    lo = prev = n_max + 1  # rows 1..lo-1 are zero; reversed: top(n) = n // prev
     for j in order:
         d = gaps[j - 1]
         if d == 0:
             continue
-        terms = _expansion_terms(d, j, n_max)
-        shifted = [(c, bits * m, j * m) for c, m in terms]
-        for n in range(n_max, j - 1, -1):
-            acc = rows[n]
+        if not standard:
+            # flip at an ascent, or when row n_max would pad more than it holds
+            last = rows[n_max]
+            deg = n_max // prev - ((last & -last).bit_length() - 1) // bits
+            standard = j > prev or (last != 0 and 2 * (n_max // j - deg) > deg + 1)
+            for n in range(lo, n_max + 1):
+                if standard:
+                    rows[n] = _flip(rows[n], bits, n // prev)
+                elif lift := n // j - n // prev:
+                    rows[n] <<= bits * lift
+        step = bits if standard else 0  # one u digit; x << 0 would copy x
+        if abs(d) <= n_max // j:
+            first = min(lo, j)
+            for _ in range(d):
+                for n in range(n_max, first + j - 1, -1):
+                    rows[n] += rows[n - j] << step if step else rows[n - j]
+                rows[j] += 1 << step
+            for _ in range(-d):
+                rows[j] -= 1 << step
+                for n in range(first + j, n_max + 1):
+                    rows[n] -= rows[n - j] << step if step else rows[n - j]
+        else:
+            shifted = [(c, step * m, j * m) for c, m in _expansion_terms(d, j, n_max)]
+            for n in range(n_max, lo + j - 1, -1):
+                acc, reach = rows[n], n - lo
+                for c, shift, dz in shifted:
+                    if dz > reach:
+                        break
+                    acc += (c * rows[n - dz]) << shift if shift else c * rows[n - dz]
+                rows[n] = acc
             for c, shift, dz in shifted:
-                if dz > n:
-                    break
-                src = rows[n - dz]
-                if src:
-                    acc += (c * src) << shift
-            rows[n] = acc
+                rows[dz] += c << shift
+        lo, prev = min(lo, j), j
+    if not standard:
+        rows = [_flip(row, bits, n // prev) for n, row in enumerate(rows)]
 
     coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]
     row_totals = _univariate_totals(gaps, n_max)

@@ -65,6 +65,21 @@ class TestTable:
         assert code == 0, err
         assert out.splitlines()[-1].startswith("30,30,")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cells_past_the_int_str_limit_export(self, capsys, fmt):
+        # the widest cell at r = 363, N = 40 has 4,324 digits, past Python's
+        # default 4,300-digit str() limit, which the export lifts and restores
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(["table", "--r", "363", "--N", "40", "--format", fmt], capsys)
+        assert code == 0, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["n_max"] == 40
+            assert max(len(c.lstrip("-")) for _, _, c in doc["entries"]) > 4300
+        else:
+            assert out.splitlines()[-1].startswith("40,40,")
+
     def test_digit_width_failure_is_an_error_not_a_traceback(self, capsys, monkeypatch):
         monkeypatch.setattr(partition, "_digit_bits", lambda gaps, n_max: 8)
         code, out, err = run_cli(["table", "--r", "2", "--N", "40"], capsys)

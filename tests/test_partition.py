@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -48,7 +49,9 @@ def test_empty_product_cell(r):
     assert build_table(r, 1).value(0, 0) == 1
 
 
-@pytest.mark.parametrize("r,n_max", [(2, 9), (2, 10), (2, 12), (3, 8), (3, 12)])
+# r = 1 has gap(4) = -1, applied as one divide-by-(1 + u z^4) sweep
+@pytest.mark.parametrize("r,n_max", [(2, 9), (2, 10), (2, 12), (3, 8), (3, 12),
+                                     *((1, n) for n in range(13))])
 def test_oracle_equivalence(r, n_max):
     built = build_table(r, n_max)
     oracles = oracle_table(r, n_max)
@@ -135,6 +138,81 @@ def test_digit_width_stays_tight_for_large_r(r, n_max):
 @pytest.mark.parametrize("r,n_max,bits", [(2, 600, 312), (3, 350, 360), (40, 30, 1120)])
 def test_digit_width_unchanged_at_small_r(r, n_max, bits):
     assert partition._digit_bits(GapSequence.build(r, n_max).gaps, n_max) == bits
+
+
+def _digit_bits_by_scan(gaps, n_max):
+    """The full-grid form of partition._digit_bits: every z0 = i/40 for
+    i = 2..39, then the same walk below 1/40."""
+    log_gaps = [(j, math.log(abs(d)), d > 0) for j, d in enumerate(gaps[:n_max], start=1) if d]
+    best = min(partition._log_majorant(log_gaps, n_max, math.log(i / 40.0)) for i in range(2, 40))
+    log_z0, half_bit = math.log(1 / 40.0), 0.5 * math.log(2.0)
+    lower = partition._log_majorant(log_gaps, n_max, log_z0)
+    while (step := partition._log_majorant(log_gaps, n_max, log_z0 - half_bit)) < lower or math.isinf(lower):
+        log_z0, lower = log_z0 - half_bit, step
+    bits = int(min(best, lower) / math.log(2.0)) + 1
+    return -(-max(32, bits + 16) // 8) * 8
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 40, 300])
+def test_digit_width_search_equals_full_grid_scan(r):
+    # the search relies on the bound being unimodal along the grid
+    rng = random.Random(1000 + r)
+    n_top = 1000 if r <= 6 else 30
+    gaps = GapSequence.build(r, n_top).gaps
+    for n_max in sorted({1, 2, n_top, *rng.sample(range(1, n_top + 1), 12)}):
+        assert partition._digit_bits(gaps, n_max) == _digit_bits_by_scan(gaps, n_max), n_max
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 13, 40])
+def test_any_factor_order_equals_default(r, n_max):
+    default = build_table(r, n_max)
+    shuffled = list(range(1, n_max + 1))
+    random.Random(r * 100 + n_max).shuffle(shuffled)
+    half = n_max // 2
+    orders = {
+        "ascending": list(range(1, n_max + 1)),
+        "shuffled": shuffled,
+        "late ascent": list(range(n_max, 2, -1)) + [1, 2][:n_max],  # 1, then 2 last
+        "descend then ascend": list(range(n_max, half, -1)) + list(range(1, half + 1)),
+    }
+    for name, order in orders.items():
+        built = build_table(r, n_max, factor_order=order)
+        assert built.coeff == default.coeff, name
+        assert built.row_totals == default.row_totals, name
+
+
+@pytest.mark.parametrize("bits", [8, 16, 64, 200, 312, 360])
+def test_flip_reverses_balanced_digits(bits):
+    rng = random.Random(bits)
+    half = 1 << (bits - 1)
+
+    def pack(digits):
+        return sum(d << (bits * i) for i, d in enumerate(digits))
+
+    rows = [[0], [0] * 5, [-half], [half - 1, 0, -half], [0, 0, -1]]
+    for _ in range(40):
+        k = rng.randint(1, 30)
+        digits = [rng.randrange(-half, half) for _ in range(k)]
+        digits[-1] = -rng.randint(1, half)  # negative top digit
+        zeros = rng.randint(0, k - 1) if rng.random() < 0.3 else 0
+        rows.append([0] * zeros + digits[zeros:])
+    for digits in rows:
+        top = len(digits) - 1
+        packed = pack(digits)
+        flipped = partition._flip(packed, bits, top)
+        assert flipped == pack(digits[::-1])
+        assert partition._flip(flipped, bits, top) == packed
+
+
+@pytest.mark.parametrize("order", ["default", "ascending"])
+def test_too_narrow_width_fails_the_row_sum_check(monkeypatch, order):
+    # the default order starts in the reversed layout; the ascending one
+    # flips to the standard layout at its second factor
+    monkeypatch.setattr(partition, "_digit_bits", lambda gaps, n_max: 8)
+    factor_order = None if order == "default" else list(range(1, 41))
+    with pytest.raises(RuntimeError, match="digit-width bound violated"):
+        build_table(3, 40, factor_order=factor_order)
 
 
 class TestExactDistribution:
