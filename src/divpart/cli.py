@@ -90,6 +90,11 @@ class RunConfig:
             raise ValueError("--prime-cutoff must be >= 100")
         if not 0.0 < self.u < math.inf:
             raise ValueError("--u must be positive and finite")
+        if self.subcommand == "saddle":
+            from .saddle import U_MAX
+            if self.u > U_MAX:
+                raise ValueError(f"--u must be in (0, {U_MAX:g}], where the "
+                                 f"closed-form partials stay finite")
         if self.subcommand == "dirichlet-check" and not 1.0 < self.s < math.inf:
             raise ValueError("--s must be finite and > 1")
         if self.subcommand == "table" and self.table_limit < 0:

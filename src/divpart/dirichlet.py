@@ -12,7 +12,6 @@ complex arguments are out of scope.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -24,37 +23,30 @@ import numpy as np
 from . import arith
 from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, character_sums, mu_phi_tables
 
-# (limit, the primes <= limit, the same as a read-only float64 array)
-_PRIME_CACHE: tuple[int, list[int], np.ndarray] = (0, [], np.empty(0))
+# (limit, the primes <= limit as a read-only float64 array); only the
+# first and last fields are read, so any tuple led by 0 resets the cache
+_PRIME_CACHE: tuple[int, np.ndarray] = (0, np.empty(0))
 _PRIMES_LOCK = threading.Lock()
 
 
-def _prime_cache(limit: int) -> tuple[list[int], np.ndarray]:
-    """The shared prime list and its float64 copy, both covering limit.
-
-    Extended under a lock, so concurrent callers sieve once; both are
-    read-only afterwards."""
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes <= limit as a read-only float64 array: a prefix of the
+    one shared sieve, extended under a lock, so concurrent callers sieve
+    once and a smaller limit sieves nothing."""
     global _PRIME_CACHE
     with _PRIMES_LOCK:
         if limit > _PRIME_CACHE[0]:
-            sieved = arith.prime_sieve(limit)
-            floats = sieved.astype(np.float64)
+            floats = arith.prime_sieve(limit).astype(np.float64)
             floats.flags.writeable = False
-            _PRIME_CACHE = (limit, sieved.tolist(), floats)
-        return _PRIME_CACHE[1], _PRIME_CACHE[2]
+            _PRIME_CACHE = (limit, floats)
+        floats = _PRIME_CACHE[-1]
+    return floats[: np.searchsorted(floats, limit, side="right")]
 
 
 def primes(limit: int = DEFAULT_PRIME_CUTOFF) -> list[int]:
-    """Shared, growing prime list (read-only after each extension)."""
-    found, _ = _prime_cache(limit)
-    count = bisect.bisect_right(found, limit)
-    return found if count == len(found) else found[:count]
-
-
-def _prime_array(limit: int) -> np.ndarray:
-    """The primes <= limit as a read-only float64 array."""
-    found, floats = _prime_cache(limit)
-    return floats[: bisect.bisect_right(found, limit)]
+    """The primes <= limit as a new list of Python ints, read off the
+    shared float64 sieve (exact: every prime is below 2^53)."""
+    return _prime_array(limit).astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +552,32 @@ def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
     return arith.divisor_sum_sieve(r, limit, np.float64)
 
 
+# terms formed at a time by _divisor_series (0.5 MiB of float64)
+_SERIES_BLOCK = 1 << 16
+
+
 def _divisor_series(r: int, s: float, n_cutoff: int, shift: int) -> float:
-    """sum_{n <= n_cutoff} sigma_r(n + shift) n^-s, in one work array:
-    n^-s and the products are formed in place, so a 10^6-term sum holds
-    one array beside the sigma table instead of three."""
+    """sum_{n <= n_cutoff} sigma_r(n + shift) n^-s, formed one block of at
+    most _SERIES_BLOCK terms at a time beside the sigma table.
+
+    The block sums are combined along numpy's own pairwise-summation tree
+    (a range longer than a block splits at half its length, rounded down
+    to a multiple of 8), so the value equals np.sum over the full array of
+    terms bit for bit."""
     sig = _sigma_float_sieve(r, n_cutoff + 1)
-    terms = np.arange(1, n_cutoff + 1, dtype=np.float64)
-    np.power(terms, -s, out=terms)
-    terms *= sig[1 + shift : n_cutoff + 1 + shift]
-    return float(np.sum(terms))
+
+    def tree(lo: int, hi: int) -> float:
+        # the sum of the terms for n = lo + 1 .. hi
+        if hi - lo > _SERIES_BLOCK:
+            half = (hi - lo) // 2
+            half -= half % 8
+            return tree(lo, lo + half) + tree(lo + half, hi)
+        terms = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        np.power(terms, -s, out=terms)
+        terms *= sig[lo + 1 + shift : hi + 1 + shift]
+        return float(np.sum(terms))
+
+    return tree(0, n_cutoff)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ from .arith import divisor_sums
 TRUNCATION_RATIO = 1e-18
 HARD_TERM_CAP = 10**7
 
+#: the largest --u the saddle subcommand takes: the gamma^3 partial's
+#: numerator is k^3 (u q)^2 in size, with q = e^(-gamma k) < 1 and
+#: k <= HARD_TERM_CAP, so it stays finite while 10^21 u^2 < 1.8e308,
+#: that is u < 4.2e143; past it "k-sum term not finite" can end a solve
+U_MAX = 1e143
+
 #: supported (d/dgamma order, d/du order) pairs
 SUPPORTED_PARTIALS = (
     (0, 0), (1, 0), (2, 0), (3, 0), (4, 0),

@@ -235,6 +235,12 @@ class TestConfigErrors:
         ["clt-report", "--max-negative-mass", "nan"],
         ["tail", "--x-grid="],
         ["mgf", "--theta-grid="],
+        # just past U_MAX, and far past it, where a k-sum term overflowed
+        ["saddle", "--n", "78818", "--r", "4", "--u", "1.0000000001e143",
+         "--mode", "paper_literal"],
+        ["saddle", "--n", "78818", "--r", "4", "--u", "1e154", "--mode", "paper_literal"],
+        ["saddle", "--n", "78818", "--r", "4", "--u", "1e308", "--mode", "paper_literal"],
+        ["saddle", "--n", "1000", "--r", "2", "--u", "1e144"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows
@@ -244,6 +250,16 @@ class TestConfigErrors:
         assert proc.returncode == 2, proc.stderr
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_u_bound_keeps_the_partials_finite(self, capsys):
+        # k^3 (u q)^2 at the largest k a k-sum may reach, q < 1
+        assert saddle.HARD_TERM_CAP**3 * saddle.U_MAX**2 < sys.float_info.max
+        # the largest accepted u, where 1e154 used to end in "term not finite"
+        code, out, err = run_cli(["saddle", "--n", "78818", "--r", "4", "--u", "1e143",
+                                  "--mode", "paper_literal"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert all(math.isfinite(float(doc[key])) for key in ("F", "F_g", "F_gg", "tau"))
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

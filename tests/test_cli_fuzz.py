@@ -5,7 +5,8 @@ Each example runs cli.main in-process, with a deadline, over a domain that
 mixes valid values with out-of-domain ones (negative sizes, NaN, inf, empty
 lists, non-numbers).  Sizes stay small enough for tier-1; saddle keeps
 u >= 1e-3 and n <= 10^6, clear of the r >= 3, u -> 0 cost of the object-dtype
-sigma table.  Every value is passed as --flag=value, so a leading minus is a
+sigma table, and clt-report always gets an --n-list of values <= 60, since
+its default list reaches n = 400.  Every value is passed as --flag=value, so a leading minus is a
 value, not an option.
 """
 
@@ -39,6 +40,14 @@ def floats(lo, hi):
 def float_lists(lo, hi):
     usual = st.lists(st.floats(lo, hi).map(repr), min_size=1, max_size=4).map(",".join)
     return mostly(usual, st.sampled_from(["", ",", "nan", "-1,2", "3", "0.5,inf", "1,x"]))
+
+
+def int_lists(lo, hi):
+    """increasing lists most of the time, else unsorted, empty, non-positive
+    or non-numeric ones."""
+    usual = st.lists(st.integers(lo, hi), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, sorted(set(xs)))))
+    return mostly(usual, st.sampled_from(["", ",", "0,5", "-3,10", "60,10", "x", "nan", "5,5"]))
 
 
 def choices(*names):
@@ -103,3 +112,15 @@ def test_constants(argv):
 @given(flags(r=ints(-1, 5), s=floats(0.5, 1e6), prime_cutoff=ints(-10, 20000)))
 def test_dirichlet_check(argv):
     assert_clean_exit(["dirichlet-check", *argv])
+
+
+@FUZZ
+@given(int_lists(-3, 60), flags(r=ints(1, 4), max_negative_mass=floats(0, 1)))
+def test_clt_report(n_list, argv):
+    assert_clean_exit(["clt-report", f"--n-list={n_list}", *argv])
+
+
+@FUZZ
+@given(st.booleans(), flags(workers=mostly(ints(-3, 3), st.sampled_from(["0", "-1", "x", ""]))))
+def test_verify(quick, argv):
+    assert_clean_exit(["verify", *(["--quick"] if quick else []), *argv])

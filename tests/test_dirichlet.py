@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ class TestPrimeCache:
         floats = dl._prime_array(10**4)
         assert floats.dtype == np.float64 and not floats.flags.writeable
 
+    def test_smaller_limit_slices_the_one_array(self, monkeypatch):
+        calls = []
+        real = arith.prime_sieve
+        monkeypatch.setattr(dl.arith, "prime_sieve", lambda limit: calls.append(limit) or real(limit))
+        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, [], np.empty(0)))
+        big = dl._prime_array(10**4)
+        small = dl._prime_array(100)
+        assert calls == [10**4] and dl._PRIME_CACHE[0] == 10**4
+        # a read-only float64 prefix of the same buffer, not a copy
+        assert small.size == 25 and np.shares_memory(small, big)
+        assert small.dtype == np.float64 and not small.flags.writeable
+        assert np.array_equal(small, big[:25])
+        # the limit itself is included, and the list is built per call
+        assert dl.primes(97)[-1] == 97 and dl.primes(96)[-1] == 89
+        assert dl.primes(1) == [] and dl._prime_array(1).size == 0
+        listed = dl.primes(10**4)
+        assert all(type(p) is int for p in listed) and listed is not dl.primes(10**4)
+        assert calls == [10**4]
+
 
 class TestDoubleSeries:
     def test_closed_vs_direct_moderate(self):
@@ -364,6 +384,36 @@ class TestShiftedSeries:
 
     def test_dsigma_identity_at_r1(self):
         assert dl.dsigma_residual(3.5, 1) < 1e-6
+
+
+def _unblocked_series(r, s, n_cutoff, shift):
+    """_divisor_series as one full array of terms and one np.sum."""
+    sig = dl._sigma_float_sieve(r, n_cutoff + 1)
+    terms = np.arange(1, n_cutoff + 1, dtype=np.float64) ** -s
+    return float(np.sum(terms * sig[1 + shift : n_cutoff + 1 + shift]))
+
+
+class TestBlockedDivisorSeries:
+    @pytest.mark.parametrize("n_cutoff", [1, 8, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8, 10**6])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_bit_identical_to_one_full_sum(self, r, n_cutoff):
+        # the blocks follow numpy's pairwise tree, so not even the last bit moves
+        for shift in (0, 1):
+            for s in (r + 2.5, r + 4.0):
+                assert dl._divisor_series(r, s, n_cutoff, shift) == _unblocked_series(
+                    r, s, n_cutoff, shift)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_one_block_beside_the_sigma_table(self, shift):
+        dl._sigma_float_sieve(2, 10**6 + 1)  # warm: the table is not counted
+        tracemalloc.start()
+        try:
+            dl._divisor_series(2, 4.0, 10**6, shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2^16-term block is 0.5 MiB; the full term array would be 7.6 MiB
+        assert peak < 2**20
 
 
 class TestGrowthConstants:
