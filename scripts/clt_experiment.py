@@ -63,7 +63,7 @@ def main() -> None:
         print(f"# mgf n={n}: {devs}")
 
     tails = cltlab.tail_report(max(args.n_list), args.r, [1.0, 2.0], table=table,
-                               slack=0.5, max_negative_mass=args.max_negative_mass)
+                               max_negative_mass=args.max_negative_mass)
     if tails.refused:
         print(f"# tail n={tails.n}: refused ({tails.findings[0]})")
     else:

@@ -41,6 +41,10 @@ CHARACTER_TOL = 1e-9
 #: Default prime cutoff of the Euler products (and of the CLI's --prime-cutoff).
 DEFAULT_PRIME_CUTOFF = 10**6
 
+#: Largest --prime-cutoff the CLI takes: sieving to 10^8 takes seconds and a
+#: few hundred MiB, and both grow linearly with the cutoff.
+PRIME_CUTOFF_LIMIT = 10**8
+
 
 # ---------------------------------------------------------------------------
 # Primes and factorization
@@ -422,11 +426,11 @@ class DirichletCharacter:
 
 
 @lru_cache(maxsize=512)
-def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[DirichletCharacter, ...]:
+def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, principal first.
 
     Built from the unit-group decomposition into cyclic factors of orders
-    d_c with brute-force generator search (fine for the default limit
+    d_c with brute-force generator search (fine for the limit
     m <= 200).  Character k sends the unit with discrete logs t to
     e(phase / E), E = lcm(d_c), where phase = sum_c k_c t_c (E / d_c) mod E
     is an exact integer; one exp call evaluates the whole phase matrix.
@@ -437,8 +441,10 @@ def characters_mod(m: int, limit: int = CHARACTER_MODULUS_LIMIT) -> tuple[Dirich
 
     if m < 1:
         raise ValueError("characters_mod requires m >= 1")
-    if m > limit:
-        raise ValueError(f"modulus {m} exceeds character enumeration limit {limit}")
+    if m > CHARACTER_MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus {m} exceeds character enumeration limit {CHARACTER_MODULUS_LIMIT}"
+        )
     if m == 1:
         chi = DirichletCharacter(1, (complex(1.0),), True, True, 1)
         return (chi,)

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from .arith import DEFAULT_PRIME_CUTOFF
+from .arith import DEFAULT_PRIME_CUTOFF, PRIME_CUTOFF_LIMIT
 
 
 def fmt(x: Any) -> Any:
@@ -86,8 +86,8 @@ class RunConfig:
             raise ValueError("--mode must be general or paper_literal")
         if self.convention not in ("standard", "shifted-zeta"):
             raise ValueError("--convention must be standard or shifted-zeta")
-        if self.prime_cutoff < 100:
-            raise ValueError("--prime-cutoff must be >= 100")
+        if not 100 <= self.prime_cutoff <= PRIME_CUTOFF_LIMIT:
+            raise ValueError("--prime-cutoff must be in [100, 10^8]")
         if not 0.0 < self.u < math.inf:
             raise ValueError("--u must be positive and finite")
         if self.subcommand == "saddle":
@@ -199,7 +199,7 @@ def _cmd_saddle(cfg: RunConfig) -> int:
     emit_json({
         "n": sp.n, "r": sp.r, "u": sp.u, "mode": sp.mode,
         "tau": sp.tau, "residual": sp.residual,
-        "F": sp.F_val, "F_g": sp.F_g, "F_gg": sp.F_gg, "B2": sp.B2,
+        "F": sp.F_val, "F_g": sp.F_g, "F_gg": sp.F_gg, "B2": sp.F_gg,
         "theta_n": sp.theta_n, "mu": mu, "nu2": nu2,
     }, cfg.output)
     return 0
@@ -235,7 +235,7 @@ def _cmd_clt_report(cfg: RunConfig) -> int:
 
 def _cmd_tail(cfg: RunConfig) -> int:
     from . import cltlab
-    report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid, slack=0.5,
+    report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid,
                                 max_negative_mass=cfg.max_negative_mass)
     lines = ["x,side,prob,bound,branch,ok"]
     for rec in report.records:

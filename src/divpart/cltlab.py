@@ -84,8 +84,6 @@ class CltReport:
     excluded: list[int] = field(default_factory=list)
     exponent_fit_mean: float | None = None
     exponent_fit_var: float | None = None
-    fit_residual_mean: float | None = None
-    fit_residual_var: float | None = None
 
     @property
     def exclusion_count(self) -> int:
@@ -167,19 +165,19 @@ def clt_report(
         # exponents only make sense for the gap-weighted equation form
         logs_mu = [math.log(row.mu_saddle["general"]) for row in rows]
         logs_nu = [math.log(row.nu2_saddle["general"]) for row in rows]
-        report.exponent_fit_mean, report.fit_residual_mean = _least_squares_slope(logs_n, logs_mu)
-        report.exponent_fit_var, report.fit_residual_var = _least_squares_slope(logs_n, logs_nu)
+        report.exponent_fit_mean = _least_squares_slope(logs_n, logs_mu)[0]
+        report.exponent_fit_var = _least_squares_slope(logs_n, logs_nu)[0]
     return report
 
 
-def ks_trend_ok(report: CltReport, slack: float = 0.10) -> bool:
+def ks_trend_ok(report: CltReport) -> bool:
     """Non-increasing KS distances over the included nondegenerate rows,
-    pairwise, up to the multiplicative slack."""
+    pairwise, up to a multiplicative slack of 10 %."""
     values = [
         row.ks_distance for row in report.rows
         if row.included and row.ks_distance is not None and not row.note
     ]
-    return all(b <= (1.0 + slack) * a for a, b in zip(values, values[1:]))
+    return all(b <= 1.1 * a for a, b in zip(values, values[1:]))
 
 
 def mgf_profile(
@@ -237,16 +235,15 @@ def tail_check(
     r: int,
     x_grid: list[float],
     table: PartitionTable | None = None,
-    slack: float = 0.5,
     max_negative_mass: float = 0.0,
 ) -> list[TailRecord]:
     """Exact standardized tail probabilities against the two-branch budget
 
-        e^(-x^2/2) (1 + slack)          for x <= T,
-        e^(-T x/2) (1 + slack)          for x >  T,
+        1.5 e^(-x^2/2)          for x <= T,
+        1.5 e^(-T x/2)          for x >  T,
 
-    with T from tail_split.  Pure report on admissible rows: a violated
-    budget is recorded, never raised.
+    (a slack of 0.5) with T from tail_split.  Pure report on admissible
+    rows: a violated budget is recorded, never raised.
     """
     if any(x <= 0.0 for x in x_grid):
         raise ValueError("x grid must be positive")
@@ -262,10 +259,10 @@ def tail_check(
     records = []
     for x in x_grid:
         if x <= t_split:
-            bound = math.exp(-x * x / 2.0) * (1.0 + slack)
+            bound = 1.5 * math.exp(-x * x / 2.0)
             branch = "gauss"
         else:
-            bound = math.exp(-t_split * x / 2.0) * (1.0 + slack)
+            bound = 1.5 * math.exp(-t_split * x / 2.0)
             branch = "linear"
         upper = float(sum(
             (p for k, p in dist.pmf.items() if (k - mean) / std >= x), Fraction(0)
@@ -287,7 +284,6 @@ class TailReport:
 
     n: int
     r: int
-    slack: float
     records: list[TailRecord]
     findings: list[str]
     refused: bool
@@ -309,18 +305,13 @@ def tail_report(
     r: int,
     x_grid: list[float],
     table: PartitionTable | None = None,
-    slack: float = 0.5,
     max_negative_mass: float = 0.0,
 ) -> TailReport:
     findings: list[str] = []
     try:
-        records = tail_check(
-            n, r, x_grid, table=table, slack=slack,
-            max_negative_mass=max_negative_mass,
-        )
+        records = tail_check(n, r, x_grid, table=table, max_negative_mass=max_negative_mass)
     except ValueError as exc:
-        return TailReport(n=n, r=r, slack=slack, records=[],
-                          findings=[str(exc)], refused=True)
+        return TailReport(n=n, r=r, records=[], findings=[str(exc)], refused=True)
     for rec in records:
         if not rec.ok:
             findings.append(
@@ -331,8 +322,7 @@ def tail_report(
             findings.append(
                 f"x = {rec.x}, {rec.side}: prob {rec.prob:.6e} outside [0, 1]"
             )
-    return TailReport(n=n, r=r, slack=slack, records=records,
-                      findings=findings, refused=False)
+    return TailReport(n=n, r=r, records=records, findings=findings, refused=False)
 
 
 @dataclass(frozen=True)
@@ -343,12 +333,12 @@ class ExponentFit:
     residual_var: float
 
 
-def exponent_fit(r: int, n_grid: list[int], mode: str = "general") -> ExponentFit:
+def exponent_fit(r: int, n_grid: list[int]) -> ExponentFit:
     """Least-squares slopes of log mu and log nu^2 against log n over the
     grid; the target exponent is (r+1)/(r+2) for both.
 
-    The gap-weighted equation form is the default: the plain form scales
-    the root like n^(-1/2) and cannot reproduce that exponent.
+    The saddle runs in the gap-weighted equation form: the plain form
+    scales the root like n^(-1/2) and cannot reproduce that exponent.
     """
     from . import saddle
 
@@ -358,7 +348,7 @@ def exponent_fit(r: int, n_grid: list[int], mode: str = "general") -> ExponentFi
     logs_mu = []
     logs_nu = []
     for n in n_grid:
-        mu, nu2 = saddle.mean_variance_saddle(n, r, mode=mode)
+        mu, nu2 = saddle.mean_variance_saddle(n, r, mode="general")
         logs_n.append(math.log(n))
         logs_mu.append(math.log(mu))
         logs_nu.append(math.log(nu2))

@@ -23,8 +23,7 @@ import numpy as np
 from . import arith
 from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, character_sums, mu_phi_tables
 
-# (limit, the primes <= limit as a read-only float64 array); only the
-# first and last fields are read, so any tuple led by 0 resets the cache
+# (limit, the primes <= limit as a read-only float64 array)
 _PRIME_CACHE: tuple[int, np.ndarray] = (0, np.empty(0))
 _PRIMES_LOCK = threading.Lock()
 
@@ -39,14 +38,8 @@ def _prime_array(limit: int) -> np.ndarray:
             floats = arith.prime_sieve(limit).astype(np.float64)
             floats.flags.writeable = False
             _PRIME_CACHE = (limit, floats)
-        floats = _PRIME_CACHE[-1]
+        floats = _PRIME_CACHE[1]
     return floats[: np.searchsorted(floats, limit, side="right")]
-
-
-def primes(limit: int = DEFAULT_PRIME_CUTOFF) -> list[int]:
-    """The primes <= limit as a new list of Python ints, read off the
-    shared float64 sieve (exact: every prime is below 2^53)."""
-    return _prime_array(limit).astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +112,10 @@ def gamma_real(s: float) -> float:
     return value
 
 
-def _alternating_sum(term: Callable[[int], float], n: int = 48) -> float:
+def _alternating_sum(term: Callable[[int], float]) -> float:
     """sum_{k>=0} (-1)^k term(k) with Chebyshev-style acceleration;
     converges to ~3.17^-n even for terms decaying only polynomially."""
+    n = 48
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -141,10 +135,10 @@ def beta_dirichlet(s: float) -> float:
     return _alternating_sum(lambda k: (2 * k + 1) ** -s)
 
 
-def _tanh_sinh(f: Callable[[float], float], a: float, b: float,
-               rel_tol: float = 1e-13, max_level: int = 12) -> float:
+def _tanh_sinh(f: Callable[[float], float], a: float, b: float) -> float:
     """Double-exponential quadrature on (a, b): handles endpoint power
-    singularities; node count doubles per level until self-consistent.
+    singularities; node count doubles per level until two levels agree
+    to 1e-12 relative, for at most 12 levels.
 
     Node positions are carried as distances from the endpoints so the
     exponentially close nodes keep full relative precision (no mid +/-
@@ -190,17 +184,17 @@ def _tanh_sinh(f: Callable[[float], float], a: float, b: float,
     h = 1.0
     raw = layer(h, odd_only=False)
     best = h * half * raw
-    for _ in range(max_level):
+    for _ in range(12):
         h /= 2.0
         raw += layer(h, odd_only=True)
         cur = h * half * raw
-        if abs(cur - best) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - best) <= 1e-12 * max(abs(cur), 1e-300):
             return cur
         best = cur
     return best
 
 
-def polylog_neg(s: float, u: float, rel_tol: float = 1e-12) -> float:
+def polylog_neg(s: float, u: float) -> float:
     """Li_s(-u) = -(1/Gamma(s)) * integral of t^(s-1)/(e^t/u + 1) dt over
     (0, inf), for s > 0, u > 0; reaches u > 1 (the series cannot).
 
@@ -217,7 +211,7 @@ def polylog_neg(s: float, u: float, rel_tol: float = 1e-12) -> float:
         # t^(s-1)/(e^t/u + 1), stable for large t and tiny t
         return math.exp((s - 1.0) * math.log(t)) / (math.exp(t - log_u) + 1.0)
 
-    val = _tanh_sinh(integrand, 0.0, t_hi, rel_tol=rel_tol)
+    val = _tanh_sinh(integrand, 0.0, t_hi)
     return -val / gamma_real(s)
 
 
@@ -270,10 +264,10 @@ def _euler_product(
     tail_const: float,
     tail_alpha: float,
     cutoff: int,
-    tol: float,
 ) -> EulerProductValue:
     """prod over p <= cutoff of factor(p), with factor evaluated once over
-    the float array of the primes; the logs are added by math.fsum.
+    the float array of the primes; the logs are added by math.fsum.  It
+    has converged when its tail bound is below 1e-8.
 
     Past p ~ 10^4 most factors round to exactly 1.0, so only the nonzero
     logs go to fsum: adding 0.0 cannot change a correctly rounded sum."""
@@ -289,21 +283,21 @@ def _euler_product(
     value = math.exp(math.fsum(logs[logs != 0.0].tolist()))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
     tail = abs(value) * math.expm1(log_tail)
-    return EulerProductValue(value, cutoff, tail, tail < tol)
+    return EulerProductValue(value, cutoff, tail, tail < 1e-8)
 
 
-def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-8) -> EulerProductValue:
+def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """prod over p of (1 + 1/(p^(r+1)(p-1)))  (totient-summatory family;
     r = 1 gives 1.339784..., and zeta(2) times it the Landau constant)."""
     if r < 1:
         raise ValueError("constant_C requires r >= 1")
     return _euler_product(
         lambda p: 1.0 + 1.0 / (p ** (r + 1) * (p - 1.0)),
-        tail_const=2.0, tail_alpha=r + 2.0, cutoff=cutoff, tol=tol,
+        tail_const=2.0, tail_alpha=r + 2.0, cutoff=cutoff,
     )
 
 
-def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-8) -> EulerProductValue:
+def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """prod over p of (1 + [1/(p^(r+1)(p-1))] (1-p^-s)/(1-p^-(s+r+1))).
 
     Tends to constant_C(r) as s -> +inf and equals 1 at s = 0.
@@ -317,11 +311,11 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1
 
     alpha = r + 2.0 - max(0.0, -s)
     const = 4.0 / (1.0 - 2.0 ** (-(s + r + 1.0)))
-    return _euler_product(factor, tail_const=const, tail_alpha=alpha, cutoff=cutoff, tol=tol)
+    return _euler_product(factor, tail_const=const, tail_alpha=alpha, cutoff=cutoff)
 
 
 def E_r_and_Cprime(
-    sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-8
+    sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> tuple[EulerProductValue, EulerProductValue]:
     """The bound-side Euler product E_r(sigma) from its defining form
         1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1)))
@@ -340,11 +334,11 @@ def E_r_and_Cprime(
         factor_e,
         tail_const=1.0 / denom_const,
         tail_alpha=3.0 * sigma + 3 * r + 2.0,
-        cutoff=cutoff, tol=tol,
+        cutoff=cutoff,
     )
     cp_val = _euler_product(
         lambda p: 1.0 + (1.0 - p ** float(-r)) / p ** (r + 1),
-        tail_const=1.0, tail_alpha=r + 1.0, cutoff=cutoff, tol=tol,
+        tail_const=1.0, tail_alpha=r + 1.0, cutoff=cutoff,
     )
     return e_val, cp_val
 
@@ -360,14 +354,14 @@ def dirichlet_d1(
     m_limit: int = 2000,
     n_limit: int = 20000,
     cutoff: int = DEFAULT_PRIME_CUTOFF,
-    tol: float = 1e-3,
 ) -> SeriesValue:
     """The Mobius-weighted double series over Ramanujan sums,
     sum_m mu(m)/(phi(m) m^(r+1)) sum_n c_m(n)/n^s.
 
     closed: zeta(s) K_r(s) / zeta(s+r+1); direct: the truncated double sum
     (the closed form's independent oracle), evaluated by exact regrouping
-    over g = gcd(m, n) so the m_limit/n_limit budget is feasible.
+    over g = gcd(m, n) so the m_limit/n_limit budget is feasible; it has
+    converged when its truncation bound is below 1e-3.
     """
     if mode == "closed":
         if s <= 1.0:
@@ -384,10 +378,10 @@ def dirichlet_d1(
         raise ValueError("mode must be 'closed' or 'direct'")
     if s <= 1.0:
         raise ValueError("direct form needs s > 1")
-    return _d1_direct(s, r, m_limit, n_limit, tol)
+    return _d1_direct(s, r, m_limit, n_limit)
 
 
-def _d1_direct(s: float, r: int, m_limit: int, n_limit: int, tol: float) -> SeriesValue:
+def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
     if m_limit > 500_000:
         # the phi(m) >= m/6 step in the tail bound stops holding past here
         raise ValueError("direct mode is documented for m_limit <= 500000")
@@ -436,7 +430,7 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int, tol: float) -> Seri
         value=total,
         terms_used=m_limit,
         truncation_bound=bound,
-        converged=bound < tol,
+        converged=bound < 1e-3,
     )
 
 
@@ -471,16 +465,15 @@ def d2_bound(sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
     )
 
 
-def d2_direct_probe(
-    s: float, r: int, m_limit: int = 60, n_limit: int = 4000
-) -> complex:
+def d2_direct_probe(s: float, r: int) -> complex:
     """Truncated direct evaluation of the character-twisted series
-    sum_m 1/(phi(m) m^(r+1)) sum_{chi != chi0} tau(chi) sum_n c'_{conj chi}(n)/n^s
+    sum_{m <= 60} 1/(phi(m) m^(r+1)) sum_{chi != chi0} tau(chi)
+    sum_{n <= 4000} c'_{conj chi}(n)/n^s
     (one-sided consistency probe against d2_bound)."""
-    n_arr = np.arange(1, n_limit + 1, dtype=np.float64)
+    n_arr = np.arange(1, 4001, dtype=np.float64)
     ns = n_arr ** (-s)
     total = complex(0.0)
-    for m in range(1, m_limit + 1):
+    for m in range(1, 61):
         chars = characters_mod(m)
         if len(chars) < 2:
             continue
@@ -505,9 +498,7 @@ def d2_direct_probe(
     return total
 
 
-def d2_quartic_character(
-    s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF, tol: float = 1e-6
-) -> SeriesValue:
+def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue:
     """The companion series specialized to the nontrivial character mod 4:
     beta(s) beta(s+r+1) / beta(s+r) times Euler products over p = 1 (mod 4)
     and p = 3 (mod 4).
@@ -516,7 +507,8 @@ def d2_quartic_character(
     the factor of an odd prime is 1 + (1 + chi(p) p^-s) / (p^(r+1) d)
     (1 - b), where b = N / (d - N) and N is the geometric series
     sum_{k>=2} chi^k (p^-(k(s+r)+1) - p^-(k(s+r+1))) =
-    x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1."""
+    x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1.  The value has
+    converged when its tail bound is below 1e-6."""
     if s <= 1.0 or r <= 1:
         raise ValueError("d2_quartic_character requires s > 1 and r > 1")
 
@@ -529,14 +521,14 @@ def d2_quartic_character(
         lead = (1.0 + chi * p**-s) / p ** (r + 1)
         return np.where(p == 2.0, 1.0, 1.0 + lead / d * (1.0 - num / (d - num)))
 
-    prod = _euler_product(factor, tail_const=4.0, tail_alpha=r + 1.0, cutoff=cutoff, tol=tol)
+    prod = _euler_product(factor, tail_const=4.0, tail_alpha=r + 1.0, cutoff=cutoff)
     scale = beta_dirichlet(s) * beta_dirichlet(s + r + 1.0) / beta_dirichlet(s + r)
     tail = abs(scale) * prod.tail_estimate
     return SeriesValue(
         value=scale * prod.value,
         terms_used=int(np.count_nonzero(_prime_array(cutoff) != 2.0)),
         truncation_bound=tail,
-        converged=tail < tol,
+        converged=tail < 1e-6,
     )
 
 
@@ -554,6 +546,7 @@ def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
 
 # terms formed at a time by _divisor_series (0.5 MiB of float64)
 _SERIES_BLOCK = 1 << 16
+_SERIES_TERMS = 10**6  # of the directly summed divisor series
 
 
 def _divisor_series(r: int, s: float, n_cutoff: int, shift: int) -> float:
@@ -590,9 +583,9 @@ class ShiftedSeriesCheck:
 
 
 def shifted_series_residual(
-    s: float, r: int, n_cutoff: int = 10**6, cutoff: int = DEFAULT_PRIME_CUTOFF
+    s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> ShiftedSeriesCheck:
-    """Compare the directly summed shifted series sum_n sigma_r(n+1)/n^s
+    """Compare the directly summed shifted series sum_{n <= 10^6} sigma_r(n+1)/n^s
     against its Mobius-side part zeta(r+1) sum_i C(r,i) D1(s-i, r); the
     difference must sit inside the bound-side budget.
 
@@ -602,9 +595,9 @@ def shifted_series_residual(
         raise ValueError("shifted_series_residual requires r >= 2")
     if s - r <= 1.0:
         raise ValueError("need s - r > 1 so every shifted argument stays in range")
-    direct = _divisor_series(r, s, n_cutoff, shift=1)
+    direct = _divisor_series(r, s, _SERIES_TERMS, shift=1)
     # sigma_r(n+1) <= zeta(r) (n+1)^r <= zeta(r) 2^r n^r
-    trunc = zeta_real(float(r)) * 2.0**r * n_cutoff ** (r + 1.0 - s) / (s - r - 1.0)
+    trunc = zeta_real(float(r)) * 2.0**r * _SERIES_TERMS ** (r + 1.0 - s) / (s - r - 1.0)
 
     zr1 = zeta_real(r + 1.0)
     d1_part = 0.0
@@ -627,11 +620,11 @@ def shifted_series_residual(
     )
 
 
-def dsigma_residual(s: float, r: int, n_cutoff: int = 10**6) -> float:
-    """|sum_n sigma_r(n)/n^s - zeta(s) zeta(s-r)| at the same truncation."""
+def dsigma_residual(s: float, r: int) -> float:
+    """|sum_{n <= 10^6} sigma_r(n)/n^s - zeta(s) zeta(s-r)|."""
     if s - r <= 1.0:
         raise ValueError("need s - r > 1")
-    direct = _divisor_series(r, s, n_cutoff, shift=0)
+    direct = _divisor_series(r, s, _SERIES_TERMS, shift=0)
     return abs(direct - zeta_real(s) * zeta_real(s - r))
 
 

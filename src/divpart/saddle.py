@@ -47,19 +47,6 @@ SUPPORTED_PARTIALS = (
 
 
 @dataclass(frozen=True)
-class DerivativeRequest:
-    j_gamma: int
-    j_u: int
-
-    def __post_init__(self):
-        if (self.j_gamma, self.j_u) not in SUPPORTED_PARTIALS:
-            raise ValueError(
-                f"partial (gamma^{self.j_gamma}, u^{self.j_u}) not in the "
-                f"closed-form table"
-            )
-
-
-@dataclass(frozen=True)
 class SaddlePoint:
     n: int
     r: int
@@ -69,7 +56,6 @@ class SaddlePoint:
     F_g: float
     F_gg: float
     F_ggg: float
-    B2: float
     theta_n: float
     residual: float
     mode: str
@@ -227,13 +213,15 @@ def _partials(
     return _ksum(gamma, r, lambda k, q: [_partial_terms(jg, ju, k, q, u) for jg, ju in pairs])
 
 
-def F_partial(gamma: float, u: float, r: int, request) -> float:
-    """The exact truncated k-sum of the requested partial derivative."""
+def F_partial(gamma: float, u: float, r: int, order: tuple[int, int]) -> float:
+    """The exact truncated k-sum of the (d/dgamma, d/du) partial of the
+    given order, one of SUPPORTED_PARTIALS."""
+    jg, ju = order
+    if (jg, ju) not in SUPPORTED_PARTIALS:
+        raise ValueError(f"partial (gamma^{jg}, u^{ju}) not in the closed-form table")
     if gamma <= 0.0 or u <= 0.0:
         raise ValueError("F_partial requires gamma > 0 and u > 0")
-    if isinstance(request, tuple):
-        request = DerivativeRequest(*request)
-    return _partials(gamma, u, r, ((request.j_gamma, request.j_u),))[0]
+    return _partials(gamma, u, r, ((jg, ju),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +322,7 @@ def solve_saddle(
     return SaddlePoint(
         n=n, r=r, u=u, tau=root,
         F_val=f_val, F_g=f_g, F_gg=f_gg, F_ggg=f_ggg,
-        B2=f_gg, theta_n=root ** (1.0 + 3.0 * r / 7.0),
+        theta_n=root ** (1.0 + 3.0 * r / 7.0),
         residual=residual, mode=mode,
     )
 
@@ -350,7 +338,7 @@ def _mean_variance_sums(eta: float, r: int) -> list[float]:
     return _ksum(eta, r, summands)
 
 
-def mean_variance_saddle(n: int, r: int, mode: str = "paper_literal") -> tuple[float, float]:
+def mean_variance_saddle(n: int, r: int, mode: str) -> tuple[float, float]:
     """Mean and variance of the part count from the saddle root eta:
 
     mu   = sum gap(k) / (e^(eta k) + 1)
@@ -412,11 +400,9 @@ def mellin_ratio_check(
     return out
 
 
-def h1_boundedness_probe(
-    j: int, gamma: float, u: float, r: int, slack: float = 0.5
-) -> tuple[float, float, bool]:
+def h1_boundedness_probe(j: int, gamma: float, u: float, r: int) -> tuple[float, float, bool]:
     """Shifted double sum against its constant-side budget
-    N(r) |Li_{r+2}(-u)| Gamma(r+j+1) gamma^-(r+j+1) (1 + slack).
+    1.5 N(r) |Li_{r+2}(-u)| Gamma(r+j+1) gamma^-(r+j+1) (a slack of 0.5).
 
     A violation is a reportable finding about the constants, not a crash.
     """
@@ -429,7 +415,7 @@ def h1_boundedness_probe(
         * abs(dirichlet.polylog_neg(r + 2.0, u))
         * dirichlet.gamma_real(r + j + 1.0)
         * gamma ** (-(r + j + 1.0))
-        * (1.0 + slack)
+        * 1.5
     )
     return value, bound, abs(value) <= bound
 

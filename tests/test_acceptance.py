@@ -25,7 +25,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_totient_summatory_constant(monkeypatch):
     # a cold prime cache for the timing claim
-    monkeypatch.setattr(dirichlet, "_PRIME_CACHE", (0, [], np.empty(0)))
+    monkeypatch.setattr(dirichlet, "_PRIME_CACHE", (0, np.empty(0)))
     t0 = time.perf_counter()
     ok, detail = checks.totient_summatory_constant()
     elapsed = time.perf_counter() - t0
@@ -120,7 +120,7 @@ def test_criterion_09_growth_exponents():
     ok = True
     for r in (2, 3):
         target = (r + 1.0) / (r + 2.0)
-        fit = cltlab.exponent_fit(r, grid, mode="general")
+        fit = cltlab.exponent_fit(r, grid)
         ok = ok and abs(fit.slope_mean - target) < 0.1
         details.append(f"r={r}: slope {fit.slope_mean:.3f} vs {target:.3f}")
     _report(9, ok, "; ".join(details))
@@ -157,13 +157,13 @@ def test_criterion_10_clt_trend(table_r2_400):
 
 
 def test_criterion_11_tail_bounds(table_r2_400):
-    report = cltlab.tail_report(400, 2, [1.0, 2.0], table=table_r2_400, slack=0.5)
+    report = cltlab.tail_report(400, 2, [1.0, 2.0], table=table_r2_400)
     produced = report is not None
     consistent = report.self_consistent
     refusal_finding = report.refused and any("negative" in f for f in report.findings)
     # diagnostic: the same machinery end-to-end on the largest admissible row
     diag = cltlab.tail_report(200, 2, [1.0, 2.0], table=table_r2_400,
-                              slack=0.5, max_negative_mass=0.01)
+                              max_negative_mass=0.01)
     t_split = cltlab.tail_split(200, 2)
     diag_ok = (
         not diag.refused
@@ -180,7 +180,7 @@ def test_criterion_11_tail_bounds(table_r2_400):
         11, ok,
         f"n = 400 report produced, self-consistent, refusal recorded as a "
         f"structured finding ({report.findings[0][:60]}...); diagnostic n = 200 "
-        f"passes both branches at x in {{1, 2}} with slack 1.5",
+        f"passes both branches at x in {{1, 2}} with slack 0.5",
     )
 
 

@@ -241,6 +241,9 @@ class TestConfigErrors:
         ["saddle", "--n", "78818", "--r", "4", "--u", "1e154", "--mode", "paper_literal"],
         ["saddle", "--n", "78818", "--r", "4", "--u", "1e308", "--mode", "paper_literal"],
         ["saddle", "--n", "1000", "--r", "2", "--u", "1e144"],
+        # just past PRIME_CUTOFF_LIMIT, and at 10^11, where the sieve asked for 46.6 GiB
+        ["constants", "--prime-cutoff", "100000001"],
+        ["dirichlet-check", "--prime-cutoff", "100000000000"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows

@@ -8,18 +8,31 @@ u >= 1e-3 and n <= 10^6, clear of the r >= 3, u -> 0 cost of the object-dtype
 sigma table, and clt-report always gets an --n-list of values <= 60, since
 its default list reaches n = 400.  Every value is passed as --flag=value, so a leading minus is a
 value, not an option.
+
+A Hypothesis deadline judges an example only after it returns, so each
+example also runs under a wall-clock timer (signal.setitimer) whose handler
+raises ExampleTimeout, a BaseException that the error handlers of cli.run
+and checks.run let through.  Python runs the handler between bytecodes, so
+a single long C call (a numpy kernel, one big-int product) is stopped only
+when it returns.
 """
 
 import contextlib
 import io
+import signal
+import time
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divpart import cli
 
 FUZZ = settings(max_examples=40, deadline=timedelta(seconds=10))
+
+#: wall-clock seconds after which an example is stopped as hung
+EXAMPLE_LIMIT_S = 20.0
 
 ODD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-0.0", "x", ""])
 
@@ -54,6 +67,10 @@ def choices(*names):
     return mostly(st.sampled_from(names), st.just("bogus"))
 
 
+# 10^11 is past the CLI's prime-cutoff limit, where the sieve needs 47 GiB
+PRIME_CUTOFFS = mostly(ints(-10, 20000), st.just("100000000000"))
+
+
 def flags(**domains):
     """argv tails: each flag absent one time in five, else --flag=value."""
     parts = [mostly(domain.map(lambda v, f=flag: f"--{f.replace('_', '-')}={v}"), st.none())
@@ -61,15 +78,42 @@ def flags(**domains):
     return st.tuples(*parts).map(lambda ps: [p for p in ps if p is not None])
 
 
+class ExampleTimeout(BaseException):
+    """An example ran past EXAMPLE_LIMIT_S."""
+
+
+def _stop(signum, frame):
+    raise ExampleTimeout(f"example ran past {EXAMPLE_LIMIT_S} s")
+
+
 def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value
-            code = exc.code
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+def test_a_hung_example_is_stopped(monkeypatch):
+    def hang(cfg):
+        while True:
+            time.sleep(1)
+
+    monkeypatch.setitem(cli._DISPATCH, "table", hang)
+    monkeypatch.setitem(globals(), "EXAMPLE_LIMIT_S", 0.2)
+    start = time.monotonic()
+    with pytest.raises(ExampleTimeout):
+        assert_clean_exit(["table"])
+    assert time.monotonic() - start < 5.0
 
 
 @FUZZ
@@ -102,14 +146,14 @@ def test_saddle(argv):
 
 
 @FUZZ
-@given(flags(r=ints(-1, 6), prime_cutoff=ints(-10, 20000),
+@given(flags(r=ints(-1, 6), prime_cutoff=PRIME_CUTOFFS,
              convention=choices("standard", "shifted-zeta")))
 def test_constants(argv):
     assert_clean_exit(["constants", *argv])
 
 
 @FUZZ
-@given(flags(r=ints(-1, 5), s=floats(0.5, 1e6), prime_cutoff=ints(-10, 20000)))
+@given(flags(r=ints(-1, 5), s=floats(0.5, 1e6), prime_cutoff=PRIME_CUTOFFS))
 def test_dirichlet_check(argv):
     assert_clean_exit(["dirichlet-check", *argv])
 

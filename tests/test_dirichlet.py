@@ -216,14 +216,14 @@ class TestEulerProductContracts:
         assert tails[0] > tails[1] > tails[2] >= 0.0
 
     def test_converged_self_consistency(self):
-        val = dl.constant_C(2, cutoff=10**5, tol=1e-8)
+        val = dl.constant_C(2, cutoff=10**5)
         assert val.converged
-        doubled = dl.constant_C(2, cutoff=2 * 10**5, tol=1e-8)
+        doubled = dl.constant_C(2, cutoff=2 * 10**5)
         assert abs(val.value - doubled.value) <= 2e-8
 
     def test_nonpositive_factor_names_prime(self):
         with pytest.raises(ValueError, match="p = 3"):
-            dl._euler_product(lambda p: 3.0 - p, 1.0, 2.0, 100, 1e-8)
+            dl._euler_product(lambda p: 3.0 - p, 1.0, 2.0, 100)
 
 
 class TestPrimeCache:
@@ -237,18 +237,18 @@ class TestPrimeCache:
             return real(limit)
 
         monkeypatch.setattr(dl.arith, "prime_sieve", counting)
-        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, [], np.empty(0)))
+        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, np.empty(0)))
         counts = run_in_threads(
-            lambda: (len(dl.primes(10**4)), dl._prime_array(10**4).size)
+            lambda: (dl._prime_array(10**4).size, dl._prime_array(10**4).size)
         )
         assert counts == [(1229, 1229)] * 4
         assert calls == [10**4]
 
     def test_smaller_limit_is_a_prefix(self):
-        big = dl.primes(10**4)
-        assert dl.primes(100) == big[:25]
+        big = arith.primes_up_to(10**4)
+        assert arith.primes_up_to(100) == big[:25]
         assert dl._prime_array(100).tolist() == [float(p) for p in big[:25]]
-        # Python ints beside a read-only float64 copy of the same sieve
+        # Python ints from arith, a read-only float64 copy in the cache
         assert all(type(p) is int for p in big)
         floats = dl._prime_array(10**4)
         assert floats.dtype == np.float64 and not floats.flags.writeable
@@ -257,7 +257,7 @@ class TestPrimeCache:
         calls = []
         real = arith.prime_sieve
         monkeypatch.setattr(dl.arith, "prime_sieve", lambda limit: calls.append(limit) or real(limit))
-        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, [], np.empty(0)))
+        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, np.empty(0)))
         big = dl._prime_array(10**4)
         small = dl._prime_array(100)
         assert calls == [10**4] and dl._PRIME_CACHE[0] == 10**4
@@ -265,12 +265,14 @@ class TestPrimeCache:
         assert small.size == 25 and np.shares_memory(small, big)
         assert small.dtype == np.float64 and not small.flags.writeable
         assert np.array_equal(small, big[:25])
-        # the limit itself is included, and the list is built per call
-        assert dl.primes(97)[-1] == 97 and dl.primes(96)[-1] == 89
-        assert dl.primes(1) == [] and dl._prime_array(1).size == 0
-        listed = dl.primes(10**4)
-        assert all(type(p) is int for p in listed) and listed is not dl.primes(10**4)
+        # the limit itself is included
+        assert dl._prime_array(97)[-1] == 97 and dl._prime_array(96)[-1] == 89
+        assert dl._prime_array(1).size == 0
         assert calls == [10**4]
+        # the list of Python ints is arith's, built per call
+        assert arith.primes_up_to(1) == []
+        listed = arith.primes_up_to(10**4)
+        assert all(type(p) is int for p in listed) and listed is not arith.primes_up_to(10**4)
 
 
 class TestDoubleSeries:
@@ -301,7 +303,7 @@ class TestDoubleSeries:
         assert abs(fast - slow) < 1e-12
 
     def test_direct_reports_unconverged_rather_than_failing(self):
-        sv = dl.dirichlet_d1(2.0, 1, mode="direct", m_limit=50, n_limit=200, tol=1e-9)
+        sv = dl.dirichlet_d1(2.0, 1, mode="direct", m_limit=50, n_limit=200)
         assert not sv.converged
         assert sv.truncation_bound > 1e-9
 
@@ -338,7 +340,7 @@ class TestSecondSeriesBound:
         assert values[0] > values[1] > values[2] > 0.0
 
     def test_one_sided_probe(self):
-        probe = dl.d2_direct_probe(3.0, 2, m_limit=60, n_limit=4000)
+        probe = dl.d2_direct_probe(3.0, 2)
         assert abs(probe) <= dl.d2_bound(3.0, 2)
 
     def test_large_sigma_limit(self):

@@ -22,11 +22,11 @@ def _steps(jg, ju, gamma, u):
 
 class TestPartials:
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            sd.DerivativeRequest(4, 1)
-        with pytest.raises(ValueError):
-            sd.DerivativeRequest(0, 4)
-        sd.DerivativeRequest(2, 2)  # in the table
+        with pytest.raises(ValueError, match="closed-form table"):
+            sd.F_partial(0.1, 1.0, 2, (4, 1))
+        with pytest.raises(ValueError, match="closed-form table"):
+            sd.F_partial(0.1, 1.0, 2, (0, 4))
+        sd.F_partial(0.1, 1.0, 2, (2, 2))  # in the table
 
     def test_vanishes_as_u_to_zero(self):
         assert abs(sd.F_partial(0.3, 1e-12, 2, (0, 0))) < 1e-9
@@ -65,7 +65,7 @@ class TestSolveSaddle:
     def test_weighted_equation_moderate(self):
         sp = sd.solve_saddle(100, 1.0, 2, mode="general")
         assert sp.residual < 1e-7
-        assert sp.B2 > 0.0
+        assert sp.F_gg > 0.0
         assert sp.theta_n == sp.tau ** (1.0 + 3.0 * 2 / 7.0)
 
     def test_root_decreasing_in_n(self):
