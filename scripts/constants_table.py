@@ -22,11 +22,9 @@ def main() -> None:
     print("r,C,Cprime,K1,E1,N,C_mu_standard,C_mu_shifted,C_sigma_standard,C_sigma_shifted")
     for r in range(args.r_min, args.r_max + 1):
         c = dl.constant_C(r, cutoff=args.prime_cutoff).value
-        e1, cp = dl.E_r_and_Cprime(1.0, r, cutoff=args.prime_cutoff)
-        k1 = dl.euler_K(1.0, r, cutoff=args.prime_cutoff).value
         gc = dl.growth_constants(r, cutoff=args.prime_cutoff)
         print(
-            f"{r},{c:.12g},{cp.value:.12g},{k1:.12g},{e1.value:.12g},"
+            f"{r},{c:.12g},{gc.Cprime:.12g},{gc.K1:.12g},{gc.E1:.12g},"
             f"{gc.N:.12g},{gc.C_mu['standard']:.12g},{gc.C_mu['shifted-zeta']:.12g},"
             f"{gc.C_sigma['standard']:.12g},{gc.C_sigma['shifted-zeta']:.12g}"
         )

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Any
 
 from .arith import DEFAULT_PRIME_CUTOFF, PRIME_CUTOFF_LIMIT
@@ -54,71 +53,11 @@ def emit_text(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    r: int = 2
-    n: int = 100
-    n_list: list[int] = field(default_factory=lambda: [50, 100, 200, 400])
-    table_limit: int = 40
-    u: float = 1.0
-    mode: str = "general"
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-    s: float = 3.0
-    x_grid: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    theta_grid: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
-    output: str | None = None
-    csv_output: str | None = None
-    format: str = "csv"
-    quick: bool = False
-    workers: int = 1
-    convention: str = "standard"
-    max_negative_mass: float = 0.0
-
-    def validate(self) -> None:
-        if self.r < 1:
-            raise ValueError("--r must be >= 1")
-        if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
-        if self.mode not in ("general", "paper_literal"):
-            raise ValueError("--mode must be general or paper_literal")
-        if self.convention not in ("standard", "shifted-zeta"):
-            raise ValueError("--convention must be standard or shifted-zeta")
-        if not 100 <= self.prime_cutoff <= PRIME_CUTOFF_LIMIT:
-            raise ValueError("--prime-cutoff must be in [100, 10^8]")
-        if not 0.0 < self.u < math.inf:
-            raise ValueError("--u must be positive and finite")
-        if self.subcommand == "saddle":
-            from .saddle import U_MAX
-            if self.u > U_MAX:
-                raise ValueError(f"--u must be in (0, {U_MAX:g}], where the "
-                                 f"closed-form partials stay finite")
-        if self.subcommand == "dirichlet-check" and not 1.0 < self.s < math.inf:
-            raise ValueError("--s must be finite and > 1")
-        if self.subcommand == "table" and self.table_limit < 0:
-            raise ValueError("--N must be >= 0")
-        if self.subcommand in ("saddle", "mgf") and self.n < 1:
-            raise ValueError(f"{self.subcommand} needs --n >= 1")
-        if self.subcommand == "tail" and self.n < 2:
-            raise ValueError("tail needs --n >= 2 (its budget divides by log n)")
-        if not self.theta_grid or not all(abs(t) <= 2.0 for t in self.theta_grid):
-            raise ValueError("--theta-grid must be non-empty, with values in [-2, 2]")
-        if not self.x_grid or not all(x > 0.0 for x in self.x_grid):
-            raise ValueError("--x-grid must be non-empty, with positive values")
-        # written so that NaN fails too; inf admits every row
-        if not self.max_negative_mass >= 0.0:
-            raise ValueError("--max-negative-mass must be >= 0 (inf admits every row)")
-        if not self.n_list or sorted(self.n_list) != self.n_list or self.n_list[0] < 1:
-            raise ValueError("--n-list must be non-empty, increasing and positive")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_table(cfg: RunConfig) -> int:
+def _cmd_table(cfg: argparse.Namespace) -> int:
     from . import partition
     tab = partition.build_table(cfg.r, cfg.table_limit)
     if cfg.format == "csv":
@@ -128,21 +67,18 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_constants(cfg: RunConfig) -> int:
+def _cmd_constants(cfg: argparse.Namespace) -> int:
     from . import dirichlet
     c_val = dirichlet.constant_C(cfg.r, cutoff=cfg.prime_cutoff)
-    k1 = dirichlet.euler_K(1.0, cfg.r, cutoff=cfg.prime_cutoff)
+    doc = {"r": cfg.r, "C": c_val.value, "C_tail": c_val.tail_estimate,
+           "prime_cutoff": cfg.prime_cutoff}
     if cfg.r >= 2:
-        e1, cp = dirichlet.E_r_and_Cprime(1.0, cfg.r, cutoff=cfg.prime_cutoff)
         gc = dirichlet.growth_constants(cfg.r, cutoff=cfg.prime_cutoff)
         alt = "shifted-zeta" if cfg.convention == "standard" else "standard"
-        doc = {
-            "r": cfg.r,
-            "C": c_val.value,
-            "C_tail": c_val.tail_estimate,
-            "Cprime": cp.value,
-            "E1": e1.value,
-            "K1": k1.value,
+        doc.update({
+            "Cprime": gc.Cprime,
+            "E1": gc.E1,
+            "K1": gc.K1,
             "N": gc.N,
             "C_mu": gc.C_mu[cfg.convention],
             "C_sigma": gc.C_sigma[cfg.convention],
@@ -150,22 +86,15 @@ def _cmd_constants(cfg: RunConfig) -> int:
             "C_mu_alt": gc.C_mu[alt],
             "C_sigma_alt": gc.C_sigma[alt],
             "alt_convention": alt,
-            "prime_cutoff": cfg.prime_cutoff,
-        }
+        })
     else:
-        doc = {
-            "r": cfg.r,
-            "C": c_val.value,
-            "C_tail": c_val.tail_estimate,
-            "K1": k1.value,
-            "zeta2_times_C": dirichlet.zeta_real(2.0) * c_val.value,
-            "prime_cutoff": cfg.prime_cutoff,
-        }
+        doc["K1"] = dirichlet.euler_K(1.0, cfg.r, cutoff=cfg.prime_cutoff).value
+        doc["zeta2_times_C"] = dirichlet.zeta_real(2.0) * c_val.value
     emit_json(doc, cfg.output)
     return 0
 
 
-def _cmd_dirichlet_check(cfg: RunConfig) -> int:
+def _cmd_dirichlet_check(cfg: argparse.Namespace) -> int:
     from . import dirichlet
     closed = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="closed", cutoff=cfg.prime_cutoff)
     direct = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="direct")
@@ -192,10 +121,14 @@ def _cmd_dirichlet_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_saddle(cfg: RunConfig) -> int:
+def _cmd_saddle(cfg: argparse.Namespace) -> int:
     from . import saddle
     sp = saddle.solve_saddle(cfg.n, cfg.u, cfg.r, mode=cfg.mode)
-    mu, nu2 = saddle.mean_variance_saddle(cfg.n, cfg.r, mode=cfg.mode)
+    # mu and nu2 need the u = 1 root: sp's when u = 1, or in paper_literal, which has no u
+    if cfg.u == 1.0 or cfg.mode == "paper_literal":
+        mu, nu2 = saddle.mean_variance_at(sp.tau, cfg.r)
+    else:
+        mu, nu2 = saddle.mean_variance_saddle(cfg.n, cfg.r, mode=cfg.mode)
     emit_json({
         "n": sp.n, "r": sp.r, "u": sp.u, "mode": sp.mode,
         "tau": sp.tau, "residual": sp.residual,
@@ -205,7 +138,7 @@ def _cmd_saddle(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_clt_report(cfg: RunConfig) -> int:
+def _cmd_clt_report(cfg: argparse.Namespace) -> int:
     from . import cltlab
     report = cltlab.clt_report(cfg.r, cfg.n_list,
                                max_negative_mass=cfg.max_negative_mass)
@@ -233,7 +166,7 @@ def _cmd_clt_report(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_tail(cfg: RunConfig) -> int:
+def _cmd_tail(cfg: argparse.Namespace) -> int:
     from . import cltlab
     report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid,
                                 max_negative_mass=cfg.max_negative_mass)
@@ -249,7 +182,7 @@ def _cmd_tail(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_mgf(cfg: RunConfig) -> int:
+def _cmd_mgf(cfg: argparse.Namespace) -> int:
     from . import cltlab
     profile = cltlab.mgf_profile(cfg.n, cfg.r, cfg.theta_grid,
                                  max_negative_mass=cfg.max_negative_mass)
@@ -268,7 +201,7 @@ def _cmd_mgf(cfg: RunConfig) -> int:
 # verify: the cross-module invariant suite (defined in divpart.checks)
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     from . import checks
     results = checks.run(cfg.quick)
     lines = []
@@ -304,7 +237,55 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+class ConfigError(Exception):
+    """A flag value outside its domain (exit 2).  Not a ValueError, so that
+    argparse lets it out of a type= converter."""
+
+
+def _checked(parse, ok, message):
+    """The type= converter of one flag: parse the text, then raise
+    ConfigError(message), or ConfigError(message()) for a callable, unless
+    ok(value).  ok stays on the converter for the defaults, which argparse
+    never runs through type=."""
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(message() if callable(message) else message)
+        return value
+
+    convert.__name__, convert.ok = parse.__name__, ok  # argparse: "invalid int value"
+    return convert
+
+
+def _u_max() -> float:
+    from .saddle import U_MAX  # saddle loads numpy, which only saddle's --u needs
+    return U_MAX
+
+
+def _add_r(p: argparse.ArgumentParser, default: int = 2) -> None:
+    p.add_argument("--r", type=_checked(int, lambda r: r >= 1, "--r must be >= 1"),
+                   default=default, help="divisor power (default %(default)s)")
+
+
+def _add_prime_cutoff(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prime-cutoff", type=_checked(int, lambda c: 100 <= c <= PRIME_CUTOFF_LIMIT,
+                                                   "--prime-cutoff must be in [100, 10^8]"),
+                   default=DEFAULT_PRIME_CUTOFF,
+                   help="Euler-product prime cutoff (default %(default)s)")
+
+
+def _add_max_negative_mass(p: argparse.ArgumentParser) -> None:
+    # m >= 0 is false for NaN too; inf admits every row
+    p.add_argument("--max-negative-mass", type=_checked(
+                       float, lambda m: m >= 0.0,
+                       "--max-negative-mass must be >= 0 (inf admits every row)"),
+                   default=0.0, help="admit rows whose total negative-cell mass is at most this "
+                                     "value (default %(default)s: strict positivity)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The eight subcommands.  Each flag declares its default and domain
+    once, here; a value outside the domain raises ConfigError as it parses."""
     parser = argparse.ArgumentParser(
         prog="divpart",
         description="Exact and asymptotic statistics of divisor-gap "
@@ -313,74 +294,86 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("table", help="export an exact coefficient table")
-    p.add_argument("--r", type=int, default=2, help="divisor power (default 2)")
-    p.add_argument("--N", dest="table_limit", type=int, default=40,
-                   help="max weight (default 40)")
+    _add_r(p)
+    p.add_argument("--N", dest="table_limit",
+                   type=_checked(int, lambda n: n >= 0, "--N must be >= 0"),
+                   default=40, help="max weight (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
+                   help="output format (default %(default)s)")
     p.add_argument("--output", default=None, help="path (default stdout)")
 
     p = sub.add_parser("constants", help="emit the derived constants as JSON")
-    p.add_argument("--r", type=int, default=1, help="divisor power (default 1)")
-    p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=DEFAULT_PRIME_CUTOFF,
-                   help="Euler-product prime cutoff (default 1000000)")
+    _add_r(p, default=1)
+    _add_prime_cutoff(p)
     p.add_argument("--convention", choices=("standard", "shifted-zeta"),
                    default="standard",
-                   help="-Li_s(-1) convention for C_mu/C_sigma (default standard)")
+                   help="-Li_s(-1) convention for C_mu/C_sigma (default %(default)s)")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("dirichlet-check", help="closed-vs-direct series checks")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--s", type=float, default=5.0)
-    p.add_argument("--prime-cutoff", dest="prime_cutoff", type=int,
-                   default=DEFAULT_PRIME_CUTOFF)
+    _add_r(p)
+    p.add_argument("--s", type=_checked(float, lambda s: 1.0 < s < math.inf,
+                                        "--s must be finite and > 1"),
+                   default=5.0, help="Dirichlet-series argument (default %(default)s)")
+    _add_prime_cutoff(p)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("saddle", help="solve the saddle equation at one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--mode", choices=("general", "paper_literal"), default="general")
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 1, "saddle needs --n >= 1"),
+                   required=True, help="weight")
+    _add_r(p)
+    p.add_argument("--u", type=_checked(
+                       float, lambda u: 0.0 < u <= _u_max(),
+                       lambda: f"--u must be in (0, {_u_max():g}], where the "
+                               f"closed-form partials stay finite"),
+                   default=1.0, help="part-count variable (default %(default)s)")
+    p.add_argument("--mode", choices=("general", "paper_literal"), default="general",
+                   help="saddle equation (default %(default)s)")
     p.add_argument("--output", default=None)
 
-    neg_help = ("admit rows whose total negative-cell mass is at most this "
-                "value (default 0: strict positivity)")
-
     p = sub.add_parser("clt-report", help="exact-vs-normal distribution report")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n-list", dest="n_list", type=_int_list, default=[50, 100, 200, 400],
-                   help="comma-separated weights (default 50,100,200,400)")
-    p.add_argument("--max-negative-mass", dest="max_negative_mass", type=float,
-                   default=0.0, help=neg_help)
+    _add_r(p)
+    p.add_argument("--n-list",
+                   type=_checked(_int_list, lambda ns: ns and ns == sorted(ns) and ns[0] >= 1,
+                                 "--n-list must be non-empty, increasing and positive"),
+                   default=[50, 100, 200, 400],
+                   help="comma-separated weights (default %(default)s)")
+    _add_max_negative_mass(p)
     p.add_argument("--csv", dest="csv_output", default=None, help="CSV path (default stdout)")
     p.add_argument("--output", default=None, help="JSON summary path (default stdout)")
 
     p = sub.add_parser("tail", help="exact tail probabilities vs the budget")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--x-grid", dest="x_grid", type=_float_list, default=[0.5, 1.0, 2.0],
-                   help="comma-separated positive x values (default 0.5,1,2)")
-    p.add_argument("--max-negative-mass", dest="max_negative_mass", type=float,
-                   default=0.0, help=neg_help)
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 2,
+                                        "tail needs --n >= 2 (its budget divides by log n)"),
+                   default=400, help="weight (default %(default)s)")
+    _add_r(p)
+    p.add_argument("--x-grid",
+                   type=_checked(_float_list, lambda xs: xs and all(x > 0.0 for x in xs),
+                                 "--x-grid must be non-empty, with positive values"),
+                   default=[0.5, 1.0, 2.0],
+                   help="comma-separated positive x values (default %(default)s)")
+    _add_max_negative_mass(p)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("mgf", help="exact standardized MGF vs Gaussian target")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--theta-grid", dest="theta_grid", type=_float_list,
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
+                   default=200, help="weight (default %(default)s)")
+    _add_r(p)
+    p.add_argument("--theta-grid",
+                   type=_checked(_float_list, lambda ts: ts and all(abs(t) <= 2.0 for t in ts),
+                                 "--theta-grid must be non-empty, with values in [-2, 2]"),
                    default=[0.25, 0.5, 1.0],
-                   help="comma-separated theta in [-2,2] (default 0.25,0.5,1); "
+                   help="comma-separated theta in [-2,2] (default %(default)s); "
                         "write a leading negative value as --theta-grid=-1,0.5")
-    p.add_argument("--max-negative-mass", dest="max_negative_mass", type=float,
-                   default=0.0, help=neg_help)
+    _add_max_negative_mass(p)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--quick", action="store_true", help="reduced sweep ranges")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_checked(int, lambda w: w >= 1, "--workers must be >= 1"),
+                   default=1,
                    help="accepted for compatibility; the checks always run "
-                        "one after another")
+                        "one after another (default %(default)s)")
     p.add_argument("--output", default=None, help="JSON report path")
 
     return parser
@@ -398,28 +391,19 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[config.subcommand](config)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     # BLAS here is a few tiny products; a second OpenBLAS thread only costs start-up CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    config = RunConfig(**kwargs)
-    return run(config)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _DISPATCH[args.subcommand](args)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -634,10 +634,14 @@ def dsigma_residual(s: float, r: int) -> float:
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """The aggregate constant driving the leading derivative bounds, and
-    the mean/variance prefactors under both -Li_s(-1) conventions."""
+    """The aggregate constant driving the leading derivative bounds, the
+    Euler products it is built from (K_r(1), E_r(1) and C'(r)), and the
+    mean/variance prefactors under both -Li_s(-1) conventions."""
 
     r: int
+    K1: float
+    E1: float
+    Cprime: float
     N: float
     C_mu: dict[str, float]
     C_sigma: dict[str, float]
@@ -658,7 +662,7 @@ def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConsta
     zr1 = zeta_real(r + 1.0)
     zr2 = zeta_real(r + 2.0)
     k1 = euler_K(1.0, r, cutoff=cutoff).value
-    e1 = E_r_and_Cprime(1.0, r, cutoff=cutoff)[0].value
+    e1, cprime = (v.value for v in E_r_and_Cprime(1.0, r, cutoff=cutoff))
     n_val = abs(zr1 * k1 / zr2 + zr1**2 * zr2 * zr * e1 / zeta_real(2.0 * (r + 1)) - zr1)
 
     def prefactors(minus_li: Callable[[float], float]) -> tuple[float, float]:
@@ -674,8 +678,7 @@ def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConsta
     mu_std, sig_std = prefactors(eta_alternating)
     mu_alt, sig_alt = prefactors(eta_shifted_zeta)
     return GrowthConstants(
-        r=r,
-        N=n_val,
+        r=r, K1=k1, E1=e1, Cprime=cprime, N=n_val,
         C_mu={"standard": mu_std, "shifted-zeta": mu_alt},
         C_sigma={"standard": sig_std, "shifted-zeta": sig_alt},
     )

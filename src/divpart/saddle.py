@@ -338,22 +338,28 @@ def _mean_variance_sums(eta: float, r: int) -> list[float]:
     return _ksum(eta, r, summands)
 
 
-def mean_variance_saddle(n: int, r: int, mode: str) -> tuple[float, float]:
-    """Mean and variance of the part count from the saddle root eta:
+def mean_variance_at(eta: float, r: int) -> tuple[float, float]:
+    """Mean and variance of the part count at a u = 1 saddle root eta:
 
     mu   = sum gap(k) / (e^(eta k) + 1)
     nu^2 = sum gap(k) e^(eta k)/(e^(eta k)+1)^2
            - (sum gap(k) k e^(eta k)/(e^(eta k)+1)^2)^2
              / (sum gap(k) k^2 e^(eta k)/(e^(eta k)+1)^2)
+
+    The last sum is F_gamma_gamma(eta, 1), which solve_saddle at u = 1 requires > 0.
     """
-    sp = solve_saddle(n, 1.0, r, mode=mode)
-    mu, a, b, c = _mean_variance_sums(sp.tau, r)
-    if c == 0.0:
-        raise ValueError("degenerate variance: curvature sum vanishes")
+    mu, a, b, c = _mean_variance_sums(eta, r)
+    if c <= 0.0:
+        raise ValueError(f"degenerate variance: curvature sum {c:.3e} is not positive")
     nu2 = a - b * b / c
     if nu2 <= 0.0:
         raise ValueError(f"degenerate variance {nu2:.3e} <= 0 blocks standardization")
     return mu, nu2
+
+
+def mean_variance_saddle(n: int, r: int, mode: str) -> tuple[float, float]:
+    """mean_variance_at the u = 1 root of the saddle equation at n."""
+    return mean_variance_at(solve_saddle(n, 1.0, r, mode=mode).tau, r)
 
 
 # ---------------------------------------------------------------------------

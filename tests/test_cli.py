@@ -1,3 +1,5 @@
+import argparse
+import collections
 import json
 import math
 import os
@@ -6,7 +8,17 @@ import sys
 
 import pytest
 
-from divpart import cli, partition, saddle
+from divpart import cli, dirichlet, partition, saddle
+
+
+def _subparsers():
+    """Subcommand name -> its parser, as cli.build_parser declares them."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+SUBCOMMANDS = sorted(_subparsers())
 
 
 def _src_env():
@@ -38,6 +50,23 @@ class TestConstants:
         assert doc["convention"] == "standard"
         assert doc["alt_convention"] == "shifted-zeta"
         assert float(doc["C_mu"]) > 0
+
+    @pytest.mark.parametrize("r,expected", [
+        ("1", {"constant_C": 1, "euler_K": 1}),
+        ("3", {"constant_C": 1, "euler_K": 1, "E_r_and_Cprime": 1}),
+    ])
+    def test_each_euler_product_once(self, capsys, monkeypatch, r, expected):
+        calls = collections.Counter()
+        for name in ("constant_C", "euler_K", "E_r_and_Cprime"):
+            def counted(*args, _fn=getattr(dirichlet, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(dirichlet, name, counted)
+        dirichlet.growth_constants.cache_clear()
+        code, out, err = run_cli(["constants", "--r", r, "--prime-cutoff", "1000"], capsys)
+        assert code == 0, err
+        assert calls == expected
 
 
 class TestTable:
@@ -99,6 +128,32 @@ class TestSaddleCommand:
         for key in ("tau", "residual", "F", "F_g", "F_gg", "B2", "mu", "nu2"):
             assert key in doc
         assert float(doc["residual"]) < 1e-7
+
+    @pytest.mark.parametrize("u,mode,solves", [
+        ("1", "general", 1),
+        ("1", "paper_literal", 1),
+        ("1e-3", "paper_literal", 1),
+        ("1.5", "paper_literal", 1),
+        ("0.5", "general", 2),
+    ])
+    def test_solves_the_u1_root_once(self, capsys, monkeypatch, u, mode, solves):
+        # mu and nu2 come from the u = 1 root; only general mode at u != 1
+        # needs a second solve for it
+        calls = []
+        solve = saddle.solve_saddle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(saddle, "solve_saddle", counted)
+        code, out, err = run_cli(["saddle", "--n", "300", "--r", "2", "--u", u,
+                                  "--mode", mode], capsys)
+        assert code == 0, err
+        assert len(calls) == solves
+        doc = json.loads(out)
+        mu, nu2 = saddle.mean_variance_saddle(300, 2, mode)
+        assert (doc["mu"], doc["nu2"]) == (cli.fmt(mu), cli.fmt(nu2))
 
 
 class TestReportCommands:
@@ -254,6 +309,13 @@ class TestConfigErrors:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("u", ["0", "-1", "inf", "nan", "1e144"])
+    def test_u_outside_its_range_names_it(self, capsys, u):
+        code, out, err = run_cli(["saddle", "--n", "10", "--u", u], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"configuration error: --u must be in (0, {saddle.U_MAX:g}], "
+                       "where the closed-form partials stay finite\n")
+
     def test_u_bound_keeps_the_partials_finite(self, capsys):
         # k^3 (u q)^2 at the largest k a k-sum may reach, q < 1
         assert saddle.HARD_TERM_CAP**3 * saddle.U_MAX**2 < sys.float_info.max
@@ -270,13 +332,30 @@ class TestConfigErrors:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_help_lists_defaults(self, capsys):
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help_lists_defaults(self, capsys, name):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["constants", "--help"])
+            cli.main([name, "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "--prime-cutoff" in out
-        assert "1000000" in out
+        out = " ".join(capsys.readouterr().out.split())
+        for action in _subparsers()[name]._actions:
+            if action.default in (None, argparse.SUPPRESS) or isinstance(action.default, bool):
+                continue
+            assert "(default %(default)s" in action.help, action.dest
+            assert f"{action.option_strings[0]} " in out
+            assert f"(default {action.default}" in out, action.dest
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_defaults_lie_in_their_domains(self, name):
+        # argparse runs only strings through type=, so no parse checks a default
+        checked = 0
+        for action in _subparsers()[name]._actions:
+            if action.choices is not None:
+                assert action.default in action.choices, action.dest
+            if hasattr(action.type, "ok") and action.default is not None:
+                assert action.type.ok(action.default), (action.dest, action.default)
+                checked += 1
+        assert checked > 0
 
 
 class TestBlasThreads:

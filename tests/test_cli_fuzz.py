@@ -1,5 +1,6 @@
 """Fuzzing the CLI's flag domains: whatever the flags, a subcommand exits 0,
-1 or 2 and never ends in a traceback.
+1 or 2 and never ends in a traceback, and an exit 2 that cli.main returns
+is a configuration error (argparse's own exit 2 is a SystemExit).
 
 Each example runs cli.main in-process, with a deadline, over a domain that
 mixes valid values with out-of-domain ones (negative sizes, NaN, inf, empty
@@ -11,7 +12,7 @@ value, not an option.
 
 A Hypothesis deadline judges an example only after it returns, so each
 example also runs under a wall-clock timer (signal.setitimer) whose handler
-raises ExampleTimeout, a BaseException that the error handlers of cli.run
+raises ExampleTimeout, a BaseException that the error handlers of cli.main
 and checks.run let through.  Python runs the handler between bytecodes, so
 a single long C call (a numpy kernel, one big-int product) is stopped only
 when it returns.
@@ -90,17 +91,20 @@ def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _stop)
     signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
+    by_argparse = False
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse rejects a flag value
-                code = exc.code
+                code, by_argparse = exc.code, True
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code == 2 and not by_argparse:
+        assert err.getvalue().startswith("configuration error:"), (argv, err.getvalue())
 
 
 def test_a_hung_example_is_stopped(monkeypatch):
