@@ -12,7 +12,9 @@ reported only; they never fail a variant.
 
 The comparison is the benchmark's own output check (perfbench/checks.py):
 a non-zero exit, a traceback, a refusal line or an output off its
-reference fails the variant.
+reference fails the variant.  So does any write to stderr: every variant
+is silent when it works, and a float warning there (numpy's overflow
+RuntimeWarning, say) means a value went non-finite on the way.
 
 Example, from the root of a checkout:
     python scripts/check_catalog.py
@@ -56,6 +58,8 @@ def main() -> int:
         argv = key.split()
         code, stdout, stderr, peak = run_variant(argv, env)
         problem = checks.check(argv, code, stdout, stderr, refs[key])
+        if problem is None and stderr:
+            problem = "wrote to stderr: " + stderr.decode(errors="replace").strip()[:200]
         failed += problem is not None
         peaks[argv[0]] = max(peak, peaks.get(argv[0], 0.0))
         print(f"{'FAIL' if problem else 'ok'}  {key}  [peak {peak:.1f} MiB]"

@@ -8,7 +8,10 @@ character identities).  Caches are built once and read-only afterwards,
 so concurrent readers are safe.  sigma_r has two exact sources: the exact
 layers (GapSequence, hence the partition tables) read the pure-Python
 divisor-add sieve sigma_r_table, and the float kernels and Mellin probes
-read one numpy table per r (divisor_sums), which grows under a lock.
+read one numpy table per r (divisor_sums), which grows under a lock.  Its
+pair sieve (divisor_sum_sieve) also fills any window lo..limit alone; the
+shifted divisor series of dirichlet sieves such float64 windows and keeps
+none of them.
 
 numpy is imported inside the functions that use it, so the exact layers
 (GapSequence, factorization, Ramanujan sums) load without it.
@@ -194,28 +197,36 @@ def sigma_r_table(limit: int, r: int) -> list[int]:
 _SIEVE_CHUNK = 1 << 14
 
 
-def divisor_sum_sieve(r: int, limit: int, dtype) -> np.ndarray:
-    """sigma_r(0..limit) (entry 0 is 0) as a read-only dtype array.
+def divisor_sum_sieve(r: int, limit: int, dtype, lo: int = 0) -> np.ndarray:
+    """sigma_r(lo..limit) as a read-only dtype array whose entry i is
+    sigma_r(lo + i) (sigma_r(0) is 0); lo = 0 gives the full table.
 
     Every n = d e with d <= e is reached once from d <= sqrt(limit), which
-    adds d^r + e^r over its cofactors e through strided views, at most
-    _SIEVE_CHUNK cofactors at a time so the temporaries stay small beside
-    the table; d = e counts once.  A float dtype rounds once a power or sum
-    passes 2^53.
+    adds d^r + e^r over its cofactors e in the window through strided
+    views, at most _SIEVE_CHUNK cofactors at a time so the temporaries stay
+    small beside the table; at n = d^2 the pair sum 2 d^r is added and d^r
+    taken off again.  Each entry sees the same operations in the same
+    (d-ascending) order whatever the window, so a window equals that slice
+    of the full table bit for bit, in float dtypes too, which round once a
+    power or sum passes 2^53.
     """
     import numpy as np
 
-    arr = np.zeros(limit + 1, dtype=dtype)
-    for d in range(1, math.isqrt(limit) + 1):
+    arr = np.zeros(limit + 1 - lo, dtype=dtype)
+    root = math.isqrt(limit)
+    powers = np.arange(root + 1, dtype=dtype)
+    powers **= r
+    for d in range(1, root + 1):
+        dr = powers[d]
+        first = max(d, -(-lo // d))  # the smallest cofactor e with d e >= lo
         top = limit // d
-        for lo in range(d, top + 1, _SIEVE_CHUNK):
-            pair = np.arange(lo, min(lo + _SIEVE_CHUNK, top + 1), dtype=dtype)
+        for e in range(first, top + 1, _SIEVE_CHUNK):
+            pair = np.arange(e, min(e + _SIEVE_CHUNK, top + 1), dtype=dtype)
             pair **= r
-            if lo == d:
-                dr = pair[0]
             pair += dr
-            arr[d * lo : d * (lo + len(pair)) : d] += pair
-        arr[d * d] -= dr
+            arr[d * e - lo : d * (e + len(pair)) - lo : d] += pair
+        if d * d >= lo:
+            arr[d * d - lo] -= dr
     arr.flags.writeable = False
     return arr
 

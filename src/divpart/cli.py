@@ -96,7 +96,12 @@ def _cmd_constants(cfg: argparse.Namespace) -> int:
 
 def _cmd_dirichlet_check(cfg: argparse.Namespace) -> int:
     from . import dirichlet
-    closed = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="closed", cutoff=cfg.prime_cutoff)
+    series = cfg.s - cfg.r > 1.0
+    # the shifted series' budget involves zeta(r), so r = 1 omits it
+    check = (dirichlet.shifted_series_residual(cfg.s, cfg.r, cutoff=cfg.prime_cutoff)
+             if series and cfg.r >= 2 else None)
+    closed = (check.d1_closed if check else
+              dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="closed", cutoff=cfg.prime_cutoff))
     direct = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="direct")
     doc = {
         "r": cfg.r,
@@ -106,16 +111,15 @@ def _cmd_dirichlet_check(cfg: argparse.Namespace) -> int:
         "d1_difference": abs(closed.value - direct.value),
         "d1_direct_truncation": direct.truncation_bound,
     }
-    if cfg.s - cfg.r > 1.0:
-        # the shifted series' budget involves zeta(r), so r = 1 omits it
-        if cfg.r >= 2:
-            check = dirichlet.shifted_series_residual(cfg.s, cfg.r, cutoff=cfg.prime_cutoff)
-            doc.update({
-                "shifted_direct": check.direct,
-                "shifted_series_part": check.d1_part,
-                "shifted_budget": check.d2_budget,
-                "shifted_ok": check.residual_bound_ok,
-            })
+    if check:
+        doc.update({
+            "shifted_direct": check.direct,
+            "shifted_series_part": check.d1_part,
+            "shifted_budget": check.d2_budget,
+            "shifted_ok": check.residual_bound_ok,
+            "dsigma_residual": check.dsigma_residual,
+        })
+    elif series:
         doc["dsigma_residual"] = dirichlet.dsigma_residual(cfg.s, cfg.r)
     emit_json(doc, cfg.output)
     return 0

@@ -4,10 +4,13 @@ integral, the Dirichlet beta function, and the Euler products / double
 Dirichlet series built on Ramanujan sums, together with the derived
 growth constants.
 
-All Euler products run over a shared prime sieve (default cutoff 10^6)
-and carry a crude but valid truncation bound by integral comparison,
-sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  Every value is a plain float;
-complex arguments are out of scope.
+All Euler products run over one shared, cached array of the primes
+(default cutoff 10^6), evaluating their factors a chunk of primes at a
+time, and carry a crude but valid truncation bound by integral
+comparison, sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  The directly summed
+divisor series sieve sigma_r window by window and cache nothing, so the
+memory of both stays bounded whatever their length.  Every value is a
+plain float; complex arguments are out of scope.
 """
 
 from __future__ import annotations
@@ -243,6 +246,10 @@ def eta_shifted_zeta(s: float) -> float:
 # Euler products
 # ---------------------------------------------------------------------------
 
+# primes per factor evaluation in _euler_product (128 KiB of float64)
+_EULER_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class EulerProductValue:
     value: float
@@ -265,22 +272,30 @@ def _euler_product(
     tail_alpha: float,
     cutoff: int,
 ) -> EulerProductValue:
-    """prod over p <= cutoff of factor(p), with factor evaluated once over
-    the float array of the primes; the logs are added by math.fsum.  It
-    has converged when its tail bound is below 1e-8.
+    """prod over p <= cutoff of factor(p), with factor evaluated over float
+    arrays of at most _EULER_CHUNK primes at a time; the logs are added by
+    math.fsum.  It has converged when its tail bound is below 1e-8.
 
     Past p ~ 10^4 most factors round to exactly 1.0, so only the nonzero
-    logs go to fsum: adding 0.0 cannot change a correctly rounded sum."""
+    logs go to fsum: adding 0.0 cannot change a correctly rounded sum.
+    Every factor is computed elementwise and fsum is exactly rounded, so
+    the value does not depend on the chunk size."""
     if tail_alpha <= 1.0:
         raise ValueError("divergent parameter region (tail exponent <= 1)")
-    p = _prime_array(cutoff)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = factor(p)
-    bad = np.flatnonzero(~(f > 0.0))
-    if bad.size:
-        raise ValueError(f"nonpositive Euler factor at p = {int(p[bad[0]])}")
-    logs = np.log(f)
-    value = math.exp(math.fsum(logs[logs != 0.0].tolist()))
+    primes = _prime_array(cutoff)
+
+    def nonzero_logs():
+        for start in range(0, primes.size, _EULER_CHUNK):
+            p = primes[start : start + _EULER_CHUNK]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f = factor(p)
+            bad = np.flatnonzero(~(f > 0.0))
+            if bad.size:
+                raise ValueError(f"nonpositive Euler factor at p = {int(p[bad[0]])}")
+            logs = np.log(f)
+            yield from logs[logs != 0.0].tolist()
+
+    value = math.exp(math.fsum(nonzero_logs()))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
     tail = abs(value) * math.expm1(log_tail)
     return EulerProductValue(value, cutoff, tail, tail < 1e-8)
@@ -536,41 +551,50 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
 # The shifted divisor series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _sigma_float_sieve(r: int, limit: int) -> np.ndarray:
-    """sigma_r(0..limit) in float64 by arith's pair sieve: exact for r <= 2
-    through 10^6, for r = 3 up to about 2*10^5 and rounded to a few ulps
-    past that."""
-    return arith.divisor_sum_sieve(r, limit, np.float64)
-
-
 # terms formed at a time by _divisor_series (0.5 MiB of float64)
 _SERIES_BLOCK = 1 << 16
+# largest range of n whose sigma window _divisor_series sieves at once (2 MiB)
+_SIGMA_WINDOW = 1 << 18
 _SERIES_TERMS = 10**6  # of the directly summed divisor series
 
 
-def _divisor_series(r: int, s: float, n_cutoff: int, shift: int) -> float:
-    """sum_{n <= n_cutoff} sigma_r(n + shift) n^-s, formed one block of at
-    most _SERIES_BLOCK terms at a time beside the sigma table.
+def _divisor_series(r: int, s: float, n_cutoff: int) -> tuple[float, float]:
+    """(sum sigma_r(n) n^-s, sum sigma_r(n + 1) n^-s) over n <= n_cutoff.
 
-    The block sums are combined along numpy's own pairwise-summation tree
-    (a range longer than a block splits at half its length, rounded down
-    to a multiple of 8), so the value equals np.sum over the full array of
-    terms bit for bit."""
-    sig = _sigma_float_sieve(r, n_cutoff + 1)
+    Both sums run over one pass of numpy's own pairwise-summation tree (a
+    range longer than a block splits at half its length, rounded down to a
+    multiple of 8), so each equals np.sum over its full array of terms bit
+    for bit.  The first node of at most _SIGMA_WINDOW terms sieves
+    sigma_r over its range (arith.divisor_sum_sieve, in float64) and its
+    leaves form both shifts' terms from one n^-s block of at most
+    _SERIES_BLOCK entries, so memory stays bounded whatever n_cutoff is.
 
-    def tree(lo: int, hi: int) -> float:
-        # the sum of the terms for n = lo + 1 .. hi
+    sigma_r(n) up to n = n_cutoff + 1 must stay finite in float64, or the
+    sums would be inf or nan; it is below zeta(2) n^r < 2^(1 + r log2 n),
+    and past the r where that passes 2^1024 they raise ValueError."""
+    bits = math.log2(n_cutoff + 1)
+    if 1.0 + r * bits >= 1024.0:
+        raise ValueError(
+            f"sigma_{r}(n) for n <= {n_cutoff + 1} overflows float64: the direct "
+            f"divisor series supports r <= {math.ceil(1023.0 / bits) - 1}")
+
+    def tree(lo: int, hi: int, sig: np.ndarray | None) -> tuple[float, float]:
+        # the sums of the terms for n = lo + 1 .. hi; sig[0] is sigma_r(lo + 1)
+        if sig is None and hi - lo <= _SIGMA_WINDOW:
+            sig = arith.divisor_sum_sieve(r, hi + 1, np.float64, lo=lo + 1)
         if hi - lo > _SERIES_BLOCK:
             half = (hi - lo) // 2
             half -= half % 8
-            return tree(lo, lo + half) + tree(lo + half, hi)
+            left = tree(lo, lo + half, sig)
+            right = tree(lo + half, hi, None if sig is None else sig[half:])
+            return left[0] + right[0], left[1] + right[1]
         terms = np.arange(lo + 1, hi + 1, dtype=np.float64)
         np.power(terms, -s, out=terms)
-        terms *= sig[lo + 1 + shift : hi + 1 + shift]
-        return float(np.sum(terms))
+        unshifted = terms * sig[: hi - lo]
+        terms *= sig[1 : hi - lo + 1]
+        return float(np.sum(unshifted)), float(np.sum(terms))
 
-    return tree(0, n_cutoff)
+    return tree(0, n_cutoff, None)
 
 
 @dataclass(frozen=True)
@@ -580,6 +604,8 @@ class ShiftedSeriesCheck:
     d2_budget: float
     truncation: float
     residual_bound_ok: bool
+    d1_closed: SeriesValue  # D1(s, r), the i = 0 term of d1_part
+    dsigma_residual: float  # dsigma_residual(s, r), from the same sigma windows
 
 
 def shifted_series_residual(
@@ -587,7 +613,8 @@ def shifted_series_residual(
 ) -> ShiftedSeriesCheck:
     """Compare the directly summed shifted series sum_{n <= 10^6} sigma_r(n+1)/n^s
     against its Mobius-side part zeta(r+1) sum_i C(r,i) D1(s-i, r); the
-    difference must sit inside the bound-side budget.
+    difference must sit inside the bound-side budget.  The unshifted series
+    of dsigma_residual comes from the same pass.
 
     Needs r >= 2: the truncation bound uses zeta(r) and the budget d2_bound,
     both of which diverge at r = 1."""
@@ -595,15 +622,15 @@ def shifted_series_residual(
         raise ValueError("shifted_series_residual requires r >= 2")
     if s - r <= 1.0:
         raise ValueError("need s - r > 1 so every shifted argument stays in range")
-    direct = _divisor_series(r, s, _SERIES_TERMS, shift=1)
+    unshifted, direct = _divisor_series(r, s, _SERIES_TERMS)
     # sigma_r(n+1) <= zeta(r) (n+1)^r <= zeta(r) 2^r n^r
     trunc = zeta_real(float(r)) * 2.0**r * _SERIES_TERMS ** (r + 1.0 - s) / (s - r - 1.0)
 
     zr1 = zeta_real(r + 1.0)
+    closed = [dirichlet_d1(s - i, r, mode="closed", cutoff=cutoff) for i in range(r + 1)]
     d1_part = 0.0
     closed_tails = 0.0
-    for i in range(r + 1):
-        sv = dirichlet_d1(s - i, r, mode="closed", cutoff=cutoff)
+    for i, sv in enumerate(closed):
         d1_part += math.comb(r, i) * sv.value
         closed_tails += math.comb(r, i) * sv.truncation_bound
     d1_part *= zr1
@@ -617,15 +644,20 @@ def shifted_series_residual(
         d2_budget=budget,
         truncation=slack,
         residual_bound_ok=abs(direct - d1_part) <= budget + slack,
+        d1_closed=closed[0],
+        dsigma_residual=_dsigma_gap(unshifted, s, r),
     )
+
+
+def _dsigma_gap(direct: float, s: float, r: int) -> float:
+    return abs(direct - zeta_real(s) * zeta_real(s - r))
 
 
 def dsigma_residual(s: float, r: int) -> float:
     """|sum_{n <= 10^6} sigma_r(n)/n^s - zeta(s) zeta(s-r)|."""
     if s - r <= 1.0:
         raise ValueError("need s - r > 1")
-    direct = _divisor_series(r, s, _SERIES_TERMS, shift=0)
-    return abs(direct - zeta_real(s) * zeta_real(s - r))
+    return _dsigma_gap(_divisor_series(r, s, _SERIES_TERMS)[0], s, r)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,26 @@ class TestDivisorSums:
         sums = arith.divisor_sum_sieve(3, 2000, dtype)
         assert sums.tolist() == [0] + arith.sigma_r_table(2000, 3)[1:]
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_windows_are_slices_of_the_full_sieve(self, r):
+        # float64 rounds past 2^53 (from n ~ 10^3 at r = 5), and a window
+        # must round every entry exactly as the full table does
+        limit = 2 * 10**5
+        full = arith.divisor_sum_sieve(r, limit, np.float64)
+        # windows from 0, from 1, from the square 441^2, around the square
+        # 300^2 = 90000, just past it, and of the last entry alone
+        for lo, hi in [(0, 1000), (1, 65537), (441**2, limit), (80000, 90001),
+                       (90001, 150000), (limit, limit)]:
+            window = arith.divisor_sum_sieve(r, hi, np.float64, lo=lo)
+            assert not window.flags.writeable
+            assert window.tobytes() == full[lo : hi + 1].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_exact_windows(self, dtype):
+        exact = [0] + arith.sigma_r_table(3000, 4)[1:]
+        for lo in (0, 1, 2, 49, 50, 1000, 2999, 3000):
+            assert arith.divisor_sum_sieve(4, 3000, dtype, lo=lo).tolist() == exact[lo:]
+
     def test_sieve_peak_memory_stays_near_the_table(self):
         limit = 1 << 22
         tracemalloc.start()

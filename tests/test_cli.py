@@ -212,6 +212,37 @@ class TestDirichletCheck:
         assert float(doc["d1_difference"]) < 1e-3
         assert float(doc["dsigma_residual"]) < 1e-6
 
+    @pytest.mark.parametrize("argv,calls", [
+        (["--r", "2", "--s", "5"], 3),    # D1(s - i) for i = 0..2, D1(s) shared
+        (["--r", "3", "--s", "4"], 1),    # s - r <= 1: no shifted series
+        (["--r", "1", "--s", "3"], 1),
+    ])
+    def test_each_euler_K_once(self, capsys, monkeypatch, argv, calls):
+        args = []
+        real = dirichlet.euler_K
+
+        def counted(*a, **kw):
+            args.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(dirichlet, "euler_K", counted)
+        code, _, err = run_cli(["dirichlet-check", *argv, "--prime-cutoff", "1000"], capsys)
+        assert code == 0, err
+        assert len(args) == calls and len(set(args)) == calls
+
+    @pytest.mark.parametrize("r", ["52", "60"])
+    def test_sigma_past_float64_is_refused(self, r):
+        # sigma_52(n) passes 1.8e308 near n = 10^6: the sums printed nan and
+        # exited 0, with numpy overflow warnings on stderr
+        s = str(int(r) + 2)
+        proc = subprocess.run([sys.executable, "-m", "divpart", "dirichlet-check",
+                               "--r", r, "--s", s],
+                              capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip().endswith("the direct divisor series supports r <= 51")
+        assert "Warning" not in proc.stderr
+
     def test_huge_s_stays_finite(self):
         proc = subprocess.run([sys.executable, "-m", "divpart", "dirichlet-check",
                                "--r", "2", "--s", "1e100"],

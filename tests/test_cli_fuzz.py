@@ -157,7 +157,7 @@ def test_constants(argv):
 
 
 @FUZZ
-@given(flags(r=ints(-1, 5), s=floats(0.5, 1e6), prime_cutoff=PRIME_CUTOFFS))
+@given(flags(r=ints(-1, 60), s=floats(0.5, 1e6), prime_cutoff=PRIME_CUTOFFS))
 def test_dirichlet_check(argv):
     assert_clean_exit(["dirichlet-check", *argv])
 

@@ -224,6 +224,39 @@ class TestEulerProductContracts:
     def test_nonpositive_factor_names_prime(self):
         with pytest.raises(ValueError, match="p = 3"):
             dl._euler_product(lambda p: 3.0 - p, 1.0, 2.0, 100)
+        # a factor that first fails in a later chunk names its prime too
+        with pytest.raises(ValueError, match="p = 100003"):
+            dl._euler_product(lambda p: np.where(p > 10**5, -1.0, 1.0), 1.0, 2.0, 10**6)
+
+    @pytest.mark.parametrize("name,make", [
+        ("C(1)", lambda: dl.constant_C(1)),
+        ("C(3)", lambda: dl.constant_C(3)),
+        ("K_1(2)", lambda: dl.euler_K(2.0, 1)),
+        ("K_2(-0.5)", lambda: dl.euler_K(-0.5, 2)),
+        ("E_2(1)", lambda: dl.E_r_and_Cprime(1.0, 2)[0]),
+        ("E_3(-1)", lambda: dl.E_r_and_Cprime(-1.0, 3)[0]),
+        ("C'(2)", lambda: dl.E_r_and_Cprime(1.0, 2)[1]),
+        ("quartic", lambda: dl.d2_quartic_character(3.0, 2)),
+    ])
+    def test_chunked_equals_one_shot(self, monkeypatch, name, make):
+        # every factor is elementwise and fsum exactly rounded, so the chunk
+        # size cannot move a bit; one chunk of all 78,498 primes is one shot
+        chunked = make()
+        for chunk in (1000, 1 << 30):
+            monkeypatch.setattr(dl, "_EULER_CHUNK", chunk)
+            assert make() == chunked, (name, chunk)
+
+    def test_memory_stays_within_chunks(self):
+        dl._prime_array(10**6)  # the shared prime cache is not counted
+        tracemalloc.start()
+        try:
+            dl.constant_C(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a temporary over all primes <= 10^6 alone is 0.6 MiB; over one
+        # chunk of 2^14 primes it is 128 KiB
+        assert peak < 2**20
 
 
 class TestPrimeCache:
@@ -390,32 +423,56 @@ class TestShiftedSeries:
 
 def _unblocked_series(r, s, n_cutoff, shift):
     """_divisor_series as one full array of terms and one np.sum."""
-    sig = dl._sigma_float_sieve(r, n_cutoff + 1)
+    sig = arith.divisor_sum_sieve(r, n_cutoff + 1, np.float64)
     terms = np.arange(1, n_cutoff + 1, dtype=np.float64) ** -s
     return float(np.sum(terms * sig[1 + shift : n_cutoff + 1 + shift]))
 
 
 class TestBlockedDivisorSeries:
-    @pytest.mark.parametrize("n_cutoff", [1, 8, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8, 10**6])
+    @pytest.mark.parametrize("n_cutoff", [1, 8, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8,
+                                          2**18, 2**18 + 1, 10**6])
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_bit_identical_to_one_full_sum(self, r, n_cutoff):
-        # the blocks follow numpy's pairwise tree, so not even the last bit moves
-        for shift in (0, 1):
-            for s in (r + 2.5, r + 4.0):
-                assert dl._divisor_series(r, s, n_cutoff, shift) == _unblocked_series(
-                    r, s, n_cutoff, shift)
+        # the blocks follow numpy's pairwise tree and the sigma windows are
+        # slices of the full table, so not even the last bit moves
+        for s in (r + 2.5, r + 4.0):
+            sums = dl._divisor_series(r, s, n_cutoff)
+            for shift in (0, 1):
+                assert sums[shift] == _unblocked_series(r, s, n_cutoff, shift)
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_one_block_beside_the_sigma_table(self, shift):
-        dl._sigma_float_sieve(2, 10**6 + 1)  # warm: the table is not counted
+        # the sigma table is now sieved one window at a time, so nothing is
+        # warmed beforehand: the whole call, both shifts, is counted
         tracemalloc.start()
         try:
-            dl._divisor_series(2, 4.0, 10**6, shift)
+            sums = dl._divisor_series(2, 4.0, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 2^16-term block is 0.5 MiB; the full term array would be 7.6 MiB
-        assert peak < 2**20
+        # a 2^18-entry sigma window is 2 MiB and a block of terms 0.5 MiB;
+        # the full sigma table alone would be 7.6 MiB
+        assert peak < 3.5 * 2**20
+        assert sums[shift] == _unblocked_series(2, 4.0, 10**6, shift)
+
+    @pytest.mark.parametrize("r", [52, 60])
+    def test_overflowing_sigma_is_refused(self, r):
+        # sigma_52(10^6) ~ 10^312 is past float64, where the terms were inf * 0
+        with pytest.raises(ValueError, match="supports r <= 51"):
+            dl.shifted_series_residual(r + 2.0, r)
+        with pytest.raises(ValueError, match="supports r <= 51"):
+            dl.dsigma_residual(r + 2.0, r)
+
+    def test_largest_supported_r_stays_finite(self):
+        chk = dl.shifted_series_residual(53.0, 51)
+        assert math.isfinite(chk.direct) and math.isfinite(chk.dsigma_residual)
+        assert chk.residual_bound_ok
+
+    @pytest.mark.parametrize("s,r", [(5.0, 2), (6.5, 3)])
+    def test_check_carries_its_closed_d1_and_dsigma(self, s, r):
+        chk = dl.shifted_series_residual(s, r)
+        assert chk.d1_closed == dl.dirichlet_d1(s, r, mode="closed")
+        assert chk.dsigma_residual == dl.dsigma_residual(s, r)
 
 
 class TestGrowthConstants:

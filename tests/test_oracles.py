@@ -4,6 +4,8 @@ pair divisor sieve, the array Euler products and the numpy prime sieve."""
 
 import math
 
+import numpy as np
+
 import pytest
 
 import _scalar_oracle as oracle
@@ -86,7 +88,7 @@ def test_zero_gap_drops_its_term():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_pair_sieve_is_exact(r):
     limit = 2 * 10**4
-    sieve = dl._sigma_float_sieve(r, limit)
+    sieve = arith.divisor_sum_sieve(r, limit, np.float64)
     assert [int(v) for v in sieve] == arith.sigma_r_table(limit, r)
 
 
