@@ -7,11 +7,10 @@ which are tabulated complex roots of unity (tolerance 1e-9 on all
 character identities).  Caches are built once and read-only afterwards,
 so concurrent readers are safe.  sigma_r has two exact sources: the exact
 layers (GapSequence, hence the partition tables) read the pure-Python
-divisor-add sieve sigma_r_table, and the float kernels and Mellin probes
-read one numpy table per r (divisor_sums), which grows under a lock.  Its
-pair sieve (divisor_sum_sieve) also fills any window lo..limit alone; the
-shifted divisor series of dirichlet sieves such float64 windows and keeps
-none of them.
+divisor-add sieve sigma_r_table, and the numpy layers read windows
+lo..limit of one pair sieve (divisor_sum_sieve): exact ones (sigma_window)
+in the k-sum kernel, float64 ones in the shifted divisor series of
+dirichlet.  No window is kept.
 
 numpy is imported inside the functions that use it, so the exact layers
 (GapSequence, factorization, Ramanujan sums) load without it.
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -231,30 +229,15 @@ def divisor_sum_sieve(r: int, limit: int, dtype, lo: int = 0) -> np.ndarray:
     return arr
 
 
-_SIGMA: dict[int, np.ndarray] = {}
-_SIGMA_LOCK = threading.Lock()
-
-
-def divisor_sums(r: int, limit: int) -> np.ndarray:
-    """Exact sigma_r(0..>=limit) (entry 0 is 0) from one read-only table
-    per r, grown to the next power of two under a lock.
-
-    int64 where every entry and pair sum provably fits (below 2 L^r for
-    r >= 2, as sigma_r(n) < zeta(2) n^r; below L (1 + ln L) for r = 1),
-    else object (Python ints).
-    """
+def sigma_window(r: int, lo: int, hi: int) -> np.ndarray:
+    """Exact sigma_r(lo..hi) from divisor_sum_sieve, read-only: int64 where
+    every entry and partial sum provably fits (below 2 hi^r for r >= 2, as
+    sigma_r(n) < zeta(2) n^r; below hi (1 + ln hi) for r = 1), else object
+    (Python ints)."""
     import numpy as np
 
-    if r < 1:
-        raise ValueError("divisor_sums requires r >= 1")
-    with _SIGMA_LOCK:
-        cur = _SIGMA.get(r)
-        if cur is None or len(cur) <= limit:
-            size = 1 << max(10, (limit - 1).bit_length())
-            fits = size * (1.0 + math.log(size)) < 2.0**63 if r == 1 else 2 * size**r < 2**63
-            cur = divisor_sum_sieve(r, size, np.int64 if fits else object)
-            _SIGMA[r] = cur
-        return cur
+    fits = hi * (1.0 + math.log(hi)) < 2.0**63 if r == 1 else 2 * hi**r < 2**63
+    return divisor_sum_sieve(r, hi, np.int64 if fits else object, lo=lo)
 
 
 @dataclass(frozen=True)

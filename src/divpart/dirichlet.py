@@ -329,12 +329,9 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProduc
     return _euler_product(factor, tail_const=const, tail_alpha=alpha, cutoff=cutoff)
 
 
-def E_r_and_Cprime(
-    sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
-) -> tuple[EulerProductValue, EulerProductValue]:
+def _E_r(sigma: float, r: int, cutoff: int) -> EulerProductValue:
     """The bound-side Euler product E_r(sigma) from its defining form
-        1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1)))
-    together with C'(r) = prod (1 + (1-p^-r)/p^(r+1))."""
+        1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1)))."""
     if sigma <= -2.0 * r / 3.0:
         raise ValueError("E_r requires sigma > -2r/3")
     denom_const = 1.0 - 2.0 ** (-(sigma + r + 1.0))
@@ -345,12 +342,19 @@ def E_r_and_Cprime(
         decay = np.exp(-(3.0 * sigma + 2 * r + 1.0) * np.log(p))
         return 1.0 + lead * decay / (2.0 * denom_const)
 
-    e_val = _euler_product(
+    return _euler_product(
         factor_e,
         tail_const=1.0 / denom_const,
         tail_alpha=3.0 * sigma + 3 * r + 2.0,
         cutoff=cutoff,
     )
+
+
+def E_r_and_Cprime(
+    sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
+) -> tuple[EulerProductValue, EulerProductValue]:
+    """E_r(sigma) (see _E_r) together with C'(r) = prod (1 + (1-p^-r)/p^(r+1))."""
+    e_val = _E_r(sigma, r, cutoff)
     cp_val = _euler_product(
         lambda p: 1.0 + (1.0 - p ** float(-r)) / p ** (r + 1),
         tail_const=1.0, tail_alpha=r + 1.0, cutoff=cutoff,
@@ -471,12 +475,11 @@ def d2_bound(sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
         raise ValueError("d2_bound requires sigma > 1")
     if r <= 1:
         raise ValueError("d2_bound requires r > 1")
-    e_val, _ = E_r_and_Cprime(sigma, r, cutoff=cutoff)
     return (
         zeta_real(sigma) * zeta_real(sigma + r) * zeta_real(sigma + r + 1.0)
         / zeta_real(2.0 * (sigma + r))
         * zeta_real(float(r))
-        * e_val.value
+        * _E_r(sigma, r, cutoff).value
     )
 
 
@@ -554,7 +557,7 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
 # terms formed at a time by _divisor_series (0.5 MiB of float64)
 _SERIES_BLOCK = 1 << 16
 # largest range of n whose sigma window _divisor_series sieves at once (2 MiB)
-_SIGMA_WINDOW = 1 << 18
+_SIEVE_WINDOW = 1 << 18
 _SERIES_TERMS = 10**6  # of the directly summed divisor series
 
 
@@ -564,7 +567,7 @@ def _divisor_series(r: int, s: float, n_cutoff: int) -> tuple[float, float]:
     Both sums run over one pass of numpy's own pairwise-summation tree (a
     range longer than a block splits at half its length, rounded down to a
     multiple of 8), so each equals np.sum over its full array of terms bit
-    for bit.  The first node of at most _SIGMA_WINDOW terms sieves
+    for bit.  The first node of at most _SIEVE_WINDOW terms sieves
     sigma_r over its range (arith.divisor_sum_sieve, in float64) and its
     leaves form both shifts' terms from one n^-s block of at most
     _SERIES_BLOCK entries, so memory stays bounded whatever n_cutoff is.
@@ -580,7 +583,7 @@ def _divisor_series(r: int, s: float, n_cutoff: int) -> tuple[float, float]:
 
     def tree(lo: int, hi: int, sig: np.ndarray | None) -> tuple[float, float]:
         # the sums of the terms for n = lo + 1 .. hi; sig[0] is sigma_r(lo + 1)
-        if sig is None and hi - lo <= _SIGMA_WINDOW:
+        if sig is None and hi - lo <= _SIEVE_WINDOW:
             sig = arith.divisor_sum_sieve(r, hi + 1, np.float64, lo=lo + 1)
         if hi - lo > _SERIES_BLOCK:
             half = (hi - lo) // 2

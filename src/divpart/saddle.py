@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import divisor_sums
+from .arith import sigma_window
 
 TRUNCATION_RATIO = 1e-18
 HARD_TERM_CAP = 10**7
@@ -103,7 +103,9 @@ def _ksum(
     Each sum stops at the first k where
     max(|w(k)|, 1) k^stop_power e^(-gamma k) < TRUNCATION_RATIO * |its
     running total|, or after k = k_cap.  The terms are evaluated over
-    equal blocks of k of at most 2^16 entries, so memory stays flat.  A
+    equal blocks of k of at most 2^16 entries, and each block sieves its
+    own exact sigma_r window (arith.sigma_window) for its weights, so
+    memory stays flat and nothing is shared between calls or threads.  A
     sum still open after HARD_TERM_CAP terms raises RuntimeError; a
     non-finite term raises ArithmeticError.
     """
@@ -126,9 +128,9 @@ def _ksum(
             if r is not None:
                 # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
                 if shift is None:
-                    w = np.diff(divisor_sums(r, end + 1)[start : end + 2]).astype(np.float64)
+                    w = np.diff(sigma_window(r, start, end + 1)).astype(np.float64)
                 else:
-                    w = divisor_sums(r, end + shift)[start + shift : end + shift + 1].astype(np.float64)
+                    w = sigma_window(r, start + shift, end + shift).astype(np.float64)
                 bound *= np.maximum(np.abs(w), 1.0)
                 terms = [w * t for t in terms]
                 zero = w == 0.0

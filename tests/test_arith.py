@@ -82,13 +82,13 @@ class TestGapSequence:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 7])
     def test_against_factorization_and_numpy_table(self, r):
-        # sigma by one factorization per n, gaps by differencing the numpy
-        # table of the float kernels (r = 7 reaches its object path)
+        # sigma by one factorization per n, gaps by differencing the exact
+        # window the float kernels read (r = 7 reaches its object path)
         limit = 2000
         seq = arith.GapSequence.build(r, limit)
         assert seq.sigma == tuple(arith.sigma_r(n, r) for n in range(1, limit + 2))
-        table = arith.divisor_sums(r, limit + 1)
-        assert seq.gaps == tuple(np.diff(table[1 : limit + 2]).tolist())
+        window = arith.sigma_window(r, 1, limit + 1)
+        assert seq.gaps == tuple(np.diff(window).tolist())
         assert all(type(v) is int for v in seq.sigma + seq.gaps)
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -105,16 +105,12 @@ class TestDivisorSums:
     @pytest.mark.parametrize("r,limit,dtype", [(1, 5000, np.int64), (3, 5000, np.int64),
                                                (7, 3000, object)])
     def test_exact_against_divisor_add_sieve(self, r, limit, dtype):
-        sums = arith.divisor_sums(r, limit)
-        assert sums.dtype == dtype and not sums.flags.writeable
-        assert sums[: limit + 1].tolist() == [0] + arith.sigma_r_table(limit, r)[1:]
-
-    def test_grows_to_powers_of_two(self, monkeypatch):
-        monkeypatch.setattr(arith, "_SIGMA", {})
-        assert len(arith.divisor_sums(2, 10)) == 1025
-        assert len(arith.divisor_sums(2, 1025)) == 2049
-        with pytest.raises(ValueError):
-            arith.divisor_sums(0, 10)
+        # exact windows from 1, across a square and of the last entry alone
+        exact = arith.sigma_r_table(limit, r)
+        for lo in (1, 2, 47**2 - 3, limit):
+            window = arith.sigma_window(r, lo, limit)
+            assert window.dtype == dtype and not window.flags.writeable
+            assert window.tolist() == exact[lo:], lo
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_chunk_boundaries_are_exact(self, monkeypatch, dtype):

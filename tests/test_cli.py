@@ -230,6 +230,21 @@ class TestDirichletCheck:
         assert code == 0, err
         assert len(args) == calls and len(set(args)) == calls
 
+    def test_d2_bound_evaluates_E_r_alone(self, capsys, monkeypatch):
+        # d2_bound(s - i) for i = 0..2 needs E_r only, never C'(r)
+        factors = collections.Counter()
+        real = dirichlet._euler_product
+
+        def counted(factor, *a, **kw):
+            factors[factor.__qualname__] += 1
+            return real(factor, *a, **kw)
+
+        monkeypatch.setattr(dirichlet, "_euler_product", counted)
+        code, _, err = run_cli(["dirichlet-check", "--r", "2", "--s", "5"], capsys)
+        assert code == 0, err
+        assert factors["E_r_and_Cprime.<locals>.<lambda>"] == 0
+        assert factors["_E_r.<locals>.factor_e"] == 3
+
     @pytest.mark.parametrize("r", ["52", "60"])
     def test_sigma_past_float64_is_refused(self, r):
         # sigma_52(n) passes 1.8e308 near n = 10^6: the sums printed nan and

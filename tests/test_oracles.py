@@ -14,7 +14,7 @@ from divpart import dirichlet as dl
 from divpart import saddle as sd
 
 GAMMAS = (0.5, 0.1, 0.01, 0.003)
-# r = 5 tabulates sigma_r as Python ints (the object path of divisor_sums)
+# r = 5 sieves Python-int sigma_r windows once a top passes 5,404 (sigma_window)
 CASES = [(gamma, r) for r in (2, 3) for gamma in GAMMAS] + [(0.01, 5), (0.003, 5)]
 US = (0.5, 1.0, 2.0)
 REL = 1e-13
@@ -79,7 +79,7 @@ def test_non_finite_term_raises():
 
 def test_zero_gap_drops_its_term():
     # gap_1(14) = sigma(15) - sigma(14) = 0, as the scalar loop skipped it
-    assert arith.divisor_sums(1, 15)[14] == arith.divisor_sums(1, 15)[15]
+    assert arith.sigma_window(1, 14, 15).tolist() == arith.sigma_r_table(15, 1)[14:] == [24, 24]
     got = sd._ksum(0.1, 1, lambda k, q: [q / (k - 14.0)])[0]
     want = oracle.kahan_ksum(0.1, 1, lambda k, q: q / (k - 14.0))  # never called at k = 14
     assert _close(got, want)

@@ -1,5 +1,5 @@
 import math
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,12 +106,21 @@ class TestSolveSaddle:
         assert len(exc.value.profile) == sd.MAX_SOLVE_STEPS
         assert all(f == 0.5 for _, f in exc.value.profile)
 
-    def test_tiny_u_reads_an_int64_table(self):
-        # the k-sums run past 10^6 terms; r = 1 sums stay int64 at that size
+    def test_tiny_u_reads_an_int64_table(self, monkeypatch):
+        # the k-sums run past 10^6 terms; r = 1 windows stay int64 at that size
+        windows = []
+        real = sd.sigma_window
+
+        def recording(r, lo, hi):
+            window = real(r, lo, hi)
+            windows.append((hi, window.dtype))
+            return window
+
+        monkeypatch.setattr(sd, "sigma_window", recording)
         sp = sd.solve_saddle(1000, 1e-6, 1)
         assert sp.residual < 1e-9 * 1000
-        sums = arith.divisor_sums(1, 1)
-        assert len(sums) > 10**6 and sums.dtype == np.int64
+        assert max(windows)[0] > 10**6
+        assert {dtype for _, dtype in windows} == {np.dtype(np.int64)}
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -123,32 +132,57 @@ class TestSolveSaddle:
             sd.solve_saddle(10, 1.0, 2, mode="bogus")
 
 
-class TestGapCache:
-    def test_cold_cache_builds_once_under_threads(self, monkeypatch, run_in_threads):
-        builds = []
-        real = arith.divisor_sum_sieve
+def _kernel_gaps(r, ks, k_cap):
+    """The kernel's float64 gap weights at ks, read back through one-hot
+    summands at a gamma so small that no sum stops before k_cap."""
+    return sd._ksum(1e-12, r, lambda k, q: [(k == j).astype(np.float64) for j in ks],
+                    k_cap=k_cap)
 
-        def counting(r, limit, dtype):
-            builds.append((r, limit))
-            time.sleep(0.05)  # hold the window in which another thread could miss
-            return real(r, limit, dtype)
 
-        monkeypatch.setattr(arith, "divisor_sum_sieve", counting)
-        monkeypatch.setattr(arith, "_SIGMA", {})
-        sizes = run_in_threads(lambda: len(arith.divisor_sums(2, 3000)))
-        assert sizes == [4097] * 4
-        assert builds == [(2, 4096)]
+class TestGapWindows:
+    def test_threaded_solves_match_a_serial_solve(self, run_in_threads):
+        # each block sieves its own sigma window, so threads share nothing
+        serial = sd.solve_saddle(2000, 0.5, 3)
+        assert run_in_threads(lambda: sd.solve_saddle(2000, 0.5, 3)) == [serial] * 4
 
-    def test_float_gaps_match_exact_gaps(self, monkeypatch):
+    def test_float_gaps_match_exact_gaps(self):
         # the kernel's gaps: int64 diffs past 2^53 (r = 4) and Python-int
-        # diffs (r = 7), each rounded once to float64
-        monkeypatch.setattr(arith, "_SIGMA", {})
+        # diffs (r = 7), each rounded once to float64, in windows from 1
+        # and from mid-range
         for r, limit, dtype in ((3, 2048, np.int64), (4, (1 << 15) - 1, np.int64), (7, 3000, object)):
-            sums = arith.divisor_sums(r, limit + 1)
-            assert sums.dtype == dtype
             sig = arith.sigma_r_table(limit + 1, r)
-            want = [float(b - a) for a, b in zip(sig[1:], sig[2:])]
-            assert np.diff(sums[1 : limit + 2]).astype(np.float64).tolist() == want, r
+            for lo in (1, limit // 2):
+                window = arith.sigma_window(r, lo, limit + 1)
+                assert window.dtype == dtype
+                want = [float(b - a) for a, b in zip(sig[lo:], sig[lo + 1 :])]
+                assert np.diff(window).astype(np.float64).tolist() == want, (r, lo)
+
+    @pytest.mark.parametrize("r,edge", [(4, 46341), (5, 5405)])
+    def test_gaps_across_the_dtype_switch(self, monkeypatch, r, edge):
+        # edge is the first window top that sieves Python ints; windows that
+        # end on either side of it, from k = 1 and from mid-range, give
+        # each gap exactly, rounded once
+        assert arith.sigma_window(r, edge - 1, edge - 1).dtype == np.int64
+        assert arith.sigma_window(r, edge, edge).dtype == object
+        sig = arith.sigma_r_table(edge + 1, r)
+        for block in (sd._BLOCK_MAX, 1000):
+            monkeypatch.setattr(sd, "_BLOCK_MAX", block)
+            for k_cap in range(edge - 3, edge + 1):  # window tops edge - 2 .. edge + 1
+                ks = range(k_cap - 5, k_cap + 1)
+                want = [float(sig[k + 1] - sig[k]) for k in ks]
+                assert _kernel_gaps(r, ks, k_cap) == want, (block, k_cap)
+
+    def test_long_sum_memory_stays_flat(self):
+        # 2*10^6 terms at r = 2, where one shared int64 sigma table would
+        # take 16 MiB alone
+        tracemalloc.start()
+        try:
+            total = sd._ksum(1e-6, 2, lambda k, q: [q], k_cap=2 * 10**6)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(total)
+        assert peak < 16 * 2**20, peak
 
 
 class TestMeanVariance:
