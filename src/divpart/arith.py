@@ -242,7 +242,7 @@ def sigma_window(r: int, lo: int, hi: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapSequence:
-    """sigma_r values on 1..limit+1 and their signed first differences.
+    """The signed first differences of sigma_r on 1..limit+1.
 
     gaps[k-1] = sigma_r(k+1) - sigma_r(k); the sequence changes sign
     (first negative entry for r=2 is at k=10).
@@ -250,22 +250,14 @@ class GapSequence:
 
     r: int
     limit: int
-    sigma: tuple[int, ...]   # sigma[i] = sigma_r(i+1), i = 0..limit
-    gaps: tuple[int, ...]    # gaps[i]  = sigma_r(i+2) - sigma_r(i+1), i = 0..limit-1
+    gaps: tuple[int, ...]    # gaps[i] = sigma_r(i+2) - sigma_r(i+1), i = 0..limit-1
 
     @classmethod
     def build(cls, r: int, limit: int) -> "GapSequence":
         if r < 1 or limit < 1:
             raise ValueError("GapSequence requires r >= 1 and limit >= 1")
         sig = sigma_r_table(limit + 1, r)[1:]
-        return cls(r=r, limit=limit, sigma=tuple(sig),
-                   gaps=tuple(b - a for a, b in zip(sig, sig[1:])))
-
-    def sigma_at(self, n: int) -> int:
-        return self.sigma[n - 1]
-
-    def gap(self, k: int) -> int:
-        return self.gaps[k - 1]
+        return cls(r=r, limit=limit, gaps=tuple(b - a for a, b in zip(sig, sig[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +469,12 @@ def character_sums(chi: DirichletCharacter, n: int) -> tuple[complex, complex, c
     """(c_chi(n), c'_chi(n), tau(chi)).
 
     c_chi sums chi(b) e(bn/m) over all residues, c'_chi restricts to
-    gcd(b, m) = 1, and tau(chi) = c_chi(1).  For tabulated characters the
-    first two coincide since chi vanishes off units.
+    gcd(b, m) = 1, and tau(chi) = c_chi(1).  A character vanishes off the
+    units, so the restriction drops only zero terms: c'_chi = c_chi, term
+    for term, and one sum serves both.
     """
     m = chi.modulus
     c = complex(0.0)
-    cp = complex(0.0)
     tau = complex(0.0)
     for b in range(m):
         v = chi.values[b]
@@ -490,9 +482,7 @@ def character_sums(chi: DirichletCharacter, n: int) -> tuple[complex, complex, c
             continue
         c += v * _unit_root(b * n, m)
         tau += v * _unit_root(b, m)
-        if math.gcd(b, m) == 1:
-            cp += v * _unit_root(b * n, m)
-    return c, cp, tau
+    return c, c, tau
 
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:

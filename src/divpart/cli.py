@@ -8,7 +8,9 @@ verify's worker-count flag changes nothing.
 Each handler imports the library modules it runs, so a subcommand loads
 only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
 
-Exit codes: 0 success, 1 invariant failure (verify), 2 configuration error.
+Exit codes: 0 success; 1 a runtime failure: a failed verify check, or
+``error: <message>`` on stderr for a computation that raises or an --output
+or --csv path that cannot be written; 2 a configuration error.
 """
 
 from __future__ import annotations
@@ -405,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _DISPATCH[args.subcommand](args)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -253,7 +253,6 @@ _EULER_CHUNK = 1 << 14
 @dataclass(frozen=True)
 class EulerProductValue:
     value: float
-    prime_cutoff: int
     tail_estimate: float
     converged: bool
 
@@ -261,7 +260,6 @@ class EulerProductValue:
 @dataclass(frozen=True)
 class SeriesValue:
     value: float
-    terms_used: int
     truncation_bound: float
     converged: bool = True
 
@@ -298,7 +296,7 @@ def _euler_product(
     value = math.exp(math.fsum(nonzero_logs()))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
     tail = abs(value) * math.expm1(log_tail)
-    return EulerProductValue(value, cutoff, tail, tail < 1e-8)
+    return EulerProductValue(value, tail, tail < 1e-8)
 
 
 def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
@@ -378,9 +376,11 @@ def dirichlet_d1(
     sum_m mu(m)/(phi(m) m^(r+1)) sum_n c_m(n)/n^s.
 
     closed: zeta(s) K_r(s) / zeta(s+r+1); direct: the truncated double sum
-    (the closed form's independent oracle), evaluated by exact regrouping
-    over g = gcd(m, n) so the m_limit/n_limit budget is feasible; it has
-    converged when its truncation bound is below 1e-3.
+    over m <= m_limit, n <= n_limit (the closed form's independent oracle).
+    Kluyver's identity c_m(n) = sum_{d | (m, n)} d mu(m/d) turns each
+    inner sum into sum_{d | m} mu(m/d) d^(1-s) Z(n_limit // d), Z the
+    prefix sums of t^-s, so the budget is feasible; it has converged when
+    its truncation bound is below 1e-3.
     """
     if mode == "closed":
         if s <= 1.0:
@@ -389,7 +389,6 @@ def dirichlet_d1(
         scale = zeta_real(s) / zeta_real(s + r + 1.0)
         return SeriesValue(
             value=scale * k_val.value,
-            terms_used=_prime_array(cutoff).size,
             truncation_bound=abs(scale) * k_val.tail_estimate,
             converged=k_val.converged,
         )
@@ -411,7 +410,7 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
         acc += t ** -s
         zpre[t] = acc
     # the divisors of every squarefree k <= m_limit, increasing, from one
-    # sieve; only squarefree m and their divisors q are looked up
+    # sieve; only squarefree m are looked up
     divs: list[list[int]] = [[] for _ in range(m_limit + 1)]
     for d in range(1, m_limit + 1):
         if mu[d]:
@@ -419,25 +418,15 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
                 if mu[k]:
                     divs[k].append(d)
 
-    def coprime_partial(limit: int, q: int) -> float:
-        # sum over t <= limit, gcd(t, q) = 1 of t^-s
-        out = 0.0
-        for d in divs[q]:
-            out += mu[d] * d ** -s * zpre[limit // d]
-        return out
-
     total = 0.0
     inner_tail = 0.0
     for m in range(1, m_limit + 1):
         if mu[m] == 0:
             continue
         weight = mu[m] / (phi[m] * m ** (r + 1))
-        s_m = 0.0
-        for g in divs[m]:
-            q = m // g
-            c_val = mu[q] * (phi[m] // phi[q])
-            s_m += c_val * g ** -s * coprime_partial(n_limit // g, q)
-        total += weight * s_m
+        # Kluyver: c_m(n) = sum_{d | (m, n)} d mu(m/d), so the n-sum of
+        # c_m(n) n^-s is sum_{d | m} mu(m/d) d^(1-s) Z(n_limit // d)
+        total += weight * sum(mu[m // d] * d ** (1.0 - s) * zpre[n_limit // d] for d in divs[m])
         # |c_m(n)| <= sigma_1(gcd(m,n)) <= sigma_1(m) <= m (1 + log m)
         inner_tail += abs(weight) * m * (1.0 + math.log(m)) * n_limit ** (1.0 - s) / (s - 1.0)
     # outer tail: phi(m) >= m/6 holds through m ~ 5*10^5 (largest primorial
@@ -447,14 +436,15 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
     bound = inner_tail + outer_tail
     return SeriesValue(
         value=total,
-        terms_used=m_limit,
         truncation_bound=bound,
         converged=bound < 1e-3,
     )
 
 
 def d1_direct_naive(s: float, r: int, m_limit: int, n_limit: int) -> float:
-    """Literal double loop (validation of the regrouped direct evaluator)."""
+    """Literal double loop over von Sterneck's closed form of c_m(n)
+    (arith.ramanujan_sum): the oracle of the direct evaluator, which sums
+    Kluyver's divisor form instead."""
     total = 0.0
     for m in range(1, m_limit + 1):
         mu_m = arith.mobius(m)
@@ -544,7 +534,6 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
     tail = abs(scale) * prod.tail_estimate
     return SeriesValue(
         value=scale * prod.value,
-        terms_used=int(np.count_nonzero(_prime_array(cutoff) != 2.0)),
         truncation_bound=tail,
         converged=tail < 1e-6,
     )

@@ -29,7 +29,7 @@ import math
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -91,10 +91,8 @@ class PartitionTable:
 
     r: int
     n_max: int
-    k_max: int
     coeff: list[list[int]]
     row_totals: list[int]
-    gaps: tuple[int, ...] = field(repr=False)
 
     def value(self, n: int, k: int) -> int:
         if not 0 <= n <= self.n_max or k < 0:
@@ -116,10 +114,12 @@ class PartitionTable:
 
     @_unlimited_int_str
     def to_json(self) -> str:
+        """The nonzero cells and row totals as one line of sorted-key JSON.
+        Rows are never capped in k, so "k_max" is always n_max."""
         doc = {
             "r": self.r,
             "n_max": self.n_max,
-            "k_max": self.k_max,
+            "k_max": self.n_max,
             "entries": [
                 [n, k, str(c)]
                 for n in range(self.n_max + 1)
@@ -348,10 +348,7 @@ def build_table(
             "packed rows disagree with the univariate specialization; "
             "digit-width bound violated"
         )
-    return PartitionTable(
-        r=r, n_max=n_max, k_max=n_max, coeff=coeff,
-        row_totals=row_totals, gaps=gaps[:n_max],
-    )
+    return PartitionTable(r=r, n_max=n_max, coeff=coeff, row_totals=row_totals)
 
 
 def permuted_build_matches(r: int, n_max: int, trials: int = 5, seed: int = 0) -> bool:
@@ -400,10 +397,7 @@ def _enumeration_table(r: int, n_max: int, gaps: tuple[int, ...]) -> PartitionTa
                 if prev[k - 1]:
                     row[k] += prev[k - 1]
     coeff = [list(_trim(dp[n])) for n in range(n_max + 1)]
-    return PartitionTable(
-        r=r, n_max=n_max, k_max=n_max, coeff=coeff,
-        row_totals=[sum(row) for row in coeff], gaps=gaps[:n_max],
-    )
+    return PartitionTable(r=r, n_max=n_max, coeff=coeff, row_totals=[sum(row) for row in coeff])
 
 
 def _trim(row: list[int]) -> list[int]:
@@ -453,10 +447,7 @@ def _naive_table(r: int, n_max: int, gaps: tuple[int, ...]) -> PartitionTable:
             row.extend([0] * (k + 1 - len(row)))
         row[k] = c
     coeff = [_trim(row) for row in coeff]
-    return PartitionTable(
-        r=r, n_max=n_max, k_max=n_max, coeff=coeff,
-        row_totals=[sum(row) for row in coeff], gaps=gaps[:n_max],
-    )
+    return PartitionTable(r=r, n_max=n_max, coeff=coeff, row_totals=[sum(row) for row in coeff])
 
 
 def oracle_table(r: int, n_max: int) -> OracleTables:
@@ -530,7 +521,7 @@ def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
     stored = sum(table.coeff[n])
     if stored != total:
         raise ValueError(
-            "row is k-truncated (k_max cap below the full length); "
+            "row is k-truncated (its cells do not sum to the row total); "
             "exact distribution needs the uncapped table"
         )
     pmf = {

@@ -30,10 +30,10 @@ from .arith import sigma_window
 TRUNCATION_RATIO = 1e-18
 HARD_TERM_CAP = 10**7
 
-#: the largest --u the saddle subcommand takes: the gamma^3 partial's
-#: numerator is k^3 (u q)^2 in size, with q = e^(-gamma k) < 1 and
-#: k <= HARD_TERM_CAP, so it stays finite while 10^21 u^2 < 1.8e308,
-#: that is u < 4.2e143; past it "k-sum term not finite" can end a solve
+#: the largest --u the saddle subcommand takes, below which every partial
+#: of SUPPORTED_PARTIALS stays finite: the largest numerator, the gamma^3
+#: partial's k^3 (u q)^2 with q = e^(-gamma k) < 1 and k <= HARD_TERM_CAP,
+#: stays finite while 10^21 u^2 < 1.8e308, that is u < 4.2e143
 U_MAX = 1e143
 
 #: supported (d/dgamma order, d/du order) pairs
@@ -55,7 +55,6 @@ class SaddlePoint:
     F_val: float
     F_g: float
     F_gg: float
-    F_ggg: float
     theta_n: float
     residual: float
     mode: str
@@ -316,14 +315,14 @@ def solve_saddle(
             f"(possible non-monotone profile)",
             profile,
         )
-    f_val, f_g, f_gg, f_ggg = _partials(root, u, r, ((0, 0), (1, 0), (2, 0), (3, 0)))
+    f_val, f_g, f_gg = _partials(root, u, r, ((0, 0), (1, 0), (2, 0)))
     if f_gg <= 0.0:
         raise SaddleBracketError(
             f"second derivative {f_gg:.3e} not positive at the root", profile
         )
     return SaddlePoint(
         n=n, r=r, u=u, tau=root,
-        F_val=f_val, F_g=f_g, F_gg=f_gg, F_ggg=f_ggg,
+        F_val=f_val, F_g=f_g, F_gg=f_gg,
         theta_n=root ** (1.0 + 3.0 * r / 7.0),
         residual=residual, mode=mode,
     )

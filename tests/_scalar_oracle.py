@@ -247,8 +247,8 @@ def _b_factor_chi(p, s, r, chi_p):
 
 
 def d2_quartic_character(s, r, cutoff):
-    """(value, odd primes used, truncation bound) of
-    dirichlet.d2_quartic_character, one odd prime at a time."""
+    """(value, truncation bound) of dirichlet.d2_quartic_character, one odd
+    prime at a time."""
     logs = []
     for p in arith.primes_up_to(cutoff):
         if p == 2:
@@ -261,7 +261,7 @@ def d2_quartic_character(s, r, cutoff):
     scale = (dirichlet.beta_dirichlet(s) * dirichlet.beta_dirichlet(s + r + 1.0)
              / dirichlet.beta_dirichlet(s + r))
     value = scale * math.exp(math.fsum(logs))
-    return value, len(logs), abs(value) * math.expm1(4.0 * cutoff ** float(-r) / r)
+    return value, abs(value) * math.expm1(4.0 * cutoff ** float(-r) / r)
 
 
 # ---------------------------------------------------------------------------

@@ -62,43 +62,48 @@ def test_mu_phi_tables_match_pointwise():
 
 
 class TestGapSequence:
+    """The gaps and their sigma source, sigma_r_table."""
+
     def test_prime_values_and_one(self):
-        seq = arith.GapSequence.build(2, 200)
-        assert seq.sigma_at(1) == 1
+        sig = arith.sigma_r_table(200, 2)
+        assert sig[:2] == [0, 1]
         for p in arith.primes_up_to(200):
-            assert seq.sigma_at(p) == 1 + p**2
+            assert sig[p] == 1 + p**2
 
     def test_multiplicativity_on_coprime_pairs(self):
-        seq = arith.GapSequence.build(3, 120)
+        sig = arith.sigma_r_table(120, 3)
         for m in range(2, 60):
             for n in range(2, 120 // m + 1):
                 if math.gcd(m, n) == 1:
-                    assert seq.sigma_at(m * n) == seq.sigma_at(m) * seq.sigma_at(n)
+                    assert sig[m * n] == sig[m] * sig[n]
 
     def test_gap_definition(self):
         seq = arith.GapSequence.build(2, 150)
+        sig = arith.sigma_r_table(151, 2)
+        assert (seq.r, seq.limit, len(seq.gaps)) == (2, 150, 150)
         for k in range(1, 151):
-            assert seq.gap(k) == seq.sigma_at(k + 1) - seq.sigma_at(k)
+            assert seq.gaps[k - 1] == sig[k + 1] - sig[k]
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 7])
     def test_against_factorization_and_numpy_table(self, r):
         # sigma by one factorization per n, gaps by differencing the exact
         # window the float kernels read (r = 7 reaches its object path)
         limit = 2000
+        sig = arith.sigma_r_table(limit + 1, r)
+        assert sig[1:] == [arith.sigma_r(n, r) for n in range(1, limit + 2)]
         seq = arith.GapSequence.build(r, limit)
-        assert seq.sigma == tuple(arith.sigma_r(n, r) for n in range(1, limit + 2))
         window = arith.sigma_window(r, 1, limit + 1)
         assert seq.gaps == tuple(np.diff(window).tolist())
-        assert all(type(v) is int for v in seq.sigma + seq.gaps)
+        assert all(type(v) is int for v in sig + list(seq.gaps))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_power_sandwich(self, r):
         # n^r < sigma_r(n) < n^r zeta(r) for n >= 2
         from divpart.dirichlet import zeta_real
         z = zeta_real(float(r))
-        seq = arith.GapSequence.build(r, 400)
+        sig = arith.sigma_r_table(400, r)
         for n in range(2, 401):
-            assert n**r < seq.sigma_at(n) < n**r * z
+            assert n**r < sig[n] < n**r * z
 
 
 class TestDivisorSums:

@@ -294,6 +294,37 @@ class TestVerify:
         assert names == sorted(names)
 
 
+# (subcommand, file flag) -> cheap arguments of a run that writes through it
+FILE_WRITERS = {
+    ("table", "--output"): ["--N", "3"],
+    ("constants", "--output"): ["--r", "1", "--prime-cutoff", "100"],
+    ("dirichlet-check", "--output"): ["--r", "1", "--s", "2", "--prime-cutoff", "100"],
+    ("saddle", "--output"): ["--n", "10"],
+    ("clt-report", "--csv"): ["--n-list", "10,20"],
+    ("clt-report", "--output"): ["--n-list", "10,20"],
+    ("tail", "--output"): ["--n", "10"],
+    ("mgf", "--output"): ["--n", "10", "--max-negative-mass", "inf"],
+    ("verify", "--output"): ["--quick"],
+}
+
+
+class TestUnwritableOutput:
+    def test_every_file_flag_is_covered(self):
+        flags = {(name, opt) for name, p in _subparsers().items()
+                 for action in p._actions for opt in action.option_strings
+                 if opt in ("--output", "--csv")}
+        assert flags == set(FILE_WRITERS)
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("name,flag", sorted(FILE_WRITERS))
+    def test_is_an_error_not_a_traceback(self, capsys, tmp_path, name, flag, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli([name, *FILE_WRITERS[name, flag], flag, str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(["table", "--r", "2", "--N", "12", "--format", "json"], capsys)

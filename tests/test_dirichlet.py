@@ -331,9 +331,12 @@ class TestDoubleSeries:
         assert abs(dl.dirichlet_d1(s, r, mode="direct").value - want) < 1e-15 * want
 
     def test_grouped_matches_naive_loop(self):
-        fast = dl.dirichlet_d1(3.0, 2, mode="direct", m_limit=60, n_limit=500).value
-        slow = dl.d1_direct_naive(3.0, 2, 60, 500)
-        assert abs(fast - slow) < 1e-12
+        # Kluyver's divisor form against von Sterneck's closed form
+        for r in (1, 2, 3, 5):
+            for s in (1.01, 1.5, 2.0, 3.0, 4.5, 6.0):
+                fast = dl.dirichlet_d1(s, r, mode="direct", m_limit=60, n_limit=500).value
+                slow = dl.d1_direct_naive(s, r, 60, 500)
+                assert abs(fast - slow) < 1e-12, (s, r)
 
     def test_direct_reports_unconverged_rather_than_failing(self):
         sv = dl.dirichlet_d1(2.0, 1, mode="direct", m_limit=50, n_limit=200)

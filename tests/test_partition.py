@@ -244,7 +244,7 @@ class TestExactDistribution:
 
     def test_degenerate_row_rejected(self):
         t = partition.PartitionTable(
-            r=2, n_max=1, k_max=1, coeff=[[1], [0]], row_totals=[1, 0], gaps=(4,),
+            r=2, n_max=1, coeff=[[1], [0]], row_totals=[1, 0],
         )
         with pytest.raises(ValueError, match="degenerate"):
             exact_distribution(t, 1)
@@ -252,8 +252,8 @@ class TestExactDistribution:
     def test_capped_table_rejected(self):
         full = build_table(2, 12)
         t = partition.PartitionTable(
-            r=2, n_max=12, k_max=2, coeff=[row[:3] for row in full.coeff],
-            row_totals=full.row_totals, gaps=full.gaps,
+            r=2, n_max=12, coeff=[row[:3] for row in full.coeff],
+            row_totals=full.row_totals,
         )
         with pytest.raises(ValueError, match="truncated"):
             exact_distribution(t, 12)
@@ -285,7 +285,7 @@ class TestExport:
     def test_json_roundtrip(self):
         t = build_table(2, 10)
         doc = json.loads(t.to_json())
-        assert doc["r"] == 2 and doc["n_max"] == 10
+        assert doc["r"] == 2 and doc["n_max"] == 10 and doc["k_max"] == 10
         cells = {(n, k): int(c) for n, k, c in doc["entries"]}
         for (n, k), c in cells.items():
             assert t.value(n, k) == c

@@ -122,6 +122,21 @@ class TestSolveSaddle:
         assert max(windows)[0] > 10**6
         assert {dtype for _, dtype in windows} == {np.dtype(np.int64)}
 
+    @pytest.mark.parametrize("mode,n,r,u", [
+        # the centres of the benchmark catalog's six saddle slots
+        ("general", 1000, 2, 0.5), ("general", 30000, 3, 2.0), ("general", 290000, 2, 1.0),
+        ("paper_literal", 1000, 3, 0.75), ("paper_literal", 10000, 2, 1.5),
+        ("paper_literal", 100000, 3, 1.0),
+        ("general", 1, 1, 1e-3), ("paper_literal", 50, 5, 3.0),
+    ])
+    def test_closing_pass_equals_separate_partials(self, mode, n, r, u):
+        # every sum of one kernel pass stops by its own rule, so the closing
+        # pass gives each partial bit for bit as a pass of its own would
+        sp = sd.solve_saddle(n, u, r, mode=mode)
+        got = (sp.F_val, sp.F_g, sp.F_gg)
+        orders = ((0, 0), (1, 0), (2, 0))
+        assert got == tuple(sd.F_partial(sp.tau, u, r, order) for order in orders)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sd.solve_saddle(0, 1.0, 2)
