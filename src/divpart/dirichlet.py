@@ -4,19 +4,18 @@ integral, the Dirichlet beta function, and the Euler products / double
 Dirichlet series built on Ramanujan sums, together with the derived
 growth constants.
 
-All Euler products run over one shared, cached array of the primes
-(default cutoff 10^6), evaluating their factors a chunk of primes at a
-time, and carry a crude but valid truncation bound by integral
-comparison, sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  The directly summed
-divisor series sieve sigma_r window by window and cache nothing, so the
-memory of both stays bounded whatever their length.  Every value is a
-plain float; complex arguments are out of scope.
+Each Euler product (default cutoff 10^6) sieves, per call, only the
+primes whose factors can differ from 1.0, takes them a chunk at a time,
+and carries a crude but valid truncation bound by integral comparison,
+sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  The directly summed divisor series
+sieve sigma_r window by window.  Nothing is cached, so memory stays
+bounded whatever the length.  Every value is a plain float; complex
+arguments are out of scope.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -25,24 +24,6 @@ import numpy as np
 
 from . import arith
 from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, character_sums, mu_phi_tables
-
-# (limit, the primes <= limit as a read-only float64 array)
-_PRIME_CACHE: tuple[int, np.ndarray] = (0, np.empty(0))
-_PRIMES_LOCK = threading.Lock()
-
-
-def _prime_array(limit: int) -> np.ndarray:
-    """The primes <= limit as a read-only float64 array: a prefix of the
-    one shared sieve, extended under a lock, so concurrent callers sieve
-    once and a smaller limit sieves nothing."""
-    global _PRIME_CACHE
-    with _PRIMES_LOCK:
-        if limit > _PRIME_CACHE[0]:
-            floats = arith.prime_sieve(limit).astype(np.float64)
-            floats.flags.writeable = False
-            _PRIME_CACHE = (limit, floats)
-        floats = _PRIME_CACHE[1]
-    return floats[: np.searchsorted(floats, limit, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +255,17 @@ def _euler_product(
     arrays of at most _EULER_CHUNK primes at a time; the logs are added by
     math.fsum.  It has converged when its tail bound is below 1e-8.
 
-    Past p ~ 10^4 most factors round to exactly 1.0, so only the nonzero
-    logs go to fsum: adding 0.0 cannot change a correctly rounded sum.
-    Every factor is computed elementwise and fsum is exactly rounded, so
-    the value does not depend on the chunk size."""
+    Each family bounds |factor(p) - 1| <= tail_const p^-tail_alpha for all
+    p >= 2, so past stop = (tail_const 2^56)^(1/tail_alpha) a factor is 1.0
+    plus at most 2^-56 (give or take a few ulps), under the half ulp 2^-54
+    below 1.0: exactly 1.0.  Only the primes <= min(cutoff, stop) are
+    sieved, and only their nonzero logs go to the exactly rounded fsum, so
+    the value is the product over every p <= cutoff bit for bit, whatever
+    the chunk size."""
     if tail_alpha <= 1.0:
         raise ValueError("divergent parameter region (tail exponent <= 1)")
-    primes = _prime_array(cutoff)
+    stop = min(cutoff, math.ceil((tail_const * 2.0**56) ** (1.0 / tail_alpha)))
+    primes = arith.prime_sieve(stop).astype(np.float64)
 
     def nonzero_logs():
         for start in range(0, primes.size, _EULER_CHUNK):
@@ -301,7 +286,8 @@ def _euler_product(
 
 def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     """prod over p of (1 + 1/(p^(r+1)(p-1)))  (totient-summatory family;
-    r = 1 gives 1.339784..., and zeta(2) times it the Landau constant)."""
+    r = 1 gives 1.339784..., and zeta(2) times it the Landau constant).
+    Tail bound: p - 1 >= p/2, so 0 < f(p) - 1 <= 2 p^-(r+2)."""
     if r < 1:
         raise ValueError("constant_C requires r >= 1")
     return _euler_product(
@@ -314,6 +300,9 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProduc
     """prod over p of (1 + [1/(p^(r+1)(p-1))] (1-p^-s)/(1-p^-(s+r+1))).
 
     Tends to constant_C(r) as s -> +inf and equals 1 at s = 0.
+    Tail bound: 1 - p^-(s+r+1) >= D = 1 - 2^-(s+r+1) > 0, 1/(p-1) <= 2/p
+    and |1 - p^-s| <= p^max(0,-s) (for s >= 0 and s < 0 alike), so
+    |f(p) - 1| <= (2/D) p^-(r+2-max(0,-s)), within the 4/D passed.
     """
     if s + r + 1 <= 1:
         raise ValueError("euler_K requires s + r + 1 > 1")
@@ -329,7 +318,9 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProduc
 
 def _E_r(sigma: float, r: int, cutoff: int) -> EulerProductValue:
     """The bound-side Euler product E_r(sigma) from its defining form
-        1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1)))."""
+        1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1))).
+    Tail bound: sigma > -2r/3 gives D = 1 - 2^-(sigma+r+1) > 1/2, and
+    1 - p^-r < 1, so 0 <= f(p) - 1 < p^-(3 sigma + 3r + 2) / D."""
     if sigma <= -2.0 * r / 3.0:
         raise ValueError("E_r requires sigma > -2r/3")
     denom_const = 1.0 - 2.0 ** (-(sigma + r + 1.0))
@@ -351,7 +342,8 @@ def _E_r(sigma: float, r: int, cutoff: int) -> EulerProductValue:
 def E_r_and_Cprime(
     sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> tuple[EulerProductValue, EulerProductValue]:
-    """E_r(sigma) (see _E_r) together with C'(r) = prod (1 + (1-p^-r)/p^(r+1))."""
+    """E_r(sigma) (see _E_r) together with C'(r) = prod (1 + (1-p^-r)/p^(r+1)),
+    whose tail bound is 0 <= f(p) - 1 < p^-(r+1), as 1 - p^-r < 1."""
     e_val = _E_r(sigma, r, cutoff)
     cp_val = _euler_product(
         lambda p: 1.0 + (1.0 - p ** float(-r)) / p ** (r + 1),
@@ -516,7 +508,10 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
     (1 - b), where b = N / (d - N) and N is the geometric series
     sum_{k>=2} chi^k (p^-(k(s+r)+1) - p^-(k(s+r+1))) =
     x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1.  The value has
-    converged when its tail bound is below 1e-6."""
+    converged when its tail bound is below 1e-6.  Tail bound: for p >= 3,
+    s > 1 and r >= 2, |x| < 1/27 and |y| < 1/81, so d > 77/81, |N| < 1/1500,
+    |1 - b| < 1.001 and |1 + chi(p) p^-s| < 4/3; so |f(p) - 1| < 1.41
+    p^-(r+1), within the 4 p^-(r+1) passed (and 0 at p = 2)."""
     if s <= 1.0 or r <= 1:
         raise ValueError("d2_quartic_character requires s > 1 and r > 1")
 

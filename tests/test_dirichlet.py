@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -240,72 +239,94 @@ class TestEulerProductContracts:
     ])
     def test_chunked_equals_one_shot(self, monkeypatch, name, make):
         # every factor is elementwise and fsum exactly rounded, so the chunk
-        # size cannot move a bit; one chunk of all 78,498 primes is one shot
+        # size cannot move a bit; a chunk of 2^30 primes is one shot
         chunked = make()
         for chunk in (1000, 1 << 30):
             monkeypatch.setattr(dl, "_EULER_CHUNK", chunk)
             assert make() == chunked, (name, chunk)
 
-    def test_memory_stays_within_chunks(self):
-        dl._prime_array(10**6)  # the shared prime cache is not counted
-        tracemalloc.start()
-        try:
-            dl.constant_C(2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a temporary over all primes <= 10^6 alone is 0.6 MiB; over one
-        # chunk of 2^14 primes it is 128 KiB
-        assert peak < 2**20
+    def test_memory_stays_within_chunks(self, monkeypatch):
+        # K_2(-1.9) has tail exponent 2.1 and stops past 10^6, so it walks
+        # all 78,498 primes <= 10^6, about five chunks of 2^14
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        primes = peak(lambda: arith.prime_sieve(10**6).astype(np.float64))
+        chunked = peak(lambda: dl.euler_K(-1.9, 2))
+        monkeypatch.setattr(dl, "_EULER_CHUNK", 1 << 30)
+        one_shot = peak(lambda: dl.euler_K(-1.9, 2))
+        # beside the prime arrays, the chunked product holds a few
+        # temporaries of 128 KiB; one shot holds several of 0.6 MiB each
+        whole = 8 * 78498
+        assert chunked - primes < 2**20
+        assert one_shot - chunked > 4 * whole
+
+
+# (name, the product at a given cutoff); the factors at s < 0 and at sigma
+# near -2r/3 decay slowest and stop latest
+_FAMILIES = [
+    ("C(1)", lambda c: dl.constant_C(1, cutoff=c)),
+    ("C(3)", lambda c: dl.constant_C(3, cutoff=c)),
+    ("K_1(2)", lambda c: dl.euler_K(2.0, 1, cutoff=c)),
+    ("K_3(1)", lambda c: dl.euler_K(1.0, 3, cutoff=c)),
+    ("K_2(-0.5)", lambda c: dl.euler_K(-0.5, 2, cutoff=c)),
+    ("K_3(-1.5)", lambda c: dl.euler_K(-1.5, 3, cutoff=c)),
+    ("K_2(-1.9)", lambda c: dl.euler_K(-1.9, 2, cutoff=c)),
+    ("E_2(1)", lambda c: dl._E_r(1.0, 2, c)),
+    ("E_2(-1.3)", lambda c: dl._E_r(-1.3, 2, c)),
+    ("E_3(-1.99)", lambda c: dl._E_r(-1.99, 3, c)),
+    ("C'(2)", lambda c: dl.E_r_and_Cprime(1.0, 2, cutoff=c)[1]),
+    ("C'(4)", lambda c: dl.E_r_and_Cprime(1.0, 4, cutoff=c)[1]),
+    ("quartic(3, 2)", lambda c: dl.d2_quartic_character(3.0, 2, cutoff=c)),
+    ("quartic(1.01, 2)", lambda c: dl.d2_quartic_character(1.01, 2, cutoff=c)),
+]
+
+
+class TestEulerProductStop:
+    @pytest.mark.parametrize("cutoff", [1000, 30011, 10**6])
+    @pytest.mark.parametrize("name,make", _FAMILIES)
+    def test_equals_the_product_over_every_prime(self, monkeypatch, name, make, cutoff):
+        # each product sieves only up to its stop, yet must equal the same
+        # factor over every prime <= cutoff bit for bit, and every factor
+        # past the stop (up to 10^6) must be exactly 1.0
+        seen, limits = [], []
+        real_product, real_sieve = dl._euler_product, arith.prime_sieve
+
+        def recording(factor, tail_const, tail_alpha, cutoff):
+            before = len(limits)
+            value = real_product(factor, tail_const, tail_alpha, cutoff)
+            seen.append((factor, value.value, limits[before]))
+            return value
+
+        monkeypatch.setattr(dl, "_euler_product", recording)
+        monkeypatch.setattr(arith, "prime_sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+        make(cutoff)
+        factor, got, stop = seen[-1]
+        assert stop <= cutoff
+        primes = real_sieve(10**6).astype(np.float64)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = factor(primes)
+        assert got == math.exp(math.fsum(np.log(f[primes <= cutoff]).tolist())), (name, cutoff, stop)
+        if stop < cutoff:
+            assert (f[primes > stop] == 1.0).all(), (name, stop)
+        if cutoff == 10**6:  # only K_2(-1.9), tail exponent 2.1, stops past 10^6
+            assert (stop < cutoff) == (name != "K_2(-1.9)"), (name, stop)
 
 
 class TestPrimeCache:
-    def test_cold_cache_sieves_once_under_threads(self, monkeypatch, run_in_threads):
-        calls = []
-        real = arith.prime_sieve
-
-        def counting(limit):
-            calls.append(limit)
-            time.sleep(0.05)  # hold the window in which another thread could miss
-            return real(limit)
-
-        monkeypatch.setattr(dl.arith, "prime_sieve", counting)
-        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, np.empty(0)))
-        counts = run_in_threads(
-            lambda: (dl._prime_array(10**4).size, dl._prime_array(10**4).size)
-        )
-        assert counts == [(1229, 1229)] * 4
-        assert calls == [10**4]
-
     def test_smaller_limit_is_a_prefix(self):
         big = arith.primes_up_to(10**4)
         assert arith.primes_up_to(100) == big[:25]
-        assert dl._prime_array(100).tolist() == [float(p) for p in big[:25]]
-        # Python ints from arith, a read-only float64 copy in the cache
-        assert all(type(p) is int for p in big)
-        floats = dl._prime_array(10**4)
-        assert floats.dtype == np.float64 and not floats.flags.writeable
-
-    def test_smaller_limit_slices_the_one_array(self, monkeypatch):
-        calls = []
-        real = arith.prime_sieve
-        monkeypatch.setattr(dl.arith, "prime_sieve", lambda limit: calls.append(limit) or real(limit))
-        monkeypatch.setattr(dl, "_PRIME_CACHE", (0, np.empty(0)))
-        big = dl._prime_array(10**4)
-        small = dl._prime_array(100)
-        assert calls == [10**4] and dl._PRIME_CACHE[0] == 10**4
-        # a read-only float64 prefix of the same buffer, not a copy
-        assert small.size == 25 and np.shares_memory(small, big)
-        assert small.dtype == np.float64 and not small.flags.writeable
-        assert np.array_equal(small, big[:25])
         # the limit itself is included
-        assert dl._prime_array(97)[-1] == 97 and dl._prime_array(96)[-1] == 89
-        assert dl._prime_array(1).size == 0
-        assert calls == [10**4]
-        # the list of Python ints is arith's, built per call
+        assert arith.primes_up_to(97)[-1] == 97 and arith.primes_up_to(96)[-1] == 89
         assert arith.primes_up_to(1) == []
-        listed = arith.primes_up_to(10**4)
-        assert all(type(p) is int for p in listed) and listed is not arith.primes_up_to(10**4)
+        # Python ints from arith, a new list per call
+        assert all(type(p) is int for p in big) and big is not arith.primes_up_to(10**4)
 
 
 class TestDoubleSeries:
