@@ -340,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clt-report", help="exact-vs-normal distribution report")
     _add_r(p)
     p.add_argument("--n-list",
-                   type=_checked(_int_list, lambda ns: ns and ns == sorted(ns) and ns[0] >= 1,
-                                 "--n-list must be non-empty, increasing and positive"),
+                   type=_checked(_int_list,
+                                 lambda ns: ns and ns[0] >= 1
+                                 and all(a < b for a, b in zip(ns, ns[1:])),
+                                 "--n-list must be non-empty, strictly increasing and positive"),
                    default=[50, 100, 200, 400],
                    help="comma-separated weights (default %(default)s)")
     _add_max_negative_mass(p)

@@ -3,14 +3,15 @@ Gaussian limit, saddle-point mean/variance in both equation forms,
 moment-generating-function profiles, sub-Gaussian tail budgets, and the
 growth-exponent fits.
 
-Rows whose exact table contains a negative cell are excluded from every
-probabilistic check by default and counted; the exclusion rate is itself
-part of the report.  Negativity turns out to be the rule, not the
-exception (the weight-1 cell equals the gap, which changes sign), so the
-probabilistic entry points accept an explicit max_negative_mass override
-for diagnostics on rows whose signed defect is negligible.  The default
-stays strict.  Standardization uses the exact rational mean and variance
-converted to float at the last step.
+One gate, _row_gate, admits a row as a law: positive total, signed defect
+within max_negative_mass, positive exact variance.  Refused rows are
+excluded from every probabilistic check and counted.  Negativity is the
+rule, not the exception (the weight-1 cell equals the gap, which changes
+sign), hence the max_negative_mass override for rows whose signed defect
+is negligible; the default stays strict.  No override admits a variance
+<= 0 (n = 1 is a point mass; the signed row r = 1, n = 4 has -1/9).
+Standardization uses the exact rational mean and variance converted to
+float at the last step.
 
 saddle (and with it numpy) is imported only by clt_report and
 exponent_fit, so the MGF and tail checks run on the exact layers alone.
@@ -19,7 +20,7 @@ exponent_fit, so the MGF and tail checks run on the exact layers alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .partition import ExactDistribution, PartitionTable, build_table, exact_distribution
@@ -51,7 +52,10 @@ def ks_to_normal(pmf: dict[int, Fraction], mean: float, std: float) -> float:
 
 
 def _row_gate(dist: ExactDistribution, max_negative_mass: float) -> str | None:
-    """None when the row may be read as a probability law, else the reason."""
+    """None when the row may be read as a probability law, else a note that
+    names the first failed condition and its value.  The conditions, in
+    order: a positive row total, a signed defect within max_negative_mass,
+    a positive exact variance."""
     if not dist.total_positive:
         return "nonpositive row total"
     # written so that a NaN limit refuses the row instead of admitting it
@@ -60,7 +64,24 @@ def _row_gate(dist: ExactDistribution, max_negative_mass: float) -> str | None:
             f"negative cells at k = {dist.negativity_flags[:8]} "
             f"(signed defect {float(dist.negative_mass):.3e})"
         )
+    if dist.variance <= 0:
+        return f"nonpositive variance ({float(dist.variance):.3e})"
     return None
+
+
+def _read_row(
+    n: int, r: int, table: PartitionTable | None, max_negative_mass: float, use: str,
+) -> tuple[ExactDistribution, float, float]:
+    """The exact law of row n, its float mean and its float standard
+    deviation; the table is built when none is given.  A row the gate
+    refuses raises ValueError("row n refused for <use>: <note>")."""
+    if table is None:
+        table = build_table(r, n)
+    dist = exact_distribution(table, n)
+    reason = _row_gate(dist, max_negative_mass)
+    if reason is not None:
+        raise ValueError(f"row {n} refused for {use}: {reason}")
+    return dist, float(dist.mean), math.sqrt(float(dist.variance))
 
 
 @dataclass
@@ -81,13 +102,24 @@ class CltReport:
     r: int
     n_list: list[int]
     rows: list[CltRow]
-    excluded: list[int] = field(default_factory=list)
     exponent_fit_mean: float | None = None
     exponent_fit_var: float | None = None
 
     @property
+    def excluded(self) -> list[int]:
+        return [row.n for row in self.rows if not row.included]
+
+    @property
     def exclusion_count(self) -> int:
         return len(self.excluded)
+
+
+@dataclass(frozen=True)
+class ExponentFit:
+    slope_mean: float
+    slope_var: float
+    residual_mean: float
+    residual_var: float
 
 
 def _least_squares_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
@@ -105,6 +137,16 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> tuple[float, float
     return slope, resid
 
 
+def _loglog_fit(ns: list[int], saddles: list[tuple[float, float]]) -> ExponentFit:
+    """Least-squares slopes of log mu and log nu^2 against log n, from the
+    (mu, nu2) saddle pair of each n."""
+    logs_n = [math.log(n) for n in ns]
+    slope_mu, res_mu = _least_squares_slope(logs_n, [math.log(mu) for mu, _ in saddles])
+    slope_nu, res_nu = _least_squares_slope(logs_n, [math.log(nu2) for _, nu2 in saddles])
+    return ExponentFit(slope_mean=slope_mu, slope_var=slope_nu,
+                       residual_mean=res_mu, residual_var=res_nu)
+
+
 def clt_report(
     r: int,
     n_list: list[int],
@@ -116,67 +158,39 @@ def clt_report(
     log-log exponent fits of the gap-weighted saddle mean/variance."""
     from . import saddle
 
-    if sorted(n_list) != list(n_list):
-        raise ValueError("n_list must be increasing")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     if table is None:
         table = build_table(r, max(n_list))
     rows: list[CltRow] = []
-    excluded: list[int] = []
     for n in n_list:
         dist = exact_distribution(table, n)
-        mu_modes = {}
-        nu_modes = {}
+        mu_saddle, nu2_saddle = {}, {}
         for mode in ("general", "paper_literal"):
-            mu, nu2 = saddle.mean_variance_saddle(n, r, mode=mode)
-            mu_modes[mode] = mu
-            nu_modes[mode] = nu2
-        mean_f = float(dist.mean)
-        var_f = float(dist.variance)
-        neg = len(dist.negativity_flags)
-        reason = _row_gate(dist, max_negative_mass)
-        if reason is not None:
-            excluded.append(n)
-            rows.append(CltRow(
-                n=n, mean_exact=mean_f, var_exact=var_f,
-                mu_saddle=mu_modes, nu2_saddle=nu_modes,
-                ks_distance=None, negativity_count=neg, included=False,
-                note=reason,
-            ))
-            continue
-        if var_f == 0.0:
-            # one-point law: centered mass at 0, no scaling possible
-            rows.append(CltRow(
-                n=n, mean_exact=mean_f, var_exact=var_f,
-                mu_saddle=mu_modes, nu2_saddle=nu_modes,
-                ks_distance=0.5, negativity_count=neg, included=True,
-                note="degenerate (zero variance)",
-            ))
-            continue
-        ks = ks_to_normal(dist.pmf, mean_f, math.sqrt(var_f))
+            mu_saddle[mode], nu2_saddle[mode] = saddle.mean_variance_saddle(n, r, mode=mode)
+        mean_f, var_f = float(dist.mean), float(dist.variance)
+        note = _row_gate(dist, max_negative_mass)
         rows.append(CltRow(
             n=n, mean_exact=mean_f, var_exact=var_f,
-            mu_saddle=mu_modes, nu2_saddle=nu_modes,
-            ks_distance=ks, negativity_count=neg, included=True,
+            mu_saddle=mu_saddle, nu2_saddle=nu2_saddle,
+            ks_distance=None if note else ks_to_normal(dist.pmf, mean_f, math.sqrt(var_f)),
+            negativity_count=len(dist.negativity_flags), included=not note, note=note or "",
         ))
 
-    report = CltReport(r=r, n_list=list(n_list), rows=rows, excluded=excluded)
+    report = CltReport(r=r, n_list=list(n_list), rows=rows)
     if len(n_list) >= 4:
-        logs_n = [math.log(n) for n in n_list]
         # exponents only make sense for the gap-weighted equation form
-        logs_mu = [math.log(row.mu_saddle["general"]) for row in rows]
-        logs_nu = [math.log(row.nu2_saddle["general"]) for row in rows]
-        report.exponent_fit_mean = _least_squares_slope(logs_n, logs_mu)[0]
-        report.exponent_fit_var = _least_squares_slope(logs_n, logs_nu)[0]
+        fit = _loglog_fit(n_list, [(row.mu_saddle["general"], row.nu2_saddle["general"])
+                                   for row in rows])
+        report.exponent_fit_mean = fit.slope_mean
+        report.exponent_fit_var = fit.slope_var
     return report
 
 
 def ks_trend_ok(report: CltReport) -> bool:
-    """Non-increasing KS distances over the included nondegenerate rows,
-    pairwise, up to a multiplicative slack of 10 %."""
-    values = [
-        row.ks_distance for row in report.rows
-        if row.included and row.ks_distance is not None and not row.note
-    ]
+    """Non-increasing KS distances over the admitted rows, pairwise, up to
+    a multiplicative slack of 10 %; true when fewer than two are admitted."""
+    values = [row.ks_distance for row in report.rows if row.included]
     return all(b <= 1.1 * a for a, b in zip(values, values[1:]))
 
 
@@ -190,22 +204,12 @@ def mgf_profile(
     """theta -> (exact standardized MGF, Gaussian target e^(theta^2/2)).
 
     M(theta) = sum_k pmf[k] exp((k - mean) theta / std) from the exact law;
-    no symmetry in theta is asserted, only reported.  Rows with a signed
-    defect above max_negative_mass are refused.
+    no symmetry in theta is asserted, only reported.  Rows the gate
+    refuses raise ValueError.
     """
     if any(abs(t) > 2.0 for t in theta_grid):
         raise ValueError("theta grid restricted to [-2, 2]")
-    if table is None:
-        table = build_table(r, n)
-    dist = exact_distribution(table, n)
-    reason = _row_gate(dist, max_negative_mass)
-    if reason is not None:
-        raise ValueError(f"row {n} refused for MGF: {reason}")
-    mean = float(dist.mean)
-    var = float(dist.variance)
-    if var <= 0.0:
-        raise ValueError("zero-variance row cannot be standardized")
-    std = math.sqrt(var)
+    dist, mean, std = _read_row(n, r, table, max_negative_mass, "MGF")
     out = {}
     for theta in theta_grid:
         m_exact = math.fsum(
@@ -247,14 +251,8 @@ def tail_check(
     """
     if any(x <= 0.0 for x in x_grid):
         raise ValueError("x grid must be positive")
-    if table is None:
-        table = build_table(r, n)
-    dist = exact_distribution(table, n)
-    reason = _row_gate(dist, max_negative_mass)
-    if reason is not None:
-        raise ValueError(f"row {n} refused for tail check: {reason}")
-    mean = float(dist.mean)
-    std = math.sqrt(float(dist.variance))
+    dist, mean, std = _read_row(n, r, table, max_negative_mass, "tail check")
+    zs = [((k - mean) / std, p) for k, p in dist.pmf.items()]
     t_split = tail_split(n, r)
     records = []
     for x in x_grid:
@@ -264,16 +262,11 @@ def tail_check(
         else:
             bound = 1.5 * math.exp(-t_split * x / 2.0)
             branch = "linear"
-        upper = float(sum(
-            (p for k, p in dist.pmf.items() if (k - mean) / std >= x), Fraction(0)
-        ))
-        lower = float(sum(
-            (p for k, p in dist.pmf.items() if (k - mean) / std <= -x), Fraction(0)
-        ))
-        records.append(TailRecord(x=x, side="upper", prob=upper, bound=bound,
-                                  branch=branch, ok=upper <= bound))
-        records.append(TailRecord(x=x, side="lower", prob=lower, bound=bound,
-                                  branch=branch, ok=lower <= bound))
+        upper = float(sum((p for z, p in zs if z >= x), Fraction(0)))
+        lower = float(sum((p for z, p in zs if z <= -x), Fraction(0)))
+        for side, prob in (("upper", upper), ("lower", lower)):
+            records.append(TailRecord(x=x, side=side, prob=prob, bound=bound,
+                                      branch=branch, ok=prob <= bound))
     return records
 
 
@@ -325,14 +318,6 @@ def tail_report(
     return TailReport(n=n, r=r, records=records, findings=findings, refused=False)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    slope_mean: float
-    slope_var: float
-    residual_mean: float
-    residual_var: float
-
-
 def exponent_fit(r: int, n_grid: list[int]) -> ExponentFit:
     """Least-squares slopes of log mu and log nu^2 against log n over the
     grid; the target exponent is (r+1)/(r+2) for both.
@@ -344,15 +329,5 @@ def exponent_fit(r: int, n_grid: list[int]) -> ExponentFit:
 
     if len(n_grid) < 4:
         raise ValueError("exponent fit needs at least 4 grid points")
-    logs_n = []
-    logs_mu = []
-    logs_nu = []
-    for n in n_grid:
-        mu, nu2 = saddle.mean_variance_saddle(n, r, mode="general")
-        logs_n.append(math.log(n))
-        logs_mu.append(math.log(mu))
-        logs_nu.append(math.log(nu2))
-    slope_mu, res_mu = _least_squares_slope(logs_n, logs_mu)
-    slope_nu, res_nu = _least_squares_slope(logs_n, logs_nu)
-    return ExponentFit(slope_mean=slope_mu, slope_var=slope_nu,
-                       residual_mean=res_mu, residual_var=res_nu)
+    return _loglog_fit(n_grid, [saddle.mean_variance_saddle(n, r, mode="general")
+                                for n in n_grid])

@@ -100,9 +100,6 @@ class PartitionTable:
         row = self.coeff[n]
         return row[k] if k < len(row) else 0
 
-    def negative_cells(self, n: int) -> list[int]:
-        return [k for k, c in enumerate(self.coeff[n]) if c < 0]
-
     @_unlimited_int_str
     def to_csv(self) -> str:
         lines = ["n,k,coefficient"]
@@ -474,16 +471,9 @@ def oracle_table(r: int, n_max: int) -> OracleTables:
 
 
 def tables_equal(a: PartitionTable, b: PartitionTable) -> bool:
-    """Entrywise exact equality of two tables over their common range."""
-    if a.n_max != b.n_max:
-        return False
-    for n in range(a.n_max + 1):
-        ka = len(a.coeff[n])
-        kb = len(b.coeff[n])
-        for k in range(max(ka, kb)):
-            if a.value(n, k) != b.value(n, k):
-                return False
-    return True
+    """Exact equality of two tables, cell by cell: every builder and oracle
+    trims trailing zeros from its rows (a zero row is [0])."""
+    return a.n_max == b.n_max and a.coeff == b.coeff
 
 
 # ---------------------------------------------------------------------------

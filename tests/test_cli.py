@@ -194,6 +194,31 @@ class TestReportCommands:
         assert code == 1
         assert "refused" in err
 
+    # r = 1, n = 4 and n = 6 are signed rows of negative exact variance
+    # (-1/9 at n = 4); no max_negative_mass admits them as laws
+    def test_clt_report_excludes_nonpositive_variance(self, capsys):
+        code, out, err = run_cli(["clt-report", "--r", "1", "--n-list", "4,5,6,7",
+                                  "--max-negative-mass", "inf"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[1].startswith("4,") and lines[3].startswith("6,")
+        assert lines[1].endswith(",,1,0,nonpositive variance (-1.111e-01)")
+        assert lines[3].endswith(",,1,0,nonpositive variance (-2.933e-01)")
+        assert json.loads("\n".join(lines[5:]))["excluded"] == [4, 6]
+
+    def test_tail_names_the_variance(self, capsys):
+        code, out, _ = run_cli(["tail", "--n", "4", "--r", "1",
+                                "--max-negative-mass", "inf"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "# finding: row 4 refused for tail check: nonpositive variance (-1.111e-01)"]
+
+    def test_mgf_names_the_variance(self, capsys):
+        code, out, err = run_cli(["mgf", "--n", "4", "--r", "1",
+                                  "--max-negative-mass", "inf"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: row 4 refused for MGF: nonpositive variance (-1.111e-01)\n"
+
 
 class TestDirichletCheck:
     def test_emits_series_comparison(self, capsys):
@@ -376,6 +401,8 @@ class TestConfigErrors:
         # just past PRIME_CUTOFF_LIMIT, and at 10^11, where the sieve asked for 46.6 GiB
         ["constants", "--prime-cutoff", "100000001"],
         ["dirichlet-check", "--prime-cutoff", "100000000000"],
+        # repeated weights, where the slope fit divided by zero
+        ["clt-report", "--n-list", "20,20,20,20"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows

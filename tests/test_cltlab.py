@@ -37,10 +37,12 @@ class TestKs:
 
 class TestCltReport:
     def test_degenerate_single_point(self):
+        # n = 1 is a point mass: excluded, its note names the variance
         report = cltlab.clt_report(2, [1])
         row = report.rows[0]
-        assert row.included and row.ks_distance == 0.5
-        assert "degenerate" in row.note
+        assert not row.included and row.ks_distance is None
+        assert row.note == "nonpositive variance (0.000e+00)"
+        assert report.excluded == [1]
 
     def test_strict_rule_excludes_signed_rows(self, table_r2_400):
         report = cltlab.clt_report(2, [50, 100, 200, 400], table=table_r2_400)
@@ -80,8 +82,21 @@ class TestCltReport:
         assert abs(z2sum - 1.0) < 1e-12
 
     def test_requires_increasing_list(self):
-        with pytest.raises(ValueError):
-            cltlab.clt_report(2, [100, 50])
+        # strictly: 20,20,20,20 used to end in the slope fit's division by zero
+        for n_list in ([100, 50], [20, 20], [20, 20, 20, 20], [10, 20, 20, 30]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                cltlab.clt_report(2, n_list)
+
+    def test_gate_admits_any_override_only_at_positive_variance(self):
+        # r = 1: rows 4 and 6 are signed with exact variance -1/9 and -22/75
+        table = partition.build_table(1, 7)
+        report = cltlab.clt_report(1, [4, 5, 6, 7], table=table, max_negative_mass=math.inf)
+        assert report.excluded == [4, 6]
+        assert [partition.exact_distribution(table, n).variance for n in (4, 6)] == [
+            Fraction(-1, 9), Fraction(-22, 75)]
+        for row in report.rows:
+            assert row.included == (row.ks_distance is not None) == (row.var_exact > 0)
+        assert cltlab.ks_trend_ok(report) is False  # 0.382 -> 0.492 over rows 5, 7
 
 
 class TestMgfProfile:
@@ -116,6 +131,10 @@ class TestMgfProfile:
             400, 3, [-0.5, 0.5], table=table_r3_400, max_negative_mass=1e-9
         )
         assert profile[0.5][0] != profile[-0.5][0]
+
+    def test_refuses_point_mass_row(self):
+        with pytest.raises(ValueError, match=r"row 1 refused for MGF: nonpositive variance"):
+            cltlab.mgf_profile(1, 2, [0.5])
 
     def test_theta_range_guard(self):
         with pytest.raises(ValueError):
@@ -156,6 +175,13 @@ class TestTail:
         assert report.records == []
         assert any("negative cells" in f for f in report.findings)
         assert report.self_consistent  # vacuous over zero records
+
+    def test_report_refuses_point_mass_row(self):
+        # n = 1 is a point mass; its budget split would divide by log 1 = 0
+        report = cltlab.tail_report(1, 2, [1.0])
+        assert report.refused and report.records == []
+        assert report.findings == [
+            "row 1 refused for tail check: nonpositive variance (0.000e+00)"]
 
     def test_report_on_clean_row(self, table_r3_400):
         report = cltlab.tail_report(
