@@ -16,18 +16,20 @@ Example:
 import argparse
 import math
 
-from divpart import cltlab, partition
+from divpart import cli, cltlab, partition
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r", type=int, default=2)
-    ap.add_argument("--n-list", type=lambda s: [int(t) for t in s.split(",")],
-                    default=[50, 100, 200, 400])
-    ap.add_argument("--max-negative-mass", type=float, default=0.0)
+    cli._add_r(ap)
+    cli._add_n_list(ap)
+    cli._add_max_negative_mass(ap)
     ap.add_argument("--theta", type=lambda s: [float(t) for t in s.split(",")],
                     default=[0.25, 0.5])
-    args = ap.parse_args()
+    try:
+        args = ap.parse_args()
+    except cli.ConfigError as exc:  # a flag outside its domain
+        ap.error(str(exc))
 
     table = partition.build_table(args.r, max(args.n_list))
     report = cltlab.clt_report(args.r, args.n_list, table=table,

@@ -9,15 +9,21 @@ Example:
 
 import argparse
 
+from divpart import cli
 from divpart import dirichlet as dl
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r-min", type=int, default=2)
+    # growth_constants needs r >= 2
+    ap.add_argument("--r-min", type=cli._checked(int, lambda r: r >= 2, "--r-min must be >= 2"),
+                    default=2)
     ap.add_argument("--r-max", type=int, default=6)
-    ap.add_argument("--prime-cutoff", type=int, default=dl.DEFAULT_PRIME_CUTOFF)
-    args = ap.parse_args()
+    cli._add_prime_cutoff(ap)
+    try:
+        args = ap.parse_args()
+    except cli.ConfigError as exc:  # a flag outside its domain
+        ap.error(str(exc))
 
     print("r,C,Cprime,K1,E1,N,C_mu_standard,C_mu_shifted,C_sigma_standard,C_sigma_shifted")
     for r in range(args.r_min, args.r_max + 1):

@@ -10,17 +10,24 @@ Example:
 import argparse
 import math
 
-from divpart import saddle
+from divpart import cli, saddle
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--r", type=int, default=2)
-    ap.add_argument("--u", type=float, default=1.0)
-    ap.add_argument("--tau", type=lambda s: [float(t) for t in s.split(",")],
+    cli._add_r(ap)
+    ap.add_argument("--u", type=cli._checked(float, lambda u: 0.0 < u < math.inf,
+                                             "--u must be positive and finite"),
+                    default=1.0)
+    ap.add_argument("--tau", type=cli._checked(cli._float_list,
+                                               lambda ts: ts and all(0.0 < t < math.inf for t in ts),
+                                               "--tau must be non-empty, with positive finite values"),
                     default=[0.2, 0.1, 0.05, 0.02])
     ap.add_argument("--theta-steps", type=int, default=8)
-    args = ap.parse_args()
+    try:
+        args = ap.parse_args()
+    except cli.ConfigError as exc:  # a flag outside its domain
+        ap.error(str(exc))
 
     print("tau,theta,log_ratio,scaled_by_tau_pow")
     for tau in args.tau:

@@ -289,6 +289,16 @@ def _add_max_negative_mass(p: argparse.ArgumentParser) -> None:
                                      "value (default %(default)s: strict positivity)")
 
 
+def _add_n_list(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-list",
+                   type=_checked(_int_list,
+                                 lambda ns: ns and ns[0] >= 1
+                                 and all(a < b for a, b in zip(ns, ns[1:])),
+                                 "--n-list must be non-empty, strictly increasing and positive"),
+                   default=[50, 100, 200, 400],
+                   help="comma-separated weights (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The eight subcommands.  Each flag declares its default and domain
     once, here; a value outside the domain raises ConfigError as it parses."""
@@ -339,13 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt-report", help="exact-vs-normal distribution report")
     _add_r(p)
-    p.add_argument("--n-list",
-                   type=_checked(_int_list,
-                                 lambda ns: ns and ns[0] >= 1
-                                 and all(a < b for a, b in zip(ns, ns[1:])),
-                                 "--n-list must be non-empty, strictly increasing and positive"),
-                   default=[50, 100, 200, 400],
-                   help="comma-separated weights (default %(default)s)")
+    _add_n_list(p)
     _add_max_negative_mass(p)
     p.add_argument("--csv", dest="csv_output", default=None, help="CSV path (default stdout)")
     p.add_argument("--output", default=None, help="JSON summary path (default stdout)")

@@ -16,9 +16,10 @@ so that each expansion term is one shift-free multiply-add, until the
 padding that this alignment needs outgrows the row; then every row is
 flipped once to the standard order.  Terms never read the rows known to
 be zero, and a factor whose |gap| is small is applied as single-term
-sweeps (an add per row).  A rigorous a-priori digit-width bound plus a
-row-sum cross-check against the log-derivative recurrence of the u = 1
-series rule out digit overflow.
+sweeps (an add per row).  The digit width comes from the exact
+coefficients of an absolute-value majorant, and every row sum is checked
+against the u = 1 series; one log-derivative recurrence computes both
+series, so no digit can overflow unnoticed.
 """
 
 from __future__ import annotations
@@ -128,71 +129,20 @@ class PartitionTable:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-_LOG_TINY = math.log(sys.float_info.min)  # below this, exp() leaves the normal floats
-
-
-def _log_majorant(log_gaps: list[tuple[int, float, bool]], n_max: int, log_z0: float) -> float:
-    """log(G(z0) / z0^n_max) for the absolute-value majorant G below, or inf.
-
-    log_gaps holds (j, log|gap(j)|, gap(j) > 0) for every nonzero gap.  Each
-    term |gap| * log1p(+-z0^j) is summed as exp(log|gap| + log log1p(...)),
-    so a gap too large for a float still counts; where z0^j underflows,
-    j log z0 is that logarithm to double precision.  A term too large for a
-    float makes the bound inf.
-    """
-    log_g = 0.0
-    for j, log_d, positive in log_gaps:
-        log_zj = j * log_z0
-        if log_zj < _LOG_TINY:
-            log_term = log_zj
-        else:
-            zj = math.exp(log_zj)
-            log_term = math.log(math.log1p(zj) if positive else -math.log1p(-zj))
-        try:
-            log_g += math.exp(log_d + log_term)
-        except OverflowError:
-            return math.inf
-    return log_g - n_max * log_z0
-
-
 def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:
     """Bit width L such that every intermediate coefficient fits a balanced
     base-2^L digit.
 
-    Every partial product's |coefficient of z^n u^k| is bounded by the z^n
-    coefficient of the absolute-value majorant
-        prod_{gap>0} (1+z^j)^gap * prod_{gap<0} (1-z^j)^gap,
-    all of whose coefficients are nonnegative, and [z^n] G <= G(z0)/z0^n
-    for any 0 < z0 < 1.  Minimize the bound over the grid z0 = i/40 and,
-    below it, z0 = 2^(-k/2)/40, walking down while the bound is inf or
-    falls.  The bound is convex in log z0 and finite once z0 is small
-    enough, so along the grid it falls, then rises (inf only at the top):
-    a binary search for the first i where it stops falling finds the grid
-    minimum, and the walk ends at the first finite point that does not
-    lower it.  Large r has huge gaps, which put the best z0 far below 1/40
-    (below the float range past r of about 1,900, hence the walk in log z0).
+    Every partial product's |coefficient of z^n u^k|, in any factor order,
+    sweep by sweep, is at most the z^n coefficient G_n of the majorant
+        G = prod_{gap>0} (1+z^j)^gap * prod_{gap<0} (1-z^j)^gap,
+    whose coefficients are nonnegative and dominate those of every partial
+    product of its factors.  G_n is computed exactly, so L is the bit length
+    of max G_n plus a sign bit, rounded up to whole bytes, at least 32.
     """
-    log_gaps = [(j, math.log(abs(d)), d > 0) for j, d in enumerate(gaps[:n_max], start=1) if d]
-
-    @functools.cache
-    def on_grid(i: int) -> float:
-        return _log_majorant(log_gaps, n_max, math.log(i / 40.0))
-
-    lo, hi = 2, 39
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if on_grid(mid) <= on_grid(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = on_grid(lo)
-    log_z0, half_bit = math.log(1 / 40.0), 0.5 * math.log(2.0)
-    lower = _log_majorant(log_gaps, n_max, log_z0)
-    while (step := _log_majorant(log_gaps, n_max, log_z0 - half_bit)) < lower or math.isinf(lower):
-        log_z0, lower = log_z0 - half_bit, step
-    bits = int(min(best, lower) / math.log(2.0)) + 1
+    bits = max(_log_derivative_series(gaps, n_max, majorant=True)).bit_length() + 1
     # whole bytes, so _unpack_row and _flip read the digits straight from to_bytes
-    return -(-max(32, bits + 16) // 8) * 8
+    return -(-max(32, bits) // 8) * 8
 
 
 def _offset_bytes(packed: int, bits: int, slots: int) -> tuple[bytes, int]:
@@ -232,23 +182,32 @@ def _flip(packed: int, bits: int, top: int) -> int:
     return int.from_bytes(b"".join(slots), "little") - offset
 
 
-def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
-    """z^n coefficients q_n of the u = 1 specialization, by the
-    log-derivative recurrence n q_n = sum_{N <= n} B_N q_{n-N} with
-    B_N = sum_{j | N} j gap(j) (-1)^(N/j + 1) (independent cross-check for
-    row_totals: no binomials, no factor-by-factor product)."""
+def _log_derivative_series(gaps: tuple[int, ...], n_max: int, majorant: bool = False) -> list[int]:
+    """z^n coefficients c_n, n <= n_max, of prod_j (1 + z^j)^gap(j), or with
+    majorant of G (see _digit_bits), by the log-derivative recurrence
+    n c_n = sum_{N <= n} B_N c_{n-N}.  Here B_N = sum_{j | N} j gap(j) s with
+    s = (-1)^(N/j + 1), except s = -1 for the majorant's (1 - z^j)^gap,
+    gap < 0.  No binomials, no factor-by-factor product; every division is
+    checked to be exact."""
     b = [0] * (n_max + 1)
     for j in range(1, n_max + 1):
         jd = j * gaps[j - 1]
+        odd = abs(jd) if majorant else jd
         for m, N in enumerate(range(j, n_max + 1, j), start=1):
-            b[N] += jd if m & 1 else -jd
-    tot = [1] + [0] * n_max
+            b[N] += odd if m & 1 else -jd
+    c = [1] + [0] * n_max
     for n in range(1, n_max + 1):
-        q, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(tot[:n]))), n)
+        q, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(c[:n]))), n)
         if rem:
             raise RuntimeError(f"log-derivative recurrence: inexact division at n = {n}")
-        tot[n] = q
-    return tot
+        c[n] = q
+    return c
+
+
+def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
+    """z^n coefficients q_n of the u = 1 specialization (cross-check for
+    row_totals, independent of the packed builder)."""
+    return _log_derivative_series(gaps, n_max)
 
 
 def build_table(
@@ -282,9 +241,9 @@ def build_table(
     multiplication.
 
     The arithmetic is exact integer linear algebra, so only the final
-    digits must fit the width of _digit_bits (the bound also covers every
-    partial product that _flip reads); every row sum must equal the u = 1
-    coefficient from _univariate_totals, an independent recurrence.
+    digits must fit the width of _digit_bits (its exact majorant also bounds
+    every partial product that _flip reads); every row sum must equal the
+    u = 1 coefficient from _univariate_totals, an independent recurrence.
     """
     if r < 1 or n_max < 0:
         raise ValueError("build_table requires r >= 1 and n_max >= 0")
@@ -293,7 +252,7 @@ def build_table(
     if sorted(order) != list(range(1, n_max + 1)):
         raise ValueError("factor_order must be a permutation of 1..n_max")
 
-    bits = _digit_bits(gaps, n_max) if n_max else 64
+    bits = _digit_bits(gaps, n_max)
     rows = [0] * (n_max + 1)
     rows[0] = 1
     standard = False

@@ -89,7 +89,7 @@ class TestTable:
         assert out.splitlines()[-1].startswith("30,30,")
 
     def test_large_r_fits_the_digit_width(self, capsys):
-        # a z0 grid that stopped at 1/40 asked for ~2.6e26-bit digits here
+        # gaps of up to 60 digits; the widest cell has 1,093 bits, the digits 1,096
         code, out, err = run_cli(["table", "--r", "40", "--N", "30"], capsys)
         assert code == 0, err
         assert out.splitlines()[-1].startswith("30,30,")
@@ -412,6 +412,24 @@ class TestConfigErrors:
         assert proc.returncode == 2, proc.stderr
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("script,args", [
+        ("clt_experiment.py", ["--n-list", "20,20"]),
+        ("clt_experiment.py", ["--n-list", "50,20"]),
+        ("clt_experiment.py", ["--n-list", "0,5"]),
+        ("clt_experiment.py", ["--r", "0"]),
+        ("constants_table.py", ["--r-min", "1"]),
+        ("constants_table.py", ["--prime-cutoff", "10"]),
+        ("minor_arc_scan.py", ["--tau", "0"]),
+        ("minor_arc_scan.py", ["--u", "-1"]),
+    ])
+    def test_script_domain_errors_exit_2(self, script, args):
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", script)
+        proc = subprocess.run([sys.executable, path, *args], capture_output=True,
+                              text=True, timeout=60, env=_src_env())
+        assert proc.returncode == 2, proc.stderr
+        assert f"{script}: error: --" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize("u", ["0", "-1", "inf", "nan", "1e144"])
     def test_u_outside_its_range_names_it(self, capsys, u):
