@@ -47,9 +47,11 @@ def main() -> None:
 
     print(f"# excluded: {report.excluded} (count {report.exclusion_count})")
     if report.exponent_fit_mean is not None:
-        target = (args.r + 1) / (args.r + 2)
+        limit = args.r / (args.r + 1)
+        band = (args.r + 1) / (args.r + 2)
         print(f"# exponent fits: mean {report.exponent_fit_mean:.4f}, "
-              f"var {report.exponent_fit_var:.4f} (target {target:.4f})")
+              f"var {report.exponent_fit_var:.4f} (limit r/(r+1) = {limit:.4f}; "
+              f"tested band (r+1)/(r+2) +- 0.1 = {band:.4f} +- 0.1)")
 
     for n in args.n_list:
         try:

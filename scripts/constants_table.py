@@ -15,10 +15,11 @@ from divpart import dirichlet as dl
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    # growth_constants needs r >= 2
+    # growth_constants needs 2 <= r <= 170
     ap.add_argument("--r-min", type=cli._checked(int, lambda r: r >= 2, "--r-min must be >= 2"),
                     default=2)
-    ap.add_argument("--r-max", type=int, default=6)
+    ap.add_argument("--r-max", type=cli._checked(int, lambda r: r <= 170, "--r-max must be <= 170"),
+                    default=6)
     cli._add_prime_cutoff(ap)
     try:
         args = ap.parse_args()

@@ -39,12 +39,7 @@ def fmt(x: Any) -> Any:
 
 
 def emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(fmt(doc), sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit_text(json.dumps(fmt(doc), sort_keys=True, indent=2) + "\n", path)
 
 
 def emit_text(text: str, path: str | None) -> None:

@@ -1,8 +1,9 @@
-"""Numeric evaluation layer: Riemann zeta (Euler-Maclaurin), Gamma
-(Lanczos), the polylogarithm at negative argument via its Fermi-Dirac
-integral, the Dirichlet beta function, and the Euler products / double
-Dirichlet series built on Ramanujan sums, together with the derived
-growth constants.
+"""Numeric evaluation layer: Riemann zeta (Euler-Maclaurin), the
+polylogarithm Li_n(-u) at the integer orders n the paper uses (its
+accelerated alternating series, and the inversion formula for u > 1), the
+Dirichlet beta function, and the Euler products / double Dirichlet series
+built on Ramanujan sums, together with the derived growth constants, whose
+Gamma values at integers are factorials.
 
 Each Euler product (default cutoff 10^6) sieves, per call, only the
 primes whose factors can differ from 1.0, takes them a chunk at a time,
@@ -62,43 +63,14 @@ def zeta_real(s: float) -> float:
     return head + tail
 
 
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_real(s: float) -> float:
-    """Gamma(s) for real s > 0: Lanczos (g = 7), exact factorial at integers."""
-    if s <= 0.0:
-        raise ValueError("gamma_real requires s > 0")
-    if s == int(s) and s <= 171:
-        return float(math.factorial(int(s) - 1))
-    if s < 0.5:
-        return math.pi / (math.sin(math.pi * s) * gamma_real(1.0 - s))
-    z = s - 1.0
-    x = _LANCZOS[0]
-    for i in range(1, 9):
-        x += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    # t^(z+1/2) alone overflows from s ~ 142.45; split it around exp(-t)
-    half = t ** (0.5 * (z + 0.5))
-    value = math.sqrt(2.0 * math.pi) * x * half * math.exp(-t) * half
-    if math.isinf(value):
-        raise OverflowError(f"gamma_real({s}) exceeds the float range")
-    return value
-
-
 def _alternating_sum(term: Callable[[int], float]) -> float:
-    """sum_{k>=0} (-1)^k term(k) with Chebyshev-style acceleration;
-    converges to ~3.17^-n even for terms decaying only polynomially."""
+    """sum_{k>=0} (-1)^k term(k) with Chebyshev-style acceleration (H. Cohen,
+    F. Rodriguez Villegas and D. Zagier, Experiment. Math. 9, 2000).
+
+    The error bound, 2 (3 + sqrt 8)^-n (about 5.8^-n) times the sum itself,
+    needs term(k) to be the k-th moment of a positive measure on [0, 1]: (2k+1)^-s for
+    beta, and u^(k+1)/(k+1)^s for Li_s(-u), 0 < u <= 1 (a positive measure
+    on [0, u]).  Then it holds even for terms decaying only polynomially."""
     n = 48
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
@@ -119,84 +91,32 @@ def beta_dirichlet(s: float) -> float:
     return _alternating_sum(lambda k: (2 * k + 1) ** -s)
 
 
-def _tanh_sinh(f: Callable[[float], float], a: float, b: float) -> float:
-    """Double-exponential quadrature on (a, b): handles endpoint power
-    singularities; node count doubles per level until two levels agree
-    to 1e-12 relative, for at most 12 levels.
-
-    Node positions are carried as distances from the endpoints so the
-    exponentially close nodes keep full relative precision (no mid +/-
-    offset cancellation).
-    """
-    half = 0.5 * (b - a)
-    kp = math.pi / 2.0
-
-    def layer(h: float, odd_only: bool) -> float:
-        acc = 0.0
-        k = 1 if odd_only else 0
-        step = 2 if odd_only else 1
-        quiet = 0
-        while True:
-            x = k * h
-            sh = kp * math.sinh(x)
-            if sh > 350.0:  # weight underflows long before this
-                break
-            w = kp * math.cosh(x) / math.cosh(sh) ** 2
-            e2 = math.exp(-2.0 * sh)
-            d = half * 2.0 * e2 / (1.0 + e2)  # half * (1 - tanh(sh))
-            if k == 0:
-                term = w * f(a + half)
-            else:
-                term = 0.0
-                if d > 0.0:
-                    term += w * f(a + d)
-                    hi = b - d
-                    if hi < b:
-                        term += w * f(hi)
-            acc += term
-            if x > 3.0 and abs(term) < 1e-17 * max(abs(acc), 1e-300):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-            if x > 6.5:
-                break
-            k += step
-        return acc
-
-    h = 1.0
-    raw = layer(h, odd_only=False)
-    best = h * half * raw
-    for _ in range(12):
-        h /= 2.0
-        raw += layer(h, odd_only=True)
-        cur = h * half * raw
-        if abs(cur - best) <= 1e-12 * max(abs(cur), 1e-300):
-            return cur
-        best = cur
-    return best
-
-
 def polylog_neg(s: float, u: float) -> float:
-    """Li_s(-u) = -(1/Gamma(s)) * integral of t^(s-1)/(e^t/u + 1) dt over
-    (0, inf), for s > 0, u > 0; reaches u > 1 (the series cannot).
+    """Li_s(-u) for integer s >= 1 (an integral float is accepted) and
+    0 < u < inf.
 
-    Tanh-sinh quadrature absorbs the t^(s-1) endpoint singularity for
-    s < 1; the exponential tail beyond the cutoff is below 1e-20 of the
-    value by construction of the cutoff.
+    For u <= 1 it is the series -sum_{k>=1} (-u)^k/k^s, accelerated by
+    _alternating_sum.  For u > 1 the inversion formula (L. Lewin,
+    Polylogarithms and Associated Functions, 1981, 7.1)
+        Li_s(-u) = -(-1)^s Li_s(-1/u) - (ln u)^s/s!
+                   - 2 sum_{1 <= k <= s/2} eta(2k) (ln u)^(s-2k)/(s-2k)!
+    brings it back to the series at 1/u < 1.
     """
-    if s <= 0.0 or u <= 0.0:
-        raise ValueError("polylog_neg requires s > 0 and u > 0")
-    t_hi = 50.0 + 6.0 * s + max(0.0, math.log(u))
+    if not (float(s).is_integer() and s >= 1 and 0.0 < u < math.inf):
+        raise ValueError("polylog_neg requires an integer s >= 1 and 0 < u < inf")
+    n = int(s)
+
+    def series(x: float) -> float:
+        return -_alternating_sum(lambda k: x ** (k + 1) * (k + 1.0) ** -n)
+
+    if u <= 1.0:
+        return series(u)
     log_u = math.log(u)
-
-    def integrand(t: float) -> float:
-        # t^(s-1)/(e^t/u + 1), stable for large t and tiny t
-        return math.exp((s - 1.0) * math.log(t)) / (math.exp(t - log_u) + 1.0)
-
-    val = _tanh_sinh(integrand, 0.0, t_hi)
-    return -val / gamma_real(s)
+    powers = [1.0]  # (ln u)^m / m! for m = 0..n
+    for m in range(1, n + 1):
+        powers.append(powers[-1] * log_u / m)
+    evens = math.fsum(eta_alternating(2.0 * k) * powers[n - 2 * k] for k in range(1, n // 2 + 1))
+    return -(-1) ** n * series(1.0 / u) - powers[n] - 2.0 * evens
 
 
 def eta_alternating(s: float) -> float:
@@ -665,18 +585,23 @@ class GrowthConstants:
     C_mu: dict[str, float]
     C_sigma: dict[str, float]
 
-    @property
-    def conventions(self) -> tuple[str, ...]:
-        return tuple(sorted(self.C_mu))
-
 
 @lru_cache(maxsize=16)
 def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConstants:
     """N(r) = |zeta(r+1) K_r(1)/zeta(r+2)
                + zeta(r+1)^2 zeta(r+2) zeta(r) E_r(1) / zeta(2(r+1))
-               - zeta(r+1)|, plus C_mu(r), C_sigma(r) in both conventions."""
+               - zeta(r+1)|, plus C_mu(r), C_sigma(r) in both conventions.
+
+    With eta_r = -Li_r(-1), C_mu = N eta_{r+1} Gamma(r+1) and
+        C_sigma = N (eta_r Gamma(r+1) - eta_r^2 Gamma(r+2)^2 / (eta_{r+1} Gamma(r+3)))
+                = N eta_r r! (eta_{r+1} + (r+1)(eta_{r+1} - eta_r)) / (eta_{r+1} (r+2)).
+    The second form needs no factorial beyond r!, a float up to r = 170,
+    and does not cancel.  In the first, two terms near r! leave a
+    difference near r!/(r+2), which costs about r ulps at large r."""
     if r < 2:
         raise ValueError("growth_constants requires r >= 2")
+    if r > 170:
+        raise ValueError(f"growth_constants requires r <= 170: {r}! exceeds the float range")
     zr = zeta_real(float(r))
     zr1 = zeta_real(r + 1.0)
     zr2 = zeta_real(r + 2.0)
@@ -687,12 +612,9 @@ def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConsta
     def prefactors(minus_li: Callable[[float], float]) -> tuple[float, float]:
         eta_r = minus_li(float(r))        # -Li_r(-1)
         eta_r1 = minus_li(r + 1.0)        # -Li_{r+1}(-1)
-        c_mu = n_val * eta_r1 * gamma_real(r + 1.0)
-        c_sig = n_val * (
-            eta_r * gamma_real(r + 1.0)
-            - eta_r**2 * gamma_real(r + 2.0) ** 2 / (eta_r1 * gamma_real(r + 3.0))
-        )
-        return c_mu, c_sig
+        fact = math.factorial(r)
+        c_sig = n_val * eta_r * fact * (eta_r1 + (r + 1) * (eta_r1 - eta_r)) / (eta_r1 * (r + 2))
+        return n_val * eta_r1 * fact, c_sig
 
     mu_std, sig_std = prefactors(eta_alternating)
     mu_alt, sig_alt = prefactors(eta_shifted_zeta)

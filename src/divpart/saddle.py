@@ -398,7 +398,7 @@ def mellin_ratio_check(
     lead = (
         dirichlet.zeta_real(r + 1.0)
         * dirichlet.polylog_neg(r + 2.0, u)
-        * dirichlet.gamma_real(j + r + 1.0)
+        * math.factorial(j + r)
     )
     out = []
     for gamma in gamma_list:
@@ -420,7 +420,7 @@ def h1_boundedness_probe(j: int, gamma: float, u: float, r: int) -> tuple[float,
     bound = (
         n_const
         * abs(dirichlet.polylog_neg(r + 2.0, u))
-        * dirichlet.gamma_real(r + j + 1.0)
+        * math.factorial(r + j)
         * gamma ** (-(r + j + 1.0))
         * 1.5
     )

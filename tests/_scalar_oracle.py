@@ -15,7 +15,7 @@ a time from exact rational angles, with a tolerance-based conductor
 search, and Ramanujan and Gauss-type sums added one residue at a time with
 cmath.exp.  They share only the unit-group structure
 (arith._component_structure) with the code under test.  The von Sterneck
-form of c_m(n), the per-m weighted partial and the alternating series for
+form of c_m(n), the per-m weighted partial and the plain partial sum of
 Li_s(-u) are the oracles of arith.ramanujan_sum,
 arith.ramanujan_weighted_partial and dirichlet.polylog_neg, and the
 bytearray sieve over every integer is the oracle of the odd-only numpy
@@ -366,8 +366,9 @@ def shifted_identity_max_residual(m_max, n_max):
     return worst
 
 
-def polylog_neg_series(s, u):
-    """Li_s(-u) for 0 < u <= 1 by the accelerated alternating series."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError("series form needs 0 < u <= 1")
-    return -dirichlet._alternating_sum(lambda k: u ** (k + 1) / (k + 1) ** s)
+def polylog_neg_partial_sum(s, u):
+    """Li_s(-u) for 0 < u <= 1/2 by the plain partial sum over k <= 80 of
+    (-u)^k / k^s; the first term left out is below 2^-81."""
+    if not 0.0 < u <= 0.5:
+        raise ValueError("the partial sum needs 0 < u <= 1/2")
+    return math.fsum((-u) ** k / k**s for k in range(1, 81))

@@ -51,6 +51,24 @@ class TestConstants:
         assert doc["alt_convention"] == "shifted-zeta"
         assert float(doc["C_mu"]) > 0
 
+    @pytest.mark.parametrize("r", ["98", "169", "170"])
+    def test_large_r_stays_finite(self, capsys, r):
+        # Gamma(r+2)^2 alone overflowed from r = 98 on, though every printed value is finite
+        code, out, err = run_cli(["constants", "--r", r, "--prime-cutoff", "1000"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        for key in ("N", "C_mu", "C_sigma", "C_mu_alt", "C_sigma_alt"):
+            assert 0.0 < float(doc[key]) < math.inf
+
+    def test_r_past_the_float_factorials(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "divpart", "constants", "--r", "171", "--prime-cutoff", "1000"],
+            capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "r <= 170" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("r,expected", [
         ("1", {"constant_C": 1, "euler_K": 1}),
         ("3", {"constant_C": 1, "euler_K": 1, "E_r_and_Cprime": 1}),
@@ -419,6 +437,7 @@ class TestConfigErrors:
         ("clt_experiment.py", ["--n-list", "0,5"]),
         ("clt_experiment.py", ["--r", "0"]),
         ("constants_table.py", ["--r-min", "1"]),
+        ("constants_table.py", ["--r-max", "171"]),
         ("constants_table.py", ["--prime-cutoff", "10"]),
         ("minor_arc_scan.py", ["--tau", "0"]),
         ("minor_arc_scan.py", ["--u", "-1"]),

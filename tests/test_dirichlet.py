@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from divpart import dirichlet as dl
 
 
 # ---------------------------------------------------------------------------
-# zeta / Gamma / polylog / beta
+# zeta / polylog / beta
 # ---------------------------------------------------------------------------
 
 class TestZeta:
@@ -37,38 +38,6 @@ class TestZeta:
             dl.zeta_real(0.5)
 
 
-class TestGamma:
-    def test_integer_factorials(self):
-        assert dl.gamma_real(5.0) == 24.0
-        assert dl.gamma_real(1.0) == 1.0
-        assert dl.gamma_real(12.0) == float(math.factorial(11))
-
-    def test_half_integer(self):
-        assert abs(dl.gamma_real(0.5) - math.sqrt(math.pi)) < 1e-12
-
-    def test_against_quadrature(self):
-        # Simpson on t^2.5 e^-t over [0, 80]
-        s = 3.5
-        n_steps = 160000
-        h = 80.0 / n_steps
-        f = lambda t: t ** (s - 1) * math.exp(-t)
-        acc = f(0.0) + f(80.0)
-        acc += 4.0 * math.fsum(f(h * i) for i in range(1, n_steps, 2))
-        acc += 2.0 * math.fsum(f(h * i) for i in range(2, n_steps, 2))
-        quad = acc * h / 3.0
-        assert abs(dl.gamma_real(s) - quad) < 1e-9
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            dl.gamma_real(0.0)
-        with pytest.raises(ValueError):
-            dl.gamma_real(-1.5)
-
-    def test_overflow_past_the_float_range(self):
-        with pytest.raises(OverflowError):
-            dl.gamma_real(171.7)
-
-
 class TestPolylog:
     def test_log_two(self):
         assert abs(dl.polylog_neg(1.0, 1.0) + math.log(2.0)) < 1e-10
@@ -82,9 +51,18 @@ class TestPolylog:
         u = 1e-6
         assert abs(dl.polylog_neg(2.0, u) / (-u) - 1.0) < 1e-5
 
-    @pytest.mark.parametrize("s,u", [(2.5, 0.5), (3.0, 1.0), (1.5, 0.9), (4.0, 0.25)])
-    def test_integral_matches_series(self, s, u):
-        assert abs(dl.polylog_neg(s, u) - oracle.polylog_neg_series(s, u)) < 1e-10
+    @pytest.mark.parametrize("s,u", [(1, 0.5), (2, 0.5), (3, 0.3), (4, 0.25), (7, 1e-3)])
+    def test_matches_direct_partial_sum(self, s, u):
+        assert abs(dl.polylog_neg(s, u) - oracle.polylog_neg_partial_sum(s, u)) < 1e-15
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8])
+    def test_continuous_across_one(self, s):
+        # the series below u = 1 meets the inversion formula above it
+        below = dl.polylog_neg(s, 1.0 - 1e-9)
+        at = dl.polylog_neg(s, 1.0)
+        above = dl.polylog_neg(s, 1.0 + 1e-9)
+        assert below > at > above
+        assert abs(above - below) < 2e-9
 
     def test_reaches_u_above_one(self):
         # monotone decreasing in u, and finite
@@ -92,13 +70,16 @@ class TestPolylog:
         b = dl.polylog_neg(3.0, 2.0)
         assert b < a < 0.0
 
-    def test_domain(self):
+    @pytest.mark.parametrize("s,u", [(2.5, 0.5), (1.0 + 1e-12, 1.0), (0.0, 1.0), (-1.0, 0.5),
+                                     (math.nan, 1.0), (math.inf, 1.0), (2.0, 0.0),
+                                     (2.0, -1.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_domain(self, s, u):
         with pytest.raises(ValueError):
-            dl.polylog_neg(0.0, 1.0)
+            dl.polylog_neg(s, u)
+
+    def test_oracle_domain(self):
         with pytest.raises(ValueError):
-            dl.polylog_neg(2.0, -1.0)
-        with pytest.raises(ValueError):
-            oracle.polylog_neg_series(2.0, 1.5)
+            oracle.polylog_neg_partial_sum(2, 0.6)
 
 
 class TestBeta:
@@ -135,18 +116,21 @@ class TestMpmathOracles:
     def test_zeta(self, mp, s):
         assert self.rel(dl.zeta_real(s), float(mp.zeta(s))) < 1e-12
 
-    @pytest.mark.parametrize("s", [0.1, 0.37, 0.5, 2.5, 33.3, 141.3, 142.45, 150.3, 160.7,
-                                   171.5])
-    def test_gamma(self, mp, s):
-        assert self.rel(dl.gamma_real(s), float(mp.gamma(s))) < 1e-12
-
-    @pytest.mark.parametrize("s,u", [(0.5, 0.3), (1.5, 1.0), (3.2, 0.05), (2.0, 1.0),
-                                     (0.3, 5.0), (1.5, 3.0), (2.5, 1.5), (3.7, 20.0),
-                                     (5.0, 100.0)])
+    @pytest.mark.parametrize("s,u", [(1, 0.3), (6, 1.0), (3, 0.05), (2, 1.0),
+                                     (1, 5.0), (2, 3.0), (3, 1.5), (4, 20.0),
+                                     (5, 100.0)])
     def test_polylog(self, mp, s, u):
         want = complex(mp.polylog(s, -u))
         assert abs(want.imag) < 1e-20
         assert self.rel(dl.polylog_neg(s, u), want.real) < 1e-12
+
+    def test_polylog_sweep(self, mp):
+        # orders 1-8 from u = 1e-8 to 1e30, both sides of u = 1 included
+        us = (1e-8, 1e-3, 0.05, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 5.0,
+              20.0, 100.0, 1e4, 1e8, 1e30)
+        worst = max(self.rel(dl.polylog_neg(s, u), float(mp.polylog(s, -u)))
+                    for s in range(1, 9) for u in us)
+        assert worst < 2e-15
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 2.0, 3.3, 7.0])
     def test_beta(self, mp, s):
@@ -516,6 +500,21 @@ class TestGrowthConstants:
         ratio_s = gc.C_sigma["standard"] / gc.C_sigma["shifted-zeta"]
         assert 0.5 < ratio_s < 2.0
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 40, 97])
+    def test_prefactors_against_their_defining_form(self, r):
+        # C_mu = N eta_{r+1} r! and C_sigma = N (eta_r r! - eta_r^2 (r+1)!^2 / (eta_{r+1} (r+2)!)),
+        # the latter in exact rationals at the same float eta values
+        gc = dl.growth_constants(r)
+        for conv, minus_li in (("standard", dl.eta_alternating),
+                               ("shifted-zeta", dl.eta_shifted_zeta)):
+            e0, e1 = Fraction(minus_li(float(r))), Fraction(minus_li(r + 1.0))
+            assert gc.C_mu[conv] == gc.N * float(e1) * float(math.factorial(r))
+            want = Fraction(gc.N) * (e0 * math.factorial(r) - e0**2 * math.factorial(r + 1) ** 2
+                                     / (e1 * math.factorial(r + 2)))
+            assert abs(Fraction(gc.C_sigma[conv]) / want - 1) < 1e-15
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.growth_constants(1)
+        with pytest.raises(ValueError, match="r <= 170"):
+            dl.growth_constants(171, cutoff=1000)
