@@ -24,8 +24,7 @@ def main() -> None:
     cli._add_r(ap)
     cli._add_n_list(ap)
     cli._add_max_negative_mass(ap)
-    ap.add_argument("--theta", type=lambda s: [float(t) for t in s.split(",")],
-                    default=[0.25, 0.5])
+    ap.add_argument("--theta", type=cli._theta_list("--theta"), default=[0.25, 0.5])
     try:
         args = ap.parse_args()
     except cli.ConfigError as exc:  # a flag outside its domain

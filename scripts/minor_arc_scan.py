@@ -23,7 +23,9 @@ def main() -> None:
                                                lambda ts: ts and all(0.0 < t < math.inf for t in ts),
                                                "--tau must be non-empty, with positive finite values"),
                     default=[0.2, 0.1, 0.05, 0.02])
-    ap.add_argument("--theta-steps", type=int, default=8)
+    ap.add_argument("--theta-steps", type=cli._checked(int, lambda n: n >= 1,
+                                                       "--theta-steps must be >= 1"),
+                    default=8)
     try:
         args = ap.parse_args()
     except cli.ConfigError as exc:  # a flag outside its domain

@@ -408,9 +408,6 @@ class DirichletCharacter:
     is_primitive: bool
     conductor: int
 
-    def __call__(self, a: int) -> complex:
-        return self.values[a % self.modulus]
-
 
 @lru_cache(maxsize=512)
 def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:

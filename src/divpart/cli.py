@@ -284,6 +284,13 @@ def _add_max_negative_mass(p: argparse.ArgumentParser) -> None:
                                      "value (default %(default)s: strict positivity)")
 
 
+def _theta_list(flag: str):
+    """The type= converter of a theta grid flag: non-empty, every value in
+    [-2, 2] (false for NaN)."""
+    return _checked(_float_list, lambda ts: ts and all(abs(t) <= 2.0 for t in ts),
+                    f"{flag} must be non-empty, with values in [-2, 2]")
+
+
 def _add_n_list(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-list",
                    type=_checked(_int_list,
@@ -366,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
                    default=200, help="weight (default %(default)s)")
     _add_r(p)
-    p.add_argument("--theta-grid",
-                   type=_checked(_float_list, lambda ts: ts and all(abs(t) <= 2.0 for t in ts),
-                                 "--theta-grid must be non-empty, with values in [-2, 2]"),
+    p.add_argument("--theta-grid", type=_theta_list("--theta-grid"),
                    default=[0.25, 0.5, 1.0],
                    help="comma-separated theta in [-2,2] (default %(default)s); "
                         "write a leading negative value as --theta-grid=-1,0.5")

@@ -38,7 +38,7 @@ def ks_to_normal(pmf: dict[int, Fraction], mean: float, std: float) -> float:
     The exact CDF is a step function; the sup over each jump is attained
     by comparing the normal CDF with both one-sided limits.
     """
-    if std <= 0.0:
+    if not std > 0.0:
         raise ValueError("ks_to_normal needs a positive standard deviation")
     worst = 0.0
     cdf = Fraction(0)
@@ -207,7 +207,7 @@ def mgf_profile(
     no symmetry in theta is asserted, only reported.  Rows the gate
     refuses raise ValueError.
     """
-    if any(abs(t) > 2.0 for t in theta_grid):
+    if not all(abs(t) <= 2.0 for t in theta_grid):  # false for NaN too
         raise ValueError("theta grid restricted to [-2, 2]")
     dist, mean, std = _read_row(n, r, table, max_negative_mass, "MGF")
     out = {}
@@ -249,7 +249,7 @@ def tail_check(
     (a slack of 0.5) with T from tail_split.  Pure report on admissible
     rows: a violated budget is recorded, never raised.
     """
-    if any(x <= 0.0 for x in x_grid):
+    if not all(x > 0.0 for x in x_grid):  # false for NaN too
         raise ValueError("x grid must be positive")
     dist, mean, std = _read_row(n, r, table, max_negative_mass, "tail check")
     zs = [((k - mean) / std, p) for k, p in dist.pmf.items()]

@@ -3,9 +3,9 @@
     F(gamma, u) = sum_{k>=1} gap(k) log(1 + u e^(-gamma k))
 
 for the divisor-gap weights, its closed-form partial derivatives, the
-saddle-point equation in both the gap-weighted and plain forms, and
-numeric probes of the leading-order Mellin asymptotics, the minor-arc
-decay, and the trigonometric kernel lower bound.
+saddle-point equation in both the gap-weighted and plain forms, the
+saddle mean and variance read from those partials, and numeric probes of
+the leading-order Mellin asymptotics and the minor-arc decay.
 
 Every k-sum, the Mellin double sums included, runs through one numpy
 kernel, _ksum, under the shared truncation rule: stop once
@@ -18,7 +18,6 @@ it to 1e-13 relative against a compensated scalar loop.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -92,7 +91,6 @@ def _ksum(
     r: int | None,
     summands: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
     k_cap: int | None = None,
-    stop_power: float = 4,
     shift: int | None = None,
 ) -> list[float]:
     """sum_{k>=1} w(k) s_i(k, e^(-gamma k)) for every array s_i that
@@ -100,8 +98,8 @@ def _ksum(
     (r and shift given) or w = 1 (r None).
 
     Each sum stops at the first k where
-    max(|w(k)|, 1) k^stop_power e^(-gamma k) < TRUNCATION_RATIO * |its
-    running total|, or after k = k_cap.  The terms are evaluated over
+    max(|w(k)|, 1) k^4 e^(-gamma k) < TRUNCATION_RATIO * |its running
+    total|, or after k = k_cap.  The terms are evaluated over
     equal blocks of k of at most 2^16 entries, and each block sieves its
     own exact sigma_r window (arith.sigma_window) for its weights, so
     memory stays flat and nothing is shared between calls or threads.  A
@@ -116,13 +114,13 @@ def _ksum(
     pieces: list[list[float]] = []  # per-sum block sums, added by fsum
     open_sums: list[int] = []
     start = 1
-    size = _block_length(gamma, stop_power + (r or 0))
+    size = _block_length(gamma, 4 + (r or 0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while start <= cap:
             end = min(start + size - 1, cap)
             k = np.arange(start, end + 1, dtype=np.float64)
             q = np.exp(-gamma * k)
-            bound = k**stop_power * q
+            bound = k**4 * q
             terms = summands(k, q)
             if r is not None:
                 # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
@@ -220,7 +218,7 @@ def F_partial(gamma: float, u: float, r: int, order: tuple[int, int]) -> float:
     jg, ju = order
     if (jg, ju) not in SUPPORTED_PARTIALS:
         raise ValueError(f"partial (gamma^{jg}, u^{ju}) not in the closed-form table")
-    if gamma <= 0.0 or u <= 0.0:
+    if not (gamma > 0.0 and u > 0.0):
         raise ValueError("F_partial requires gamma > 0 and u > 0")
     return _partials(gamma, u, r, ((jg, ju),))[0]
 
@@ -264,7 +262,7 @@ def solve_saddle(
     leaves it, or a point where the profile does not decrease, falls back
     to bisection, or to doubling/halving while one side is still open.
     """
-    if n < 1 or u <= 0.0:
+    if not (n >= 1 and u > 0.0):
         raise ValueError("solve_saddle requires n >= 1 and u > 0")
     if mode == "general":
         scale = float(n) ** (-1.0 / (r + 2))
@@ -328,34 +326,23 @@ def solve_saddle(
     )
 
 
-def _mean_variance_sums(eta: float, r: int) -> list[float]:
-    """The four gap-weighted sums of mean_variance_saddle at root eta:
-    sum q/(1+q), sum q/(1+q)^2, sum k q/(1+q)^2, sum k^2 q/(1+q)^2."""
-
-    def summands(k: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
-        w2 = q / (1.0 + q) ** 2
-        return [q / (1.0 + q), w2, k * w2, k * k * w2]
-
-    return _ksum(eta, r, summands)
-
-
 def mean_variance_at(eta: float, r: int) -> tuple[float, float]:
-    """Mean and variance of the part count at a u = 1 saddle root eta:
+    """Mean and variance of the part count at a u = 1 saddle root eta,
+    from one kernel pass over the partials of F at (eta, 1):
 
-    mu   = sum gap(k) / (e^(eta k) + 1)
-    nu^2 = sum gap(k) e^(eta k)/(e^(eta k)+1)^2
-           - (sum gap(k) k e^(eta k)/(e^(eta k)+1)^2)^2
-             / (sum gap(k) k^2 e^(eta k)/(e^(eta k)+1)^2)
+    mu   = F_u = sum gap(k) / (e^(eta k) + 1)
+    nu^2 = a - b^2 / c,  a = F_u + F_uu,  b = -F_gamma_u,  c = F_gamma_gamma,
 
-    The last sum is F_gamma_gamma(eta, 1), which solve_saddle at u = 1 requires > 0.
+    where a, b, c = sum gap(k) k^j e^(eta k) / (e^(eta k) + 1)^2, j = 0, 1, 2.
+    c > 0 is what solve_saddle at u = 1 requires of its root.
     """
-    mu, a, b, c = _mean_variance_sums(eta, r)
-    if c <= 0.0:
-        raise ValueError(f"degenerate variance: curvature sum {c:.3e} is not positive")
-    nu2 = a - b * b / c
-    if nu2 <= 0.0:
+    f_u, f_uu, f_gu, f_gg = _partials(eta, 1.0, r, ((0, 1), (0, 2), (1, 1), (2, 0)))
+    if not f_gg > 0.0:
+        raise ValueError(f"degenerate variance: curvature sum {f_gg:.3e} is not positive")
+    nu2 = f_u + f_uu - f_gu * f_gu / f_gg
+    if not nu2 > 0.0:
         raise ValueError(f"degenerate variance {nu2:.3e} <= 0 blocks standardization")
-    return mu, nu2
+    return f_u, nu2
 
 
 def mean_variance_saddle(n: int, r: int, mode: str) -> tuple[float, float]:
@@ -377,7 +364,7 @@ def _sigma_double_sum(j: int, gamma: float, u: float, r: int, shifted: bool) -> 
     """
     if not 0 <= j <= 4:
         raise ValueError(f"the Mellin double sums need 0 <= j <= 4, got j = {j}")
-    if gamma <= 0.0 or u <= 0.0:
+    if not (gamma > 0.0 and u > 0.0):
         raise ValueError("the Mellin double sums need gamma > 0 and u > 0")
     sign = (-1.0) ** (j + 1)
     return _ksum(
@@ -446,7 +433,7 @@ def minor_arc_log_ratio(
     0.5 sum_k gap(k) log[1 - 2 u e^(-k tau)(1 - cos k theta)/(1 + u e^(-k tau))^2].
 
     A log factor whose argument is not positive raises ArithmeticError."""
-    if tau <= 0.0 or u <= 0.0:
+    if not (tau > 0.0 and u > 0.0):
         raise ValueError("minor_arc_ratio requires tau > 0 and u > 0")
 
     def summands(k: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
@@ -454,20 +441,3 @@ def minor_arc_log_ratio(
         return [np.log(1.0 - 2.0 * uq * (1.0 - np.cos(k * theta)) / (1.0 + uq) ** 2)]
 
     return 0.5 * _ksum(tau, r, summands, k_cap=k_cap)[0]
-
-
-def lichen_probe(k: int, xi: float, y: float) -> tuple[float, float]:
-    """(lhs, rhs_shape) for the trigonometric kernel inequality:
-    lhs = sum_n n^(k-1) e^(-n xi) (1 - cos n y), truncated;
-    rhs_shape = e^-xi/(1-e^-xi)^k - e^-xi/|1-e^(-xi-iy)|^k.
-    Whenever rhs_shape > 0 the lhs should be positive too; the hidden
-    proportionality constant is not accessible numerically."""
-    if k < 1 or xi <= 0.0:
-        raise ValueError("lichen_probe requires k >= 1 and xi > 0")
-    lhs = _ksum(
-        xi, None, lambda n, q: [n ** (k - 1) * q * (1.0 - np.cos(n * y))],
-        stop_power=k + 3,
-    )[0]
-    e_xi = math.exp(-xi)
-    rhs = e_xi / (1.0 - e_xi) ** k - e_xi / abs(1.0 - cmath.exp(-xi - 1j * y)) ** k
-    return lhs, rhs

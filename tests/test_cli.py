@@ -421,6 +421,8 @@ class TestConfigErrors:
         ["dirichlet-check", "--prime-cutoff", "100000000000"],
         # repeated weights, where the slope fit divided by zero
         ["clt-report", "--n-list", "20,20,20,20"],
+        ["mgf", "--theta-grid", "0.5,nan"],
+        ["tail", "--x-grid", "nan"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows
@@ -441,6 +443,10 @@ class TestConfigErrors:
         ("constants_table.py", ["--prime-cutoff", "10"]),
         ("minor_arc_scan.py", ["--tau", "0"]),
         ("minor_arc_scan.py", ["--u", "-1"]),
+        ("clt_experiment.py", ["--theta=nan"]),
+        ("clt_experiment.py", ["--theta=0.5,3"]),
+        ("minor_arc_scan.py", ["--theta-steps", "0"]),
+        ("minor_arc_scan.py", ["--theta-steps=-3"]),
     ])
     def test_script_domain_errors_exit_2(self, script, args):
         path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", script)

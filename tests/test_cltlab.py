@@ -31,8 +31,9 @@ class TestKs:
         assert binom_ks(64) < binom_ks(16) < binom_ks(4)
 
     def test_needs_positive_std(self):
-        with pytest.raises(ValueError):
-            cltlab.ks_to_normal({0: Fraction(1)}, 0.0, 0.0)
+        for std in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                cltlab.ks_to_normal({0: Fraction(1)}, 0.0, std)
 
 
 class TestCltReport:
@@ -137,8 +138,9 @@ class TestMgfProfile:
             cltlab.mgf_profile(1, 2, [0.5])
 
     def test_theta_range_guard(self):
-        with pytest.raises(ValueError):
-            cltlab.mgf_profile(10, 2, [3.0])
+        for grid in ([3.0], [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"\[-2, 2\]"):
+                cltlab.mgf_profile(10, 2, grid)
 
 
 class TestTail:
@@ -192,8 +194,9 @@ class TestTail:
         assert report.findings == []
 
     def test_positive_grid_guard(self):
-        with pytest.raises(ValueError):
-            cltlab.tail_check(10, 2, [-1.0])
+        for grid in ([-1.0], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="x grid must be positive"):
+                cltlab.tail_check(10, 2, grid)
 
 
 class TestExponentFit:

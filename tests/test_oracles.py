@@ -43,9 +43,7 @@ class TestKernelAgainstScalarLoops:
             assert _close(slope, -oracle.F_partial(gamma, u, r, 2, 0))
 
     def test_mean_variance_sums(self, r, gamma):
-        for got, want in zip(sd._mean_variance_sums(gamma, r),
-                             oracle.mean_variance_sums(gamma, r)):
-            assert _close(got, want), (got, want)
+        _check_mean_variance(gamma, r)
 
     @pytest.mark.parametrize("k_cap", [None, 9, 300])
     def test_minor_arc_log_ratio(self, r, gamma, k_cap):
@@ -54,6 +52,21 @@ class TestKernelAgainstScalarLoops:
                 want = oracle.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
                 got = sd.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
                 assert _close(got, want), (u, theta, got, want)
+
+
+def _check_mean_variance(gamma, r):
+    """mean_variance_at, read from the partials, against mu and
+    a - b^2/c from the oracle's four hand-written sums."""
+    mu, a, b, c = oracle.mean_variance_sums(gamma, r)
+    got_mu, got_nu2 = sd.mean_variance_at(gamma, r)
+    assert _close(got_mu, mu), (got_mu, mu)
+    assert _close(got_nu2, a - b * b / c), (got_nu2, a - b * b / c)
+
+
+@pytest.mark.parametrize("gamma,r", [(gamma, r) for r in (1, 5) for gamma in GAMMAS
+                                     if (gamma, r) not in CASES])
+def test_mean_variance_at_r1_r5(r, gamma):
+    _check_mean_variance(gamma, r)
 
 
 def test_one_pass_equals_single_requests():
