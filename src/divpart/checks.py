@@ -89,9 +89,8 @@ def double_series_closed_vs_direct(m_limit: int = 2000, n_limit: int = 20000,
                                    tol: float = 1e-3) -> Outcome:
     worst = 0.0
     for s, r in ((3.0, 2), (2.0, 1)):
-        closed = dirichlet.dirichlet_d1(s, r, mode="closed").value
-        direct = dirichlet.dirichlet_d1(s, r, mode="direct",
-                                        m_limit=m_limit, n_limit=n_limit).value
+        closed = dirichlet.dirichlet_d1(s, r).value
+        direct = dirichlet.d1_direct(s, r, m_limit=m_limit, n_limit=n_limit).value
         worst = max(worst, abs(closed - direct))
     return worst < tol, f"max |closed - direct| = {worst:.3e}"
 

@@ -67,7 +67,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 def _cmd_constants(cfg: argparse.Namespace) -> int:
     from . import dirichlet
     c_val = dirichlet.constant_C(cfg.r, cutoff=cfg.prime_cutoff)
-    doc = {"r": cfg.r, "C": c_val.value, "C_tail": c_val.tail_estimate,
+    doc = {"r": cfg.r, "C": c_val.value, "C_tail": c_val.bound,
            "prime_cutoff": cfg.prime_cutoff}
     if cfg.r >= 2:
         gc = dirichlet.growth_constants(cfg.r, cutoff=cfg.prime_cutoff)
@@ -98,15 +98,15 @@ def _cmd_dirichlet_check(cfg: argparse.Namespace) -> int:
     check = (dirichlet.shifted_series_residual(cfg.s, cfg.r, cutoff=cfg.prime_cutoff)
              if series and cfg.r >= 2 else None)
     closed = (check.d1_closed if check else
-              dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="closed", cutoff=cfg.prime_cutoff))
-    direct = dirichlet.dirichlet_d1(cfg.s, cfg.r, mode="direct")
+              dirichlet.dirichlet_d1(cfg.s, cfg.r, cutoff=cfg.prime_cutoff))
+    direct = dirichlet.d1_direct(cfg.s, cfg.r)
     doc = {
         "r": cfg.r,
         "s": cfg.s,
         "d1_closed": closed.value,
         "d1_direct": direct.value,
         "d1_difference": abs(closed.value - direct.value),
-        "d1_direct_truncation": direct.truncation_bound,
+        "d1_direct_truncation": direct.bound,
     }
     if check:
         doc.update({

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partition import ExactDistribution, PartitionTable, build_table, exact_distribution
+from .partition import ExactDistribution, PartitionTable, RowRefused, build_table, exact_distribution
 
 
 def norm_cdf(x: float) -> float:
@@ -74,13 +74,14 @@ def _read_row(
 ) -> tuple[ExactDistribution, float, float]:
     """The exact law of row n, its float mean and its float standard
     deviation; the table is built when none is given.  A row the gate
-    refuses raises ValueError("row n refused for <use>: <note>")."""
+    refuses raises RowRefused("row n refused for <use>: <note>"), as does
+    exact_distribution on a vanishing row total."""
     if table is None:
         table = build_table(r, n)
     dist = exact_distribution(table, n)
     reason = _row_gate(dist, max_negative_mass)
     if reason is not None:
-        raise ValueError(f"row {n} refused for {use}: {reason}")
+        raise RowRefused(f"row {n} refused for {use}: {reason}")
     return dist, float(dist.mean), math.sqrt(float(dist.variance))
 
 
@@ -272,8 +273,9 @@ def tail_check(
 
 @dataclass
 class TailReport:
-    """tail_check wrapped so refusals and violations become structured
-    findings instead of exceptions; the report always exists."""
+    """tail_check wrapped so a refused row (RowRefused) and violated budgets
+    become structured findings instead of exceptions; a bad x grid still
+    raises ValueError."""
 
     n: int
     r: int
@@ -303,7 +305,7 @@ def tail_report(
     findings: list[str] = []
     try:
         records = tail_check(n, r, x_grid, table=table, max_negative_mass=max_negative_mass)
-    except ValueError as exc:
+    except RowRefused as exc:
         return TailReport(n=n, r=r, records=[], findings=[str(exc)], refused=True)
     for rec in records:
         if not rec.ok:

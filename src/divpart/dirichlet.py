@@ -5,20 +5,21 @@ Dirichlet beta function, and the Euler products / double Dirichlet series
 built on Ramanujan sums, together with the derived growth constants, whose
 Gamma values at integers are factorials.
 
-Each Euler product (default cutoff 10^6) sieves, per call, only the
-primes whose factors can differ from 1.0, takes them a chunk at a time,
-and carries a crude but valid truncation bound by integral comparison,
-sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  The directly summed divisor series
-sieve sigma_r window by window.  Nothing is cached, so memory stays
-bounded whatever the length.  Every value is a plain float; complex
-arguments are out of scope.
+Every truncated sum or product returns one SeriesValue: the value and a
+valid bound on what the truncation left out.  Each Euler product (default
+cutoff 10^6) sieves, per call, only the primes whose factors can differ
+from 1.0, takes them a chunk at a time, and bounds its tail by integral
+comparison, sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  dirichlet_d1 is the
+closed form of the double series and d1_direct its truncated sum, the
+oracle.  The directly summed divisor series sieve sigma_r window by
+window.  Nothing is cached, so memory stays bounded whatever the length.
+Every value is a plain float; complex arguments are out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -120,8 +121,8 @@ def polylog_neg(s: float, u: float) -> float:
 
 
 def eta_alternating(s: float) -> float:
-    """-Li_s(-1) under the standard identity, (1 - 2^(1-s)) zeta(s), for
-    s >= 1; eta(1) = log 2, the removable point of the product.
+    """eta(s) = -Li_s(-1) = (1 - 2^(1-s)) zeta(s), for s >= 1; eta(1) =
+    log 2, the removable point of the product.
 
     Below s = 2 the prefactor is -expm1((1 - s) log 2), which keeps full
     relative precision as s comes down to 1 while zeta(s) grows like
@@ -134,15 +135,6 @@ def eta_alternating(s: float) -> float:
     return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s)
 
 
-def eta_shifted_zeta(s: float) -> float:
-    """-Li_s(-1) under the variant display (1 - 2^(-s)) zeta(s+1).
-
-    Kept alongside the standard identity so consumers can report both
-    conventions explicitly instead of silently merging them.
-    """
-    return (1.0 - 2.0 ** (-s)) * zeta_real(s + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Euler products
 # ---------------------------------------------------------------------------
@@ -152,17 +144,11 @@ _EULER_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
-class EulerProductValue:
-    value: float
-    tail_estimate: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class SeriesValue:
+    """A truncated sum or product and a bound on |value - limit|."""
+
     value: float
-    truncation_bound: float
-    converged: bool = True
+    bound: float
 
 
 def _euler_product(
@@ -170,10 +156,10 @@ def _euler_product(
     tail_const: float,
     tail_alpha: float,
     cutoff: int,
-) -> EulerProductValue:
+) -> SeriesValue:
     """prod over p <= cutoff of factor(p), with factor evaluated over float
     arrays of at most _EULER_CHUNK primes at a time; the logs are added by
-    math.fsum.  It has converged when its tail bound is below 1e-8.
+    math.fsum.
 
     Each family bounds |factor(p) - 1| <= tail_const p^-tail_alpha for all
     p >= 2, so past stop = (tail_const 2^56)^(1/tail_alpha) a factor is 1.0
@@ -200,11 +186,10 @@ def _euler_product(
 
     value = math.exp(math.fsum(nonzero_logs()))
     log_tail = tail_const * cutoff ** (1.0 - tail_alpha) / (tail_alpha - 1.0)
-    tail = abs(value) * math.expm1(log_tail)
-    return EulerProductValue(value, tail, tail < 1e-8)
+    return SeriesValue(value, abs(value) * math.expm1(log_tail))
 
 
-def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
+def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue:
     """prod over p of (1 + 1/(p^(r+1)(p-1)))  (totient-summatory family;
     r = 1 gives 1.339784..., and zeta(2) times it the Landau constant).
     Tail bound: p - 1 >= p/2, so 0 < f(p) - 1 <= 2 p^-(r+2)."""
@@ -216,7 +201,7 @@ def constant_C(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
     )
 
 
-def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProductValue:
+def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue:
     """prod over p of (1 + [1/(p^(r+1)(p-1))] (1-p^-s)/(1-p^-(s+r+1))).
 
     Tends to constant_C(r) as s -> +inf and equals 1 at s = 0.
@@ -236,7 +221,7 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerProduc
     return _euler_product(factor, tail_const=const, tail_alpha=alpha, cutoff=cutoff)
 
 
-def _E_r(sigma: float, r: int, cutoff: int) -> EulerProductValue:
+def _E_r(sigma: float, r: int, cutoff: int) -> SeriesValue:
     """The bound-side Euler product E_r(sigma) from its defining form
         1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1))).
     Tail bound: sigma > -2r/3 gives D = 1 - 2^-(sigma+r+1) > 1/2, and
@@ -261,7 +246,7 @@ def _E_r(sigma: float, r: int, cutoff: int) -> EulerProductValue:
 
 def E_r_and_Cprime(
     sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF
-) -> tuple[EulerProductValue, EulerProductValue]:
+) -> tuple[SeriesValue, SeriesValue]:
     """E_r(sigma) (see _E_r) together with C'(r) = prod (1 + (1-p^-r)/p^(r+1)),
     whose tail bound is 0 <= f(p) - 1 < p^-(r+1), as 1 - p^-r < 1."""
     e_val = _E_r(sigma, r, cutoff)
@@ -276,45 +261,28 @@ def E_r_and_Cprime(
 # The double Dirichlet series and its bound
 # ---------------------------------------------------------------------------
 
-def dirichlet_d1(
-    s: float,
-    r: int,
-    mode: str = "closed",
-    m_limit: int = 2000,
-    n_limit: int = 20000,
-    cutoff: int = DEFAULT_PRIME_CUTOFF,
-) -> SeriesValue:
+def dirichlet_d1(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue:
     """The Mobius-weighted double series over Ramanujan sums,
-    sum_m mu(m)/(phi(m) m^(r+1)) sum_n c_m(n)/n^s.
-
-    closed: zeta(s) K_r(s) / zeta(s+r+1); direct: the truncated double sum
-    over m <= m_limit, n <= n_limit (the closed form's independent oracle).
-    Kluyver's identity c_m(n) = sum_{d | (m, n)} d mu(m/d) turns each
-    inner sum into sum_{d | m} mu(m/d) d^(1-s) Z(n_limit // d), Z the
-    prefix sums of t^-s, so the budget is feasible; it has converged when
-    its truncation bound is below 1e-3.
-    """
-    if mode == "closed":
-        if s <= 1.0:
-            raise ValueError("closed form needs s > 1")
-        k_val = euler_K(s, r, cutoff=cutoff)
-        scale = zeta_real(s) / zeta_real(s + r + 1.0)
-        return SeriesValue(
-            value=scale * k_val.value,
-            truncation_bound=abs(scale) * k_val.tail_estimate,
-            converged=k_val.converged,
-        )
-    if mode != "direct":
-        raise ValueError("mode must be 'closed' or 'direct'")
-    if s <= 1.0:
-        raise ValueError("direct form needs s > 1")
-    return _d1_direct(s, r, m_limit, n_limit)
+    D1(s, r) = sum_m mu(m)/(phi(m) m^(r+1)) sum_n c_m(n)/n^s, in closed
+    form: zeta(s) K_r(s) / zeta(s+r+1), bounded by K_r's tail."""
+    if not s > 1.0:  # false for NaN too
+        raise ValueError("dirichlet_d1 requires s > 1")
+    k_val = euler_K(s, r, cutoff=cutoff)
+    scale = zeta_real(s) / zeta_real(s + r + 1.0)
+    return SeriesValue(scale * k_val.value, abs(scale) * k_val.bound)
 
 
-def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
+def d1_direct(s: float, r: int, m_limit: int = 2000, n_limit: int = 20000) -> SeriesValue:
+    """D1(s, r) as the truncated double sum over m <= m_limit, n <= n_limit,
+    the independent oracle of dirichlet_d1.  Kluyver's identity c_m(n) =
+    sum_{d | (m, n)} d mu(m/d) turns each inner sum into
+    sum_{d | m} mu(m/d) d^(1-s) Z(n_limit // d), Z the prefix sums of t^-s,
+    so the budget is feasible.  Its outer tail bound divides by r."""
+    if not (s > 1.0 and r >= 1 and m_limit >= 1 and n_limit >= 1):  # false for NaN too
+        raise ValueError("d1_direct requires s > 1, r >= 1, m_limit >= 1 and n_limit >= 1")
     if m_limit > 500_000:
         # the phi(m) >= m/6 step in the tail bound stops holding past here
-        raise ValueError("direct mode is documented for m_limit <= 500000")
+        raise ValueError("d1_direct is documented for m_limit <= 500000")
     mu, phi = mu_phi_tables(m_limit)
     zpre = [0.0] * (n_limit + 1)
     acc = 0.0
@@ -345,12 +313,7 @@ def _d1_direct(s: float, r: int, m_limit: int, n_limit: int) -> SeriesValue:
     # below that is 510510 with phi/m ~ 0.171); document, don't push past it
     zs = zeta_real(s)
     outer_tail = zs * 6.0 * ((1.0 + math.log(m_limit)) / r + 1.0 / r**2) * m_limit ** float(-r)
-    bound = inner_tail + outer_tail
-    return SeriesValue(
-        value=total,
-        truncation_bound=bound,
-        converged=bound < 1e-3,
-    )
+    return SeriesValue(total, inner_tail + outer_tail)
 
 
 def d1_direct_naive(s: float, r: int, m_limit: int, n_limit: int) -> float:
@@ -427,11 +390,11 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
     the factor of an odd prime is 1 + (1 + chi(p) p^-s) / (p^(r+1) d)
     (1 - b), where b = N / (d - N) and N is the geometric series
     sum_{k>=2} chi^k (p^-(k(s+r)+1) - p^-(k(s+r+1))) =
-    x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1.  The value has
-    converged when its tail bound is below 1e-6.  Tail bound: for p >= 3,
-    s > 1 and r >= 2, |x| < 1/27 and |y| < 1/81, so d > 77/81, |N| < 1/1500,
-    |1 - b| < 1.001 and |1 + chi(p) p^-s| < 4/3; so |f(p) - 1| < 1.41
-    p^-(r+1), within the 4 p^-(r+1) passed (and 0 at p = 2)."""
+    x^2/((1-x) p) - y^2/(1-y).  The factor at p = 2 is 1.  Tail bound: for
+    p >= 3, s > 1 and r >= 2, |x| < 1/27 and |y| < 1/81, so d > 77/81,
+    |N| < 1/1500, |1 - b| < 1.001 and |1 + chi(p) p^-s| < 4/3; so
+    |f(p) - 1| < 1.41 p^-(r+1), within the 4 p^-(r+1) passed (and 0 at
+    p = 2)."""
     if s <= 1.0 or r <= 1:
         raise ValueError("d2_quartic_character requires s > 1 and r > 1")
 
@@ -446,12 +409,7 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
 
     prod = _euler_product(factor, tail_const=4.0, tail_alpha=r + 1.0, cutoff=cutoff)
     scale = beta_dirichlet(s) * beta_dirichlet(s + r + 1.0) / beta_dirichlet(s + r)
-    tail = abs(scale) * prod.tail_estimate
-    return SeriesValue(
-        value=scale * prod.value,
-        truncation_bound=tail,
-        converged=tail < 1e-6,
-    )
+    return SeriesValue(scale * prod.value, abs(scale) * prod.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +492,12 @@ def shifted_series_residual(
     trunc = zeta_real(float(r)) * 2.0**r * _SERIES_TERMS ** (r + 1.0 - s) / (s - r - 1.0)
 
     zr1 = zeta_real(r + 1.0)
-    closed = [dirichlet_d1(s - i, r, mode="closed", cutoff=cutoff) for i in range(r + 1)]
+    closed = [dirichlet_d1(s - i, r, cutoff=cutoff) for i in range(r + 1)]
     d1_part = 0.0
     closed_tails = 0.0
     for i, sv in enumerate(closed):
         d1_part += math.comb(r, i) * sv.value
-        closed_tails += math.comb(r, i) * sv.truncation_bound
+        closed_tails += math.comb(r, i) * sv.bound
     d1_part *= zr1
     budget = zr1 * math.fsum(
         math.comb(r, i) * d2_bound(s - i, r, cutoff=cutoff) for i in range(r + 1)
@@ -575,7 +533,8 @@ def dsigma_residual(s: float, r: int) -> float:
 class GrowthConstants:
     """The aggregate constant driving the leading derivative bounds, the
     Euler products it is built from (K_r(1), E_r(1) and C'(r)), and the
-    mean/variance prefactors under both -Li_s(-1) conventions."""
+    mean/variance prefactors under both conventions.  Each call builds its
+    own dicts."""
 
     r: int
     K1: float
@@ -586,18 +545,19 @@ class GrowthConstants:
     C_sigma: dict[str, float]
 
 
-@lru_cache(maxsize=16)
 def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConstants:
     """N(r) = |zeta(r+1) K_r(1)/zeta(r+2)
                + zeta(r+1)^2 zeta(r+2) zeta(r) E_r(1) / zeta(2(r+1))
                - zeta(r+1)|, plus C_mu(r), C_sigma(r) in both conventions.
 
-    With eta_r = -Li_r(-1), C_mu = N eta_{r+1} Gamma(r+1) and
+    With eta_r = -Li_r(-1) = eta(r), C_mu = N eta_{r+1} Gamma(r+1) and
         C_sigma = N (eta_r Gamma(r+1) - eta_r^2 Gamma(r+2)^2 / (eta_{r+1} Gamma(r+3)))
                 = N eta_r r! (eta_{r+1} + (r+1)(eta_{r+1} - eta_r)) / (eta_{r+1} (r+2)).
     The second form needs no factorial beyond r!, a float up to r = 170,
     and does not cancel.  In the first, two terms near r! leave a
-    difference near r!/(r+2), which costs about r ulps at large r."""
+    difference near r!/(r+2), which costs about r ulps at large r.  The
+    shifted-zeta convention takes eta_{r+1}, eta_{r+2} in place of eta_r,
+    eta_{r+1} in the same formulas: eta(r+1) = (1 - 2^-r) zeta(r+1)."""
     if r < 2:
         raise ValueError("growth_constants requires r >= 2")
     if r > 170:
@@ -609,15 +569,14 @@ def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConsta
     e1, cprime = (v.value for v in E_r_and_Cprime(1.0, r, cutoff=cutoff))
     n_val = abs(zr1 * k1 / zr2 + zr1**2 * zr2 * zr * e1 / zeta_real(2.0 * (r + 1)) - zr1)
 
-    def prefactors(minus_li: Callable[[float], float]) -> tuple[float, float]:
-        eta_r = minus_li(float(r))        # -Li_r(-1)
-        eta_r1 = minus_li(r + 1.0)        # -Li_{r+1}(-1)
+    def prefactors(eta_r: float, eta_r1: float) -> tuple[float, float]:
         fact = math.factorial(r)
         c_sig = n_val * eta_r * fact * (eta_r1 + (r + 1) * (eta_r1 - eta_r)) / (eta_r1 * (r + 2))
         return n_val * eta_r1 * fact, c_sig
 
-    mu_std, sig_std = prefactors(eta_alternating)
-    mu_alt, sig_alt = prefactors(eta_shifted_zeta)
+    eta = [eta_alternating(r + i) for i in (0.0, 1.0, 2.0)]
+    mu_std, sig_std = prefactors(eta[0], eta[1])
+    mu_alt, sig_alt = prefactors(eta[1], eta[2])
     return GrowthConstants(
         r=r, K1=k1, E1=e1, Cprime=cprime, N=n_val,
         C_mu={"standard": mu_std, "shifted-zeta": mu_alt},

@@ -204,12 +204,6 @@ def _log_derivative_series(gaps: tuple[int, ...], n_max: int, majorant: bool = F
     return c
 
 
-def _univariate_totals(gaps: tuple[int, ...], n_max: int) -> list[int]:
-    """z^n coefficients q_n of the u = 1 specialization (cross-check for
-    row_totals, independent of the packed builder)."""
-    return _log_derivative_series(gaps, n_max)
-
-
 def build_table(
     r: int,
     n_max: int,
@@ -243,7 +237,7 @@ def build_table(
     The arithmetic is exact integer linear algebra, so only the final
     digits must fit the width of _digit_bits (its exact majorant also bounds
     every partial product that _flip reads); every row sum must equal the
-    u = 1 coefficient from _univariate_totals, an independent recurrence.
+    u = 1 coefficient from _log_derivative_series, an independent recurrence.
     """
     if r < 1 or n_max < 0:
         raise ValueError("build_table requires r >= 1 and n_max >= 0")
@@ -298,7 +292,7 @@ def build_table(
         rows = [_flip(row, bits, n // prev) for n, row in enumerate(rows)]
 
     coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]
-    row_totals = _univariate_totals(gaps, n_max)
+    row_totals = _log_derivative_series(gaps, n_max)
     if [sum(row) for row in coeff] != row_totals:
         raise RuntimeError(
             "packed rows disagree with the univariate specialization; "
@@ -439,6 +433,11 @@ def tables_equal(a: PartitionTable, b: PartitionTable) -> bool:
 # Exact distribution of the part count
 # ---------------------------------------------------------------------------
 
+class RowRefused(ValueError):
+    """A row that cannot be read as a probability law (a vanishing row
+    total here; cltlab's gate raises it for the rows it refuses)."""
+
+
 @dataclass
 class ExactDistribution:
     """Exact rational law of the part count on weight-n rows.
@@ -466,7 +465,7 @@ def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
         raise ValueError(f"n = {n} beyond table range {table.n_max}")
     total = table.row_totals[n]
     if total == 0:
-        raise ValueError(f"degenerate row: row total vanishes at n = {n}")
+        raise RowRefused(f"degenerate row: row total vanishes at n = {n}")
     stored = sum(table.coeff[n])
     if stored != total:
         raise ValueError(

@@ -2,9 +2,9 @@
 
 An unpacked big-integer knapsack: it multiplies the truncated series by
 (1 + z^j)^gap(j) one factor at a time, expanding each factor by generalized
-binomials.  It shares no step with the log-derivative recurrence of
-partition._univariate_totals, so the two agreeing is an independent check
-of the row sums.  With absolute=True it takes |c| for every binomial, so it
+binomials.  It shares no step with the log-derivative recurrence
+partition._log_derivative_series, which build_table takes its u = 1 row
+totals from, so the two agreeing is an independent check of the row sums.  With absolute=True it takes |c| for every binomial, so it
 gives the coefficients of the majorant prod_j (1 + z^j)^gap or (1 - z^j)^gap
 (gap < 0) that bounds the digit width.
 """

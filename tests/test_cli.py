@@ -81,7 +81,6 @@ class TestConstants:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(dirichlet, name, counted)
-        dirichlet.growth_constants.cache_clear()
         code, out, err = run_cli(["constants", "--r", r, "--prime-cutoff", "1000"], capsys)
         assert code == 0, err
         assert calls == expected

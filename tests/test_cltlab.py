@@ -198,6 +198,19 @@ class TestTail:
             with pytest.raises(ValueError, match="x grid must be positive"):
                 cltlab.tail_check(10, 2, grid)
 
+    @pytest.mark.parametrize("grid", [[1.0, math.nan], [-1.0]])
+    def test_report_raises_on_bad_grid(self, grid):
+        # a configuration error, not a refused row
+        with pytest.raises(ValueError, match="x grid must be positive") as info:
+            cltlab.tail_report(10, 2, grid)
+        assert not isinstance(info.value, cltlab.RowRefused)
+
+    def test_report_refuses_degenerate_row(self):
+        table = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [1, -1]], row_totals=[1, 0])
+        report = cltlab.tail_report(1, 2, [1.0], table=table)
+        assert report.refused and report.records == []
+        assert report.findings == ["degenerate row: row total vanishes at n = 1"]
+
 
 class TestExponentFit:
     def test_needs_four_points(self):

@@ -159,7 +159,7 @@ class TestTotientSummatoryConstant:
     def test_r1_value(self):
         c = dl.constant_C(1)
         assert abs(c.value - 1.339784) < 1e-5
-        assert c.converged
+        assert c.bound < 1e-8
 
     def test_landau_constant(self):
         c = dl.constant_C(1)
@@ -195,12 +195,12 @@ class TestEulerK:
 
 class TestEulerProductContracts:
     def test_tail_monotone_in_cutoff(self):
-        tails = [dl.constant_C(2, cutoff=c).tail_estimate for c in (10**4, 10**5, 10**6)]
+        tails = [dl.constant_C(2, cutoff=c).bound for c in (10**4, 10**5, 10**6)]
         assert tails[0] > tails[1] > tails[2] >= 0.0
 
     def test_converged_self_consistency(self):
         val = dl.constant_C(2, cutoff=10**5)
-        assert val.converged
+        assert val.bound < 1e-8
         doubled = dl.constant_C(2, cutoff=2 * 10**5)
         assert abs(val.value - doubled.value) <= 2e-8
 
@@ -316,12 +316,12 @@ class TestPrimeCache:
 class TestDoubleSeries:
     def test_closed_vs_direct_moderate(self):
         for s, r in ((3.0, 2), (2.0, 1), (4.0, 3)):
-            closed = dl.dirichlet_d1(s, r, mode="closed").value
-            direct = dl.dirichlet_d1(s, r, mode="direct", m_limit=500, n_limit=5000).value
+            closed = dl.dirichlet_d1(s, r).value
+            direct = dl.d1_direct(s, r, m_limit=500, n_limit=5000).value
             assert abs(closed - direct) < 1e-3
 
     def test_first_term_is_zeta(self):
-        sv = dl.dirichlet_d1(3.0, 2, mode="direct", m_limit=1, n_limit=20000)
+        sv = dl.d1_direct(3.0, 2, m_limit=1, n_limit=20000)
         head = math.fsum(n**-3.0 for n in range(1, 20001))
         assert abs(sv.value - head) < 1e-14
 
@@ -333,26 +333,35 @@ class TestDoubleSeries:
         # from the divisor-lookup loop the sieve replaced.  They match to the
         # last bit on glibc, but t ** -s goes through the platform's pow,
         # which need not round correctly, so allow a few ulps.
-        assert abs(dl.dirichlet_d1(s, r, mode="direct").value - want) < 1e-15 * want
+        assert abs(dl.d1_direct(s, r).value - want) < 1e-15 * want
 
     def test_grouped_matches_naive_loop(self):
         # Kluyver's divisor form against von Sterneck's closed form
         for r in (1, 2, 3, 5):
             for s in (1.01, 1.5, 2.0, 3.0, 4.5, 6.0):
-                fast = dl.dirichlet_d1(s, r, mode="direct", m_limit=60, n_limit=500).value
+                fast = dl.d1_direct(s, r, m_limit=60, n_limit=500).value
                 slow = dl.d1_direct_naive(s, r, 60, 500)
                 assert abs(fast - slow) < 1e-12, (s, r)
 
     def test_direct_reports_unconverged_rather_than_failing(self):
-        sv = dl.dirichlet_d1(2.0, 1, mode="direct", m_limit=50, n_limit=200)
-        assert not sv.converged
-        assert sv.truncation_bound > 1e-9
+        sv = dl.d1_direct(2.0, 1, m_limit=50, n_limit=200)
+        assert sv.bound > 1e-3
 
-    def test_mode_and_domain(self):
-        with pytest.raises(ValueError):
-            dl.dirichlet_d1(3.0, 2, mode="bogus")
-        with pytest.raises(ValueError):
-            dl.dirichlet_d1(0.5, 2, mode="closed")
+    @pytest.mark.parametrize("s", [1.0, 0.5, math.nan])
+    def test_closed_domain(self, s):
+        with pytest.raises(ValueError, match="dirichlet_d1 requires s > 1"):
+            dl.dirichlet_d1(s, 2)
+
+    @pytest.mark.parametrize("s,r,limits", [(1.0, 2, {}), (0.5, 2, {}), (math.nan, 2, {}),
+                                            (3.0, 0, {}), (3.0, -1, {}),
+                                            (3.0, 2, {"m_limit": 0}), (3.0, 2, {"n_limit": 0})])
+    def test_direct_domain(self, s, r, limits):
+        with pytest.raises(ValueError, match="d1_direct requires s > 1, r >= 1"):
+            dl.d1_direct(s, r, **limits)
+
+    def test_direct_m_limit_guard(self):
+        with pytest.raises(ValueError, match="m_limit <= 500000"):
+            dl.d1_direct(3.0, 2, m_limit=500_001)
 
 
 class TestBoundSideProducts:
@@ -400,7 +409,7 @@ class TestQuarticCharacterSeries:
         a = dl.d2_quartic_character(3.0, 2, cutoff=5 * 10**5)
         b = dl.d2_quartic_character(3.0, 2, cutoff=10**6)
         assert abs(a.value - b.value) < 1e-6
-        assert a.converged
+        assert a.bound < 1e-6
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -479,7 +488,7 @@ class TestBlockedDivisorSeries:
     @pytest.mark.parametrize("s,r", [(5.0, 2), (6.5, 3)])
     def test_check_carries_its_closed_d1_and_dsigma(self, s, r):
         chk = dl.shifted_series_residual(s, r)
-        assert chk.d1_closed == dl.dirichlet_d1(s, r, mode="closed")
+        assert chk.d1_closed == dl.dirichlet_d1(s, r)
         assert chk.dsigma_residual == dl.dsigma_residual(s, r)
 
 
@@ -505,13 +514,20 @@ class TestGrowthConstants:
         # C_mu = N eta_{r+1} r! and C_sigma = N (eta_r r! - eta_r^2 (r+1)!^2 / (eta_{r+1} (r+2)!)),
         # the latter in exact rationals at the same float eta values
         gc = dl.growth_constants(r)
-        for conv, minus_li in (("standard", dl.eta_alternating),
-                               ("shifted-zeta", dl.eta_shifted_zeta)):
-            e0, e1 = Fraction(minus_li(float(r))), Fraction(minus_li(r + 1.0))
+        for conv, shift in (("standard", 0.0), ("shifted-zeta", 1.0)):
+            e0 = Fraction(dl.eta_alternating(r + shift))
+            e1 = Fraction(dl.eta_alternating(r + shift + 1.0))
             assert gc.C_mu[conv] == gc.N * float(e1) * float(math.factorial(r))
             want = Fraction(gc.N) * (e0 * math.factorial(r) - e0**2 * math.factorial(r + 1) ** 2
                                      / (e1 * math.factorial(r + 2)))
             assert abs(Fraction(gc.C_sigma[conv]) / want - 1) < 1e-15
+
+    def test_each_call_owns_its_dicts(self):
+        first = dl.growth_constants(2, cutoff=1000)
+        first.C_mu["standard"] = 0.0
+        first.C_sigma["shifted-zeta"] = 0.0
+        again = dl.growth_constants(2, cutoff=1000)
+        assert again.C_mu["standard"] > 0.0 and again.C_sigma["shifted-zeta"] > 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ def test_quartic_character_product(s, r, cutoff):
     value, bound = oracle.d2_quartic_character(s, r, cutoff)
     got = dl.d2_quartic_character(s, r, cutoff=cutoff)
     assert abs(got.value - value) <= 1e-14 * abs(value)
-    assert abs(got.truncation_bound - bound) <= 1e-14 * bound
+    assert abs(got.bound - bound) <= 1e-14 * bound
 
 
 def _sieve_agrees(limit):

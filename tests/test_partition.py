@@ -95,19 +95,19 @@ def test_univariate_totals_match_naive_oracle_row_sums(r):
     for n_max in range(13):
         naive = oracle_table(r, n_max).naive
         gaps = GapSequence.build(r, max(n_max, 1)).gaps
-        assert partition._univariate_totals(gaps, n_max) == [sum(row) for row in naive.coeff]
+        assert partition._log_derivative_series(gaps, n_max) == [sum(row) for row in naive.coeff]
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_univariate_totals_match_product_form_knapsack(r):
     gaps = GapSequence.build(r, 300).gaps
-    assert partition._univariate_totals(gaps, 300) == knapsack_totals(gaps, 300)
+    assert partition._log_derivative_series(gaps, 300) == knapsack_totals(gaps, 300)
 
 
 def test_univariate_totals_check_every_division():
     # (1 + z)^(1/2) has the non-integral coefficient 1/2 at z^1
     with pytest.raises(RuntimeError, match="inexact division at n = 1"):
-        partition._univariate_totals((Fraction(1, 2),), 1)
+        partition._log_derivative_series((Fraction(1, 2),), 1)
 
 
 def test_doubling_cost_guard():
