@@ -1,11 +1,12 @@
 """Exact multiplicative arithmetic: divisor power sums and their gaps,
-Möbius/totient, Ramanujan sums, Dirichlet characters and Gauss-type
-character sums.
+Möbius/totient, Ramanujan sums, Dirichlet characters and their Gauss
+sums.
 
 Everything here is exact integer arithmetic except for character values,
 which are tabulated complex roots of unity (tolerance 1e-9 on all
-character identities).  Caches are built once and read-only afterwards,
-so concurrent readers are safe.  sigma_r has two exact sources: the exact
+character identities).  The two caches, characters_mod and
+_mu_power_prefix, are built once and read-only afterwards, so concurrent
+readers are safe.  sigma_r has two exact sources: the exact
 layers (GapSequence, hence the partition tables) read the pure-Python
 divisor-add sieve sigma_r_table, and the numpy layers read windows
 lo..limit of one pair sieve (divisor_sum_sieve): exact ones (sigma_window)
@@ -18,7 +19,6 @@ numpy is imported inside the functions that use it, so the exact layers
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,15 +109,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def multiplicative_basics(n: int) -> tuple[int, int, int]:
-    """(mu(n), phi(n), omega(n)) from the factorization of n."""
+def multiplicative_basics(n: int) -> tuple[int, int]:
+    """(mu(n), phi(n)) from the factorization of n."""
     fac = factorize(n)
-    omega = len(fac)
-    mu = 0 if any(e > 1 for _, e in fac) else (-1) ** omega
+    mu = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
     phi = 1
     for p, e in fac:
         phi *= p ** (e - 1) * (p - 1)
-    return mu, phi, omega
+    return mu, phi
 
 
 def mobius(n: int) -> int:
@@ -136,9 +135,9 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=8)
 def mu_phi_tables(limit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """mu[0..limit] and phi[0..limit] by a linear sieve (bulk workloads)."""
+    """mu[0..limit] and phi[0..limit] by a linear sieve (bulk workloads);
+    each call sieves afresh, so its tables are freed with the caller's."""
     mu = [0] * (limit + 1)
     phi = [0] * (limit + 1)
     smallest = [0] * (limit + 1)
@@ -336,13 +335,9 @@ def ramanujan_weighted_partial(n: int, m_limit: int, r: int) -> float:
 # Dirichlet characters
 # ---------------------------------------------------------------------------
 
-def _unit_root(num: int, den: int) -> complex:
-    """e(num/den) with the angle reduced before evaluation."""
-    return cmath.exp(TWO_PI * 1j * ((num % den) / den))
-
-
 def _unit_roots(phase: np.ndarray, den: int) -> np.ndarray:
-    """e(phase/den) entrywise for an integer array of reduced phases."""
+    """e(phase/den) entrywise for an integer array of reduced phases: the
+    one evaluation of e(x) = exp(2 pi i x) in the package."""
     import numpy as np
 
     return np.exp(TWO_PI * 1j * (phase / den))
@@ -463,24 +458,20 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
     )
 
 
-def character_sums(chi: DirichletCharacter, n: int) -> tuple[complex, complex, complex]:
-    """(c_chi(n), c'_chi(n), tau(chi)).
+def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
+    """c_chi(n) = sum of chi(b) e(bn/m) over the units b mod m; tau(chi) =
+    c_chi(1).
 
-    c_chi sums chi(b) e(bn/m) over all residues, c'_chi restricts to
-    gcd(b, m) = 1, and tau(chi) = c_chi(1).  A character vanishes off the
-    units, so the restriction drops only zero terms: c'_chi = c_chi, term
-    for term, and one sum serves both.
+    A character vanishes off the units, so the sum over all residues and
+    the one restricted to gcd(b, m) = 1 (c'_chi) drop only zero terms:
+    c'_chi = c_chi, term for term.  n is reduced mod m in exact integers
+    first, so no size of n can overflow the phases.
     """
+    import numpy as np
+
     m = chi.modulus
-    c = complex(0.0)
-    tau = complex(0.0)
-    for b in range(m):
-        v = chi.values[b]
-        if v == 0:
-            continue
-        c += v * _unit_root(b * n, m)
-        tau += v * _unit_root(b, m)
-    return c, c, tau
+    units = _units(m)
+    return complex(np.array(chi.values)[units] @ _unit_roots(units * (n % m) % m, m))
 
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
@@ -509,7 +500,7 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
     return worst
 
 
-def induce_primitive(chi: DirichletCharacter) -> tuple[DirichletCharacter, bool]:
+def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character chi* mod m* inducing non-principal chi.
 
     The scale check verifies c'_chi((m/m*) t) = (phi(m)/phi(m*)) c'_{chi*}(t)
@@ -524,7 +515,7 @@ def induce_primitive(chi: DirichletCharacter) -> tuple[DirichletCharacter, bool]
     m = chi.modulus
     mstar = chi.conductor
     if mstar == m:
-        return chi, True
+        return chi
 
     values = [complex(0.0)] * mstar
     for a in range(mstar):
@@ -544,11 +535,11 @@ def induce_primitive(chi: DirichletCharacter) -> tuple[DirichletCharacter, bool]
     ratio = euler_phi(m) / euler_phi(mstar)
     stretch = m // mstar
     for t in range(1, min(2 * mstar, 24) + 1):
-        lhs = character_sums(chi, stretch * t)[1]
-        rhs = ratio * character_sums(star, t)[1]
+        lhs = gauss_sum(chi, stretch * t)
+        rhs = ratio * gauss_sum(star, t)
         if abs(lhs - rhs) > CHARACTER_TOL:
             raise RuntimeError(
                 f"primitive induction scale identity failed at m={m}, t={t}: "
                 f"|{lhs} - {rhs}| = {abs(lhs - rhs):.3e}"
             )
-    return star, True
+    return star

@@ -159,8 +159,8 @@ def clt_report(
     log-log exponent fits of the gap-weighted saddle mean/variance."""
     from . import saddle
 
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    if not (n_list and n_list[0] >= 1 and all(a < b for a, b in zip(n_list, n_list[1:]))):
+        raise ValueError("n_list must be non-empty, strictly increasing and positive")
     if table is None:
         table = build_table(r, max(n_list))
     rows: list[CltRow] = []

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import arith
-from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, character_sums, mu_phi_tables
+from .arith import DEFAULT_PRIME_CUTOFF, characters_mod, gauss_sum, mu_phi_tables
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ _EM_COEFF = (
 
 def zeta_real(s: float) -> float:
     """zeta(s) for real s > 1 by Euler-Maclaurin, relative error < 1e-12."""
-    if s <= 1.0:
+    if not s > 1.0:  # false for NaN too
         raise ValueError("zeta_real requires s > 1")
     n0 = 24
     head = math.fsum(n ** -s for n in range(1, n0))
@@ -87,7 +87,7 @@ def _alternating_sum(term: Callable[[int], float]) -> float:
 
 def beta_dirichlet(s: float) -> float:
     """Dirichlet beta(s) = sum (-1)^k / (2k+1)^s, accelerated."""
-    if s <= 0.0:
+    if not s > 0.0:  # false for NaN too
         raise ValueError("beta_dirichlet requires s > 0")
     return _alternating_sum(lambda k: (2 * k + 1) ** -s)
 
@@ -128,6 +128,8 @@ def eta_alternating(s: float) -> float:
     relative precision as s comes down to 1 while zeta(s) grows like
     1/(s - 1).  From s = 2 on it is 1 - 2^(1-s), exact at the integers.
     """
+    if not s >= 1.0:  # false for NaN too
+        raise ValueError("eta_alternating requires s >= 1")
     if s == 1.0:
         return math.log(2.0)
     if s < 2.0:
@@ -168,7 +170,7 @@ def _euler_product(
     sieved, and only their nonzero logs go to the exactly rounded fsum, so
     the value is the product over every p <= cutoff bit for bit, whatever
     the chunk size."""
-    if tail_alpha <= 1.0:
+    if not tail_alpha > 1.0:  # false for NaN too
         raise ValueError("divergent parameter region (tail exponent <= 1)")
     stop = min(cutoff, math.ceil((tail_const * 2.0**56) ** (1.0 / tail_alpha)))
     primes = arith.prime_sieve(stop).astype(np.float64)
@@ -209,7 +211,7 @@ def euler_K(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue
     and |1 - p^-s| <= p^max(0,-s) (for s >= 0 and s < 0 alike), so
     |f(p) - 1| <= (2/D) p^-(r+2-max(0,-s)), within the 4/D passed.
     """
-    if s + r + 1 <= 1:
+    if not s + r + 1 > 1:  # false for NaN too
         raise ValueError("euler_K requires s + r + 1 > 1")
 
     def factor(p: np.ndarray) -> np.ndarray:
@@ -226,7 +228,7 @@ def _E_r(sigma: float, r: int, cutoff: int) -> SeriesValue:
         1 + [(1-p^-r)/p^(r+1)] / (2 p^(3 sigma + 2r + 1) (1 - 2^-(sigma+r+1))).
     Tail bound: sigma > -2r/3 gives D = 1 - 2^-(sigma+r+1) > 1/2, and
     1 - p^-r < 1, so 0 <= f(p) - 1 < p^-(3 sigma + 3r + 2) / D."""
-    if sigma <= -2.0 * r / 3.0:
+    if not sigma > -2.0 * r / 3.0:  # false for NaN too
         raise ValueError("E_r requires sigma > -2r/3")
     denom_const = 1.0 - 2.0 ** (-(sigma + r + 1.0))
 
@@ -336,7 +338,7 @@ def d2_bound(sigma: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
     """Upper bound for the character-twisted companion series:
     zeta(sigma) zeta(sigma+r) zeta(sigma+r+1) / zeta(2(sigma+r))
     * zeta(r) * E_r(sigma), valid for sigma > 1, r > 1."""
-    if sigma <= 1.0:
+    if not sigma > 1.0:  # false for NaN too
         raise ValueError("d2_bound requires sigma > 1")
     if r <= 1:
         raise ValueError("d2_bound requires r > 1")
@@ -353,31 +355,19 @@ def d2_direct_probe(s: float, r: int) -> complex:
     sum_{m <= 60} 1/(phi(m) m^(r+1)) sum_{chi != chi0} tau(chi)
     sum_{n <= 4000} c'_{conj chi}(n)/n^s
     (one-sided consistency probe against d2_bound)."""
-    n_arr = np.arange(1, 4001, dtype=np.float64)
-    ns = n_arr ** (-s)
+    n_arr = np.arange(1, 4001)
+    ns = n_arr.astype(np.float64) ** (-s)
     total = complex(0.0)
     for m in range(1, 61):
-        chars = characters_mod(m)
-        if len(chars) < 2:
-            continue
-        phi_m = arith.euler_phi(m)
-        # W[b] = sum_n e(bn/m)/n^s
-        w_res = [
-            complex(np.sum(np.exp(2j * math.pi * ((b * n_arr) % m) / m) * ns))
-            for b in range(m)
-        ]
+        units = arith._units(m)
+        # W[b] = sum_n e(bn/m)/n^s over the units b
+        w_units = arith._unit_roots(units[:, None] * (n_arr % m) % m, m) @ ns
         inner = complex(0.0)
-        for chi in chars:
-            if chi.is_principal:
-                continue
-            tau = character_sums(chi, 1)[2]
-            series = sum(
-                chi.values[b].conjugate() * w_res[b]
-                for b in range(m)
-                if chi.values[b] != 0
-            )
-            inner += tau * series
-        total += inner / (phi_m * m ** (r + 1))
+        for chi in characters_mod(m):
+            if not chi.is_principal:
+                series = complex(np.array(chi.values)[units].conj() @ w_units)
+                inner += gauss_sum(chi, 1) * series
+        total += inner / (arith.euler_phi(m) * m ** (r + 1))
     return total
 
 
@@ -395,7 +385,7 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
     |N| < 1/1500, |1 - b| < 1.001 and |1 + chi(p) p^-s| < 4/3; so
     |f(p) - 1| < 1.41 p^-(r+1), within the 4 p^-(r+1) passed (and 0 at
     p = 2)."""
-    if s <= 1.0 or r <= 1:
+    if not (s > 1.0 and r > 1):  # false for NaN too
         raise ValueError("d2_quartic_character requires s > 1 and r > 1")
 
     def factor(p: np.ndarray) -> np.ndarray:
@@ -485,7 +475,7 @@ def shifted_series_residual(
     both of which diverge at r = 1."""
     if r < 2:
         raise ValueError("shifted_series_residual requires r >= 2")
-    if s - r <= 1.0:
+    if not s - r > 1.0:  # false for NaN too
         raise ValueError("need s - r > 1 so every shifted argument stays in range")
     unshifted, direct = _divisor_series(r, s, _SERIES_TERMS)
     # sigma_r(n+1) <= zeta(r) (n+1)^r <= zeta(r) 2^r n^r
@@ -520,7 +510,7 @@ def _dsigma_gap(direct: float, s: float, r: int) -> float:
 
 def dsigma_residual(s: float, r: int) -> float:
     """|sum_{n <= 10^6} sigma_r(n)/n^s - zeta(s) zeta(s-r)|."""
-    if s - r <= 1.0:
+    if not s - r > 1.0:  # false for NaN too
         raise ValueError("need s - r > 1")
     return _dsigma_gap(_divisor_series(r, s, _SERIES_TERMS)[0], s, r)
 

@@ -461,8 +461,8 @@ class ExactDistribution:
 
 
 def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
-    if n > table.n_max:
-        raise ValueError(f"n = {n} beyond table range {table.n_max}")
+    if not 0 <= n <= table.n_max:
+        raise ValueError(f"n = {n} outside table range 0..{table.n_max}")
     total = table.row_totals[n]
     if total == 0:
         raise RowRefused(f"degenerate row: row total vanishes at n = {n}")

@@ -12,7 +12,7 @@ code with the kernels or the pair sieve under test.
 The number-theory loops below are the same kind of reference for the
 integer-phase kernels of divpart.arith: characters evaluated one value at
 a time from exact rational angles, with a tolerance-based conductor
-search, and Ramanujan and Gauss-type sums added one residue at a time with
+search, and Ramanujan and Gauss sums added one residue at a time with
 cmath.exp.  They share only the unit-group structure
 (arith._component_structure) with the code under test.  The von Sterneck
 form of c_m(n), the per-m weighted partial and the plain partial sum of
@@ -333,6 +333,13 @@ def ramanujan_sum_exponential(m, n):
     return sum((unit_root(b * n, m) for b in range(m) if math.gcd(b, m) == 1), complex(0.0))
 
 
+def gauss_sum(values, m, n):
+    """sum of chi(b) e(b n / m) over the units b, one residue at a time, for
+    the character with values[b] = chi(b) mod m."""
+    return sum((values[b] * unit_root(b * n, m) for b in range(m) if math.gcd(b, m) == 1),
+               complex(0.0))
+
+
 def ramanujan_sum_divisor_form(m, n):
     """c_m(n) = sum over d | gcd(m, n) of d * mu(m/d)  (von Sterneck form)."""
     return sum(d * arith.mobius(m // d) for d in arith.divisors(math.gcd(m, n)))
@@ -345,7 +352,7 @@ def ramanujan_weighted_partial(n, m_limit, r):
 
 def shifted_identity_max_residual(m_max, n_max):
     """The shifted-sum identity residual, one (m, n) and one unit at a time,
-    with tau(chi) from arith.character_sums."""
+    with tau(chi) from the scalar gauss_sum."""
     worst = 0.0
     for m in range(1, m_max + 1):
         phi = arith.euler_phi(m)
@@ -355,7 +362,7 @@ def shifted_identity_max_residual(m_max, n_max):
         for chi in arith.characters_mod(m):
             if chi.is_principal:
                 continue
-            tau = arith.character_sums(chi, 1)[2]
+            tau = gauss_sum(chi.values, m, 1)
             for b in units:
                 g_vec[b] += tau * chi.values[b].conjugate()
         for n in range(1, n_max + 1):

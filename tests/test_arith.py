@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,9 +24,9 @@ def brute_sigma(n, r):
 
 
 def test_multiplicative_basics_examples():
-    assert arith.multiplicative_basics(1) == (1, 1, 0)
-    assert arith.multiplicative_basics(12) == (0, 4, 2)
-    assert arith.multiplicative_basics(30) == (-1, 8, 3)
+    assert arith.multiplicative_basics(1) == (1, 1)
+    assert arith.multiplicative_basics(12) == (0, 4)
+    assert arith.multiplicative_basics(30) == (-1, 8)
 
 
 @given(st.integers(min_value=1, max_value=3000))
@@ -57,8 +58,14 @@ def test_factorize_guard():
 def test_mu_phi_tables_match_pointwise():
     mu, phi = arith.mu_phi_tables(2000)
     for n in range(1, 2001):
-        m, p, _ = arith.multiplicative_basics(n)
-        assert mu[n] == m and phi[n] == p
+        assert (mu[n], phi[n]) == arith.multiplicative_basics(n)
+
+
+def test_mu_phi_tables_sieve_per_call():
+    # no cache: each call owns its tables, freed with the caller's
+    first, again = arith.mu_phi_tables(2000), arith.mu_phi_tables(2000)
+    assert first == again
+    assert first is not again and first[0] is not again[0] and first[1] is not again[1]
 
 
 class TestGapSequence:
@@ -277,14 +284,14 @@ class TestCharacters:
 class TestCharacterSums:
     def test_trivial_modulus(self):
         chi = arith.characters_mod(1)[0]
-        for n in (1, 5, 9):
-            assert arith.character_sums(chi, n) == (1, 1, 1)
+        for n in (1, 5, 9, 10**30):
+            assert arith.gauss_sum(chi, n) == 1
 
     def test_primitive_gauss_magnitude(self):
         for m in range(2, 51):
             for chi in arith.characters_mod(m):
                 if chi.is_primitive:
-                    tau = arith.character_sums(chi, 1)[2]
+                    tau = arith.gauss_sum(chi, 1)
                     assert abs(abs(tau) - math.sqrt(m)) < 1e-9
 
     def test_quadratic_mod_five(self):
@@ -293,15 +300,24 @@ class TestCharacterSums:
             c for c in chars
             if not c.is_principal and all(abs(v.imag) < 1e-12 for v in c.values)
         )
-        tau = arith.character_sums(quad, 1)[2]
+        tau = arith.gauss_sum(quad, 1)
         assert abs(abs(tau) - math.sqrt(5)) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 6, 9, 12, 30])
     def test_principal_restriction_is_ramanujan(self, m):
         chi0 = next(c for c in arith.characters_mod(m) if c.is_principal)
         for n in range(1, 40):
-            cp = arith.character_sums(chi0, n)[1]
+            cp = arith.gauss_sum(chi0, n)
             assert abs(cp - arith.ramanujan_sum(m, n)) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 5, 8, 12, 30, 97])
+    def test_huge_n_reduced_exactly(self, m):
+        # 10**30 * b overflows int64; n is reduced mod m before any phase
+        for chi in arith.characters_mod(m):
+            for k in range(3):
+                n = 10**30 + k
+                want = oracle.gauss_sum(chi.values, m, n % m)
+                assert abs(arith.gauss_sum(chi, n) - want) < 1e-9
 
 
 class TestShiftedIdentity:
@@ -321,20 +337,28 @@ class TestInducePrimitive:
     def test_primitive_fixed_point(self):
         chars = arith.characters_mod(5)
         chi = next(c for c in chars if not c.is_principal)
-        star, ok = arith.induce_primitive(chi)
-        assert ok and star.modulus == 5 and star.values == chi.values
+        star = arith.induce_primitive(chi)
+        assert star.modulus == 5 and star.values == chi.values
 
     def test_mod8_induced_from_mod4(self):
         chars = arith.characters_mod(8)
         induced = [c for c in chars if not c.is_principal and c.conductor == 4]
         assert len(induced) == 1
-        star, ok = arith.induce_primitive(induced[0])
-        assert ok and star.modulus == 4 and star.is_primitive
+        star = arith.induce_primitive(induced[0])
+        assert star.modulus == 4 and star.is_primitive
 
     def test_principal_rejected(self):
         chi0 = next(c for c in arith.characters_mod(12) if c.is_principal)
         with pytest.raises(ValueError):
             arith.induce_primitive(chi0)
+
+    def test_failed_scale_identity_raises(self):
+        # a primitive character mod 8 labelled with conductor 4 induces
+        # nothing: the scale identity check must refuse it
+        prim = next(c for c in arith.characters_mod(8) if c.is_primitive)
+        wrong = dataclasses.replace(prim, conductor=4, is_primitive=False)
+        with pytest.raises(RuntimeError, match="scale identity failed at m=8"):
+            arith.induce_primitive(wrong)
 
     @pytest.mark.parametrize("m", [8, 9, 12, 15, 16, 18, 20, 21, 24, 36, 45])
     def test_scale_identity_holds_everywhere(self, m):
@@ -342,5 +366,5 @@ class TestInducePrimitive:
         for chi in arith.characters_mod(m):
             if chi.is_principal:
                 continue
-            star, ok = arith.induce_primitive(chi)
-            assert ok and chi.conductor == star.modulus
+            star = arith.induce_primitive(chi)
+            assert chi.conductor == star.modulus

@@ -88,6 +88,11 @@ class TestCltReport:
             with pytest.raises(ValueError, match="strictly increasing"):
                 cltlab.clt_report(2, n_list)
 
+    @pytest.mark.parametrize("n_list", [[], [0, 10], [-5, 10]])
+    def test_requires_nonempty_positive_list(self, n_list):
+        with pytest.raises(ValueError, match="non-empty, strictly increasing and positive"):
+            cltlab.clt_report(2, n_list)
+
     def test_gate_admits_any_override_only_at_positive_variance(self):
         # r = 1: rows 4 and 6 are signed with exact variance -1/9 and -22/75
         table = partition.build_table(1, 7)
@@ -116,6 +121,12 @@ class TestMgfProfile:
         with pytest.raises(ValueError, match="refused"):
             cltlab.mgf_profile(50, 2, [0.5], table=table_r2_400,
                                max_negative_mass=math.nan)
+
+    def test_negative_row_refused(self):
+        # row -1 used to read row 12, the last one, labelled n = -1
+        with pytest.raises(ValueError, match="outside table range"):
+            cltlab.mgf_profile(-1, 3, [0.5], table=partition.build_table(3, 12),
+                               max_negative_mass=1.0)
 
     def test_movement_toward_gaussian(self, table_r2_400):
         out = {}

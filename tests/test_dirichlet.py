@@ -36,6 +36,13 @@ class TestZeta:
             dl.zeta_real(1.0)
         with pytest.raises(ValueError):
             dl.zeta_real(0.5)
+        with pytest.raises(ValueError, match="zeta_real requires s > 1"):
+            dl.zeta_real(math.nan)
+
+    @pytest.mark.parametrize("s", [0.5, 0.0, math.nan])
+    def test_eta_domain(self, s):
+        with pytest.raises(ValueError, match="eta_alternating requires s >= 1"):
+            dl.eta_alternating(s)
 
 
 class TestPolylog:
@@ -96,6 +103,11 @@ class TestBeta:
         )
         assert abs(series - 0.8427007929497149) < 1e-12
         assert abs(math.erf(1.0) - series) < 1e-10
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_domain(self, s):
+        with pytest.raises(ValueError, match="beta_dirichlet requires s > 0"):
+            dl.beta_dirichlet(s)
 
 
 class TestMpmathOracles:
@@ -191,6 +203,8 @@ class TestEulerK:
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.euler_K(-3.0, 1)
+        with pytest.raises(ValueError, match="euler_K requires s"):
+            dl.euler_K(math.nan, 2)
 
 
 class TestEulerProductContracts:
@@ -210,6 +224,11 @@ class TestEulerProductContracts:
         # a factor that first fails in a later chunk names its prime too
         with pytest.raises(ValueError, match="p = 100003"):
             dl._euler_product(lambda p: np.where(p > 10**5, -1.0, 1.0), 1.0, 2.0, 10**6)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan])
+    def test_tail_exponent_domain(self, alpha):
+        with pytest.raises(ValueError, match="tail exponent <= 1"):
+            dl._euler_product(lambda p: 1.0 + 0.0 * p, 1.0, alpha, 100)
 
     @pytest.mark.parametrize("name,make", [
         ("C(1)", lambda: dl.constant_C(1)),
@@ -382,6 +401,8 @@ class TestBoundSideProducts:
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.E_r_and_Cprime(-2.0, 2)
+        with pytest.raises(ValueError, match="E_r requires sigma"):
+            dl.E_r_and_Cprime(math.nan, 2)
 
 
 class TestSecondSeriesBound:
@@ -402,6 +423,8 @@ class TestSecondSeriesBound:
             dl.d2_bound(1.0, 2)
         with pytest.raises(ValueError):
             dl.d2_bound(3.0, 1)
+        with pytest.raises(ValueError, match="d2_bound requires sigma > 1"):
+            dl.d2_bound(math.nan, 2)
 
 
 class TestQuarticCharacterSeries:
@@ -414,6 +437,8 @@ class TestQuarticCharacterSeries:
     def test_domain(self):
         with pytest.raises(ValueError):
             dl.d2_quartic_character(0.5, 2)
+        with pytest.raises(ValueError, match="d2_quartic_character requires"):
+            dl.d2_quartic_character(math.nan, 2)
 
 
 class TestShiftedSeries:
@@ -433,6 +458,10 @@ class TestShiftedSeries:
             dl.shifted_series_residual(2.5, 2)
         with pytest.raises(ValueError, match="r >= 2"):
             dl.shifted_series_residual(3.5, 1)
+        with pytest.raises(ValueError, match="need s - r > 1 so every"):
+            dl.shifted_series_residual(math.nan, 2)
+        with pytest.raises(ValueError, match="need s - r > 1"):
+            dl.dsigma_residual(math.nan, 2)
 
     def test_dsigma_identity_at_r1(self):
         assert dl.dsigma_residual(3.5, 1) < 1e-6

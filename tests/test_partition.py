@@ -268,6 +268,12 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             exact_distribution(t, 6)
 
+    @pytest.mark.parametrize("n", [-1, -6])
+    def test_negative_row_refused(self, n):
+        # a negative index would read a row from the end of the table
+        with pytest.raises(ValueError, match="outside table range"):
+            exact_distribution(build_table(2, 5), n)
+
 
 _TABLE_CACHE = {}
 
