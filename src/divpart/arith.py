@@ -4,14 +4,13 @@ sums.
 
 Everything here is exact integer arithmetic except for character values,
 which are tabulated complex roots of unity (tolerance 1e-9 on all
-character identities).  The two caches, characters_mod and
-_mu_power_prefix, are built once and read-only afterwards, so concurrent
-readers are safe.  sigma_r has two exact sources: the exact
-layers (GapSequence, hence the partition tables) read the pure-Python
-divisor-add sieve sigma_r_table, and the numpy layers read windows
-lo..limit of one pair sieve (divisor_sum_sieve): exact ones (sigma_window)
-in the k-sum kernel, float64 ones in the shifted divisor series of
-dirichlet.  No window is kept.
+character identities).  The one cache, _mu_power_prefix, is built once
+and read-only afterwards, so concurrent readers are safe.  sigma_r has
+two exact sources: the exact layers (GapSequence, hence the partition
+tables) read the pure-Python divisor-add sieve sigma_r_table, and the
+numpy layers read windows lo..limit of one pair sieve (divisor_sum_sieve):
+exact ones (sigma_window) in the k-sum kernel, float64 ones in the shifted
+divisor series of dirichlet.  No window is kept.
 
 numpy is imported inside the functions that use it, so the exact layers
 (GapSequence, factorization, Ramanujan sums) load without it.
@@ -404,7 +403,6 @@ class DirichletCharacter:
     conductor: int
 
 
-@lru_cache(maxsize=512)
 def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) Dirichlet characters mod m, principal first.
 

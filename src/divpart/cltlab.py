@@ -11,7 +11,8 @@ sign), hence the max_negative_mass override for rows whose signed defect
 is negligible; the default stays strict.  No override admits a variance
 <= 0 (n = 1 is a point mass; the signed row r = 1, n = 4 has -1/9).
 Standardization uses the exact rational mean and variance converted to
-float at the last step.
+float at the last step.  Sums over a row's integer cells stay exact and
+meet its total in one int / int division, which rounds correctly.
 
 saddle (and with it numpy) is imported only by clt_report and
 exponent_fit, so the MGF and tail checks run on the exact layers alone.
@@ -20,8 +21,8 @@ exponent_fit, so the MGF and tail checks run on the exact layers alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partition import ExactDistribution, PartitionTable, RowRefused, build_table, exact_distribution
 
@@ -32,8 +33,9 @@ def norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def ks_to_normal(pmf: dict[int, Fraction], mean: float, std: float) -> float:
-    """Sup distance between the standardized exact CDF and the normal CDF.
+def ks_to_normal(cells: Sequence[int], total: int, mean: float, std: float) -> float:
+    """Sup distance between the standardized exact CDF (mass cells[k] / total
+    at k) and the normal CDF.
 
     The exact CDF is a step function; the sup over each jump is attained
     by comparing the normal CDF with both one-sided limits.
@@ -41,13 +43,13 @@ def ks_to_normal(pmf: dict[int, Fraction], mean: float, std: float) -> float:
     if not std > 0.0:
         raise ValueError("ks_to_normal needs a positive standard deviation")
     worst = 0.0
-    cdf = Fraction(0)
-    for k in sorted(pmf):
-        x = (k - mean) / std
-        target = norm_cdf(x)
-        worst = max(worst, abs(float(cdf) - target))
-        cdf += pmf[k]
-        worst = max(worst, abs(float(cdf) - target))
+    below = 0
+    for k, c in enumerate(cells):
+        if c:
+            target = norm_cdf((k - mean) / std)
+            worst = max(worst, abs(below / total - target))
+            below += c
+            worst = max(worst, abs(below / total - target))
     return worst
 
 
@@ -56,7 +58,7 @@ def _row_gate(dist: ExactDistribution, max_negative_mass: float) -> str | None:
     names the first failed condition and its value.  The conditions, in
     order: a positive row total, a signed defect within max_negative_mass,
     a positive exact variance."""
-    if not dist.total_positive:
+    if dist.total <= 0:
         return "nonpositive row total"
     # written so that a NaN limit refuses the row instead of admitting it
     if dist.negativity_flags and not float(dist.negative_mass) <= max_negative_mass:
@@ -85,7 +87,7 @@ def _read_row(
     return dist, float(dist.mean), math.sqrt(float(dist.variance))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CltRow:
     n: int
     mean_exact: float
@@ -98,13 +100,13 @@ class CltRow:
     note: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CltReport:
     r: int
     n_list: list[int]
     rows: list[CltRow]
-    exponent_fit_mean: float | None = None
-    exponent_fit_var: float | None = None
+    exponent_fit_mean: float | None
+    exponent_fit_var: float | None
 
     @property
     def excluded(self) -> list[int]:
@@ -174,18 +176,17 @@ def clt_report(
         rows.append(CltRow(
             n=n, mean_exact=mean_f, var_exact=var_f,
             mu_saddle=mu_saddle, nu2_saddle=nu2_saddle,
-            ks_distance=None if note else ks_to_normal(dist.pmf, mean_f, math.sqrt(var_f)),
+            ks_distance=None if note else ks_to_normal(dist.cells, dist.total, mean_f,
+                                                       math.sqrt(var_f)),
             negativity_count=len(dist.negativity_flags), included=not note, note=note or "",
         ))
 
-    report = CltReport(r=r, n_list=list(n_list), rows=rows)
-    if len(n_list) >= 4:
-        # exponents only make sense for the gap-weighted equation form
-        fit = _loglog_fit(n_list, [(row.mu_saddle["general"], row.nu2_saddle["general"])
-                                   for row in rows])
-        report.exponent_fit_mean = fit.slope_mean
-        report.exponent_fit_var = fit.slope_var
-    return report
+    # exponents only make sense for the gap-weighted equation form
+    fit = _loglog_fit(n_list, [(row.mu_saddle["general"], row.nu2_saddle["general"])
+                               for row in rows]) if len(n_list) >= 4 else None
+    return CltReport(r=r, n_list=list(n_list), rows=rows,
+                     exponent_fit_mean=fit.slope_mean if fit else None,
+                     exponent_fit_var=fit.slope_var if fit else None)
 
 
 def ks_trend_ok(report: CltReport) -> bool:
@@ -204,18 +205,17 @@ def mgf_profile(
 ) -> dict[float, tuple[float, float]]:
     """theta -> (exact standardized MGF, Gaussian target e^(theta^2/2)).
 
-    M(theta) = sum_k pmf[k] exp((k - mean) theta / std) from the exact law;
+    M(theta) = sum_k P(X = k) exp((k - mean) theta / std) from the exact law;
     no symmetry in theta is asserted, only reported.  Rows the gate
     refuses raise ValueError.
     """
     if not all(abs(t) <= 2.0 for t in theta_grid):  # false for NaN too
         raise ValueError("theta grid restricted to [-2, 2]")
     dist, mean, std = _read_row(n, r, table, max_negative_mass, "MGF")
+    probs = [(k, c / dist.total) for k, c in enumerate(dist.cells) if c]
     out = {}
     for theta in theta_grid:
-        m_exact = math.fsum(
-            float(p) * math.exp((k - mean) * theta / std) for k, p in dist.pmf.items()
-        )
+        m_exact = math.fsum(p * math.exp((k - mean) * theta / std) for k, p in probs)
         out[theta] = (m_exact, math.exp(theta * theta / 2.0))
     return out
 
@@ -253,7 +253,7 @@ def tail_check(
     if not all(x > 0.0 for x in x_grid):  # false for NaN too
         raise ValueError("x grid must be positive")
     dist, mean, std = _read_row(n, r, table, max_negative_mass, "tail check")
-    zs = [((k - mean) / std, p) for k, p in dist.pmf.items()]
+    zs = [((k - mean) / std, c) for k, c in enumerate(dist.cells)]
     t_split = tail_split(n, r)
     records = []
     for x in x_grid:
@@ -263,15 +263,15 @@ def tail_check(
         else:
             bound = 1.5 * math.exp(-t_split * x / 2.0)
             branch = "linear"
-        upper = float(sum((p for z, p in zs if z >= x), Fraction(0)))
-        lower = float(sum((p for z, p in zs if z <= -x), Fraction(0)))
+        upper = sum(c for z, c in zs if z >= x) / dist.total
+        lower = sum(c for z, c in zs if z <= -x) / dist.total
         for side, prob in (("upper", upper), ("lower", lower)):
             records.append(TailRecord(x=x, side=side, prob=prob, bound=bound,
                                       branch=branch, ok=prob <= bound))
     return records
 
 
-@dataclass
+@dataclass(frozen=True)
 class TailReport:
     """tail_check wrapped so a refused row (RowRefused) and violated budgets
     become structured findings instead of exceptions; a bad x grid still

@@ -286,11 +286,12 @@ def d1_direct(s: float, r: int, m_limit: int = 2000, n_limit: int = 20000) -> Se
         # the phi(m) >= m/6 step in the tail bound stops holding past here
         raise ValueError("d1_direct is documented for m_limit <= 500000")
     mu, phi = mu_phi_tables(m_limit)
-    zpre = [0.0] * (n_limit + 1)
-    acc = 0.0
-    for t in range(1, n_limit + 1):
-        acc += t ** -s
-        zpre[t] = acc
+    # Z(t) is kept only at the t = n_limit // d that the sum reads
+    acc, done, zpre = 0.0, 0, {0: 0.0}
+    for stop in sorted({n_limit // d for d in range(1, m_limit + 1)}):
+        for t in range(done + 1, stop + 1):
+            acc += t ** -s
+        zpre[stop], done = acc, stop
     # the divisors of every squarefree k <= m_limit, increasing, from one
     # sieve; only squarefree m are looked up
     divs: list[list[int]] = [[] for _ in range(m_limit + 1)]

@@ -438,26 +438,29 @@ class RowRefused(ValueError):
     total here; cltlab's gate raises it for the rows it refuses)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactDistribution:
-    """Exact rational law of the part count on weight-n rows.
-
-    pmf values are coeff/row_total and sum to 1 exactly whatever the signs;
-    rows with negative cells are flagged and excluded from probabilistic
-    downstream checks rather than rejected here.
+    """Exact law of the part count on the weight-n row: P(X = k) is
+    cells[k] / total, whatever the signs, so every statistic is an integer
+    sum over the cells divided by the total once.  Rows with negative cells
+    are flagged and excluded from probabilistic downstream checks rather
+    than rejected here.
     """
 
     n: int
-    pmf: dict[int, Fraction]
+    cells: tuple[int, ...]
+    total: int
     mean: Fraction
     variance: Fraction
-    negativity_flags: list[int]
-    total_positive: bool
+
+    @property
+    def negativity_flags(self) -> list[int]:
+        return [k for k, c in enumerate(self.cells) if c < 0]
 
     @property
     def negative_mass(self) -> Fraction:
-        """Total signed defect: sum of |pmf[k]| over negative cells."""
-        return -sum((p for p in self.pmf.values() if p < 0), Fraction(0))
+        """Total signed defect: sum of |cells[k]| / |total| where cells[k] * total < 0."""
+        return Fraction(sum(abs(c) for c in self.cells if c * self.total < 0), abs(self.total))
 
 
 def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
@@ -466,22 +469,18 @@ def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
     total = table.row_totals[n]
     if total == 0:
         raise RowRefused(f"degenerate row: row total vanishes at n = {n}")
-    stored = sum(table.coeff[n])
-    if stored != total:
+    cells = tuple(table.coeff[n])
+    if sum(cells) != total:
         raise ValueError(
             "row is k-truncated (its cells do not sum to the row total); "
             "exact distribution needs the uncapped table"
         )
-    pmf = {
-        k: Fraction(c, total) for k, c in enumerate(table.coeff[n]) if c != 0
-    }
-    mean = sum((k * p for k, p in pmf.items()), Fraction(0))
-    second = sum((k * k * p for k, p in pmf.items()), Fraction(0))
+    first = sum(k * c for k, c in enumerate(cells))
+    second = sum(k * k * c for k, c in enumerate(cells))
     return ExactDistribution(
         n=n,
-        pmf=pmf,
-        mean=mean,
-        variance=second - mean * mean,
-        negativity_flags=sorted(k for k, c in enumerate(table.coeff[n]) if c < 0),
-        total_positive=total > 0,
+        cells=cells,
+        total=total,
+        mean=Fraction(first, total),
+        variance=Fraction(second * total - first * first, total * total),
     )

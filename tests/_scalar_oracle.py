@@ -20,14 +20,22 @@ Li_s(-u) are the oracles of arith.ramanujan_sum,
 arith.ramanujan_weighted_partial and dirichlet.polylog_neg, and the
 bytearray sieve over every integer is the oracle of the odd-only numpy
 sieve arith.primes_up_to.
+
+The exact-law statistics at the end are the per-cell rational route:
+every cell becomes its own Fraction over the row total, and moments, the
+KS distance, tails, the MGF and the negative mass are added cell by cell
+in rationals and converted to float at the last step.  divpart keeps the
+row as integer cells over one total and divides once per figure; only the
+Gaussian target cltlab.norm_cdf is shared.
 """
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
 
-from divpart import arith, dirichlet
+from divpart import arith, cltlab, dirichlet
 from divpart.arith import sigma_r_table
 
 TRUNCATION_RATIO = 1e-18
@@ -379,3 +387,46 @@ def polylog_neg_partial_sum(s, u):
     if not 0.0 < u <= 0.5:
         raise ValueError("the partial sum needs 0 < u <= 1/2")
     return math.fsum((-u) ** k / k**s for k in range(1, 81))
+
+
+def exact_pmf(cells, total):
+    """{k: cells[k] / total} over the nonzero cells, as Fractions."""
+    return {k: Fraction(c, total) for k, c in enumerate(cells) if c != 0}
+
+
+def pmf_moments(pmf):
+    """(mean, variance) of a rational pmf, each term added as a Fraction."""
+    mean = sum((k * p for k, p in pmf.items()), Fraction(0))
+    second = sum((k * k * p for k, p in pmf.items()), Fraction(0))
+    return mean, second - mean * mean
+
+
+def pmf_negative_mass(pmf):
+    """Sum of |pmf[k]| over the negative cells."""
+    return -sum((p for p in pmf.values() if p < 0), Fraction(0))
+
+
+def pmf_ks_to_normal(pmf, mean, std):
+    """Sup distance between the standardized rational CDF and the normal CDF,
+    at both one-sided limits of every jump."""
+    worst = 0.0
+    cdf = Fraction(0)
+    for k in sorted(pmf):
+        target = cltlab.norm_cdf((k - mean) / std)
+        worst = max(worst, abs(float(cdf) - target))
+        cdf += pmf[k]
+        worst = max(worst, abs(float(cdf) - target))
+    return worst
+
+
+def pmf_tails(pmf, mean, std, x):
+    """(P(Z >= x), P(Z <= -x)) for the standardized law, summed as Fractions."""
+    zs = [((k - mean) / std, p) for k, p in pmf.items()]
+    upper = sum((p for z, p in zs if z >= x), Fraction(0))
+    lower = sum((p for z, p in zs if z <= -x), Fraction(0))
+    return float(upper), float(lower)
+
+
+def pmf_mgf(pmf, mean, std, theta):
+    """sum_k pmf[k] exp((k - mean) theta / std), each pmf[k] rounded once."""
+    return math.fsum(float(p) * math.exp((k - mean) * theta / std) for k, p in pmf.items())

@@ -1,6 +1,7 @@
 """The vectorised float layers against the scalar loops they replaced
 (tests/_scalar_oracle.py): the k-sum kernel, the Mellin double sums, the
-pair divisor sieve, the array Euler products and the numpy prime sieve."""
+pair divisor sieve, the array Euler products and the numpy prime sieve;
+and the exact-law statistics against per-cell Fractions."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import _scalar_oracle as oracle
-from divpart import arith
+from divpart import arith, cltlab, partition
 from divpart import dirichlet as dl
 from divpart import saddle as sd
 
@@ -191,3 +192,38 @@ def test_ramanujan_exponential_array_matches_scalar_loop(m):
         want = oracle.ramanujan_sum_exponential(m, n)
         assert abs(value - want) <= 1e-12, (m, n)
         assert abs(arith.ramanujan_sum_exponential(m, n) - want) <= 1e-12, (m, n)
+
+
+# ---------------------------------------------------------------------------
+# The exact-law statistics of divpart.partition and divpart.cltlab
+# ---------------------------------------------------------------------------
+
+TAIL_XS = (0.1, 0.5, 1.0, 1.7, 2.5, 4.0)
+MGF_THETAS = (-2.0, -0.5, 0.0, 0.25, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_exact_law_statistics_match_per_cell_fractions(r):
+    # every figure bit for bit: one division per figure equals the
+    # correctly rounded float of the rational sum
+    n_max = 100
+    table = partition.build_table(r, n_max)
+    admitted = 0
+    for n in range(n_max + 1):
+        dist = partition.exact_distribution(table, n)
+        pmf = oracle.exact_pmf(table.coeff[n], table.row_totals[n])
+        assert (dist.mean, dist.variance) == oracle.pmf_moments(pmf), n
+        assert dist.negative_mass == oracle.pmf_negative_mass(pmf), n
+        if cltlab._row_gate(dist, math.inf) is not None:
+            continue
+        admitted += 1
+        mean, std = float(dist.mean), math.sqrt(float(dist.variance))
+        assert cltlab.ks_to_normal(dist.cells, dist.total, mean, std) == (
+            oracle.pmf_ks_to_normal(pmf, mean, std)), n
+        records = cltlab.tail_check(n, r, TAIL_XS, table=table, max_negative_mass=math.inf)
+        assert [rec.prob for rec in records] == [
+            p for x in TAIL_XS for p in oracle.pmf_tails(pmf, mean, std, x)], n
+        profile = cltlab.mgf_profile(n, r, MGF_THETAS, table=table, max_negative_mass=math.inf)
+        assert [profile[t][0] for t in MGF_THETAS] == [
+            oracle.pmf_mgf(pmf, mean, std, t) for t in MGF_THETAS], n
+    assert admitted > n_max // 2  # r = 1 refuses 37 rows of variance <= 0

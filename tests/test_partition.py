@@ -224,28 +224,38 @@ class TestExactDistribution:
     def test_single_cell_row(self):
         t = build_table(2, 1)
         d = exact_distribution(t, 1)
-        assert d.pmf == {1: Fraction(1)}
+        assert (d.cells, d.total) == ((0, 4), 4)         # P(X = 1) = 1
         assert d.mean == 1 and d.variance == 0
-        assert d.negativity_flags == [] and d.total_positive
+        assert d.negativity_flags == [] and d.total > 0
 
     def test_two_cell_row(self):
         t = build_table(2, 2)
         d = exact_distribution(t, 2)
-        assert d.pmf == {1: Fraction(5, 11), 2: Fraction(6, 11)}
+        assert (d.cells, d.total) == ((0, 5, 6), 11)
+        assert (d.mean, d.variance) == (Fraction(17, 11), Fraction(30, 121))
 
     @given(st.integers(min_value=1, max_value=60))
     @settings(max_examples=30, deadline=None)
     def test_pmf_sums_to_one_exactly(self, n):
         t = _cached_table()
         d = exact_distribution(t, n)
-        assert sum(d.pmf.values(), Fraction(0)) == 1
+        assert sum((Fraction(c, d.total) for c in d.cells), Fraction(0)) == 1
 
     def test_negativity_flags(self):
         t = build_table(2, 12)
         d = exact_distribution(t, 10)
         assert d.negativity_flags == [1]        # the weight-1 cell is gap(10) = -8
-        assert d.pmf[1] == Fraction(-8, 12455)
-        assert float(d.negative_mass) > 0
+        assert (d.cells[1], d.total) == (-8, 12455)
+        assert d.negative_mass == Fraction(8, 12455)
+
+    def test_negative_mass_on_a_negative_total(self):
+        # mass is cell / total: the cell +2 at k = 1 has mass -2/3, while the
+        # flagged cell -5 at k = 2 has mass +5/3
+        t = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [0, 2, -5]], row_totals=[1, -3])
+        d = exact_distribution(t, 1)
+        assert d.negativity_flags == [2]
+        assert d.negative_mass == Fraction(2, 3)
+        assert (d.mean, d.variance) == (Fraction(8, 3), Fraction(-10, 9))
 
     def test_degenerate_row_rejected(self):
         t = partition.PartitionTable(
