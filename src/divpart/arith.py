@@ -3,14 +3,17 @@ Möbius/totient, Ramanujan sums, Dirichlet characters and their Gauss
 sums.
 
 Everything here is exact integer arithmetic except for character values,
-which are tabulated complex roots of unity (tolerance 1e-9 on all
-character identities).  The one cache, _mu_power_prefix, is built once
-and read-only afterwards, so concurrent readers are safe.  sigma_r has
-two exact sources: the exact layers (GapSequence, hence the partition
-tables) read the pure-Python divisor-add sieve sigma_r_table, and the
-numpy layers read windows lo..limit of one pair sieve (divisor_sum_sieve):
-exact ones (sigma_window) in the k-sum kernel, float64 ones in the shifted
-divisor series of dirichlet.  No window is kept.
+which are tabulated complex roots of unity (CHARACTER_TOL = 1e-9 on the
+character identities that verify checks).  A character is its modulus,
+its values and whether it is principal; its primitive inducer, which no
+production path reads, is found and held to the scale identity in
+tests/test_arith.py.  The one cache, _mu_power_prefix, is built once and
+read-only afterwards, so concurrent readers are safe.  sigma_r has two
+exact sources: the exact layers (GapSequence, hence the partition tables)
+read the pure-Python divisor-add sieve sigma_r_table, and the numpy
+layers read windows lo..limit of one pair sieve (divisor_sum_sieve):
+exact ones (sigma_window) in the k-sum kernel, float64 ones in the
+shifted divisor series of dirichlet.  No window is kept.
 
 numpy is imported inside the functions that use it, so the exact layers
 (GapSequence, factorization, Ramanujan sums) load without it.
@@ -399,8 +402,6 @@ class DirichletCharacter:
     modulus: int
     values: tuple[complex, ...]
     is_principal: bool
-    is_primitive: bool
-    conductor: int
 
 
 def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
@@ -411,8 +412,6 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
     m <= 200).  Character k sends the unit with discrete logs t to
     e(phase / E), E = lcm(d_c), where phase = sum_c k_c t_c (E / d_c) mod E
     is an exact integer; one exp call evaluates the whole phase matrix.
-    The conductor is the smallest f | m with phase 0 on every unit
-    congruent to 1 mod f, an exact test.
     """
     import numpy as np
 
@@ -423,8 +422,7 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
             f"modulus {m} exceeds character enumeration limit {CHARACTER_MODULUS_LIMIT}"
         )
     if m == 1:
-        chi = DirichletCharacter(1, (complex(1.0),), True, True, 1)
-        return (chi,)
+        return (DirichletCharacter(1, (complex(1.0),), True),)
 
     comps = factorize(m)
     structures = [_component_structure(p, e) for p, e in comps]
@@ -444,15 +442,9 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
 
     values = np.zeros((len(index), m), dtype=complex)
     values[:, units] = _unit_roots(phase, exponent)
-    conductor = np.full(len(index), m)
-    undecided = np.ones(len(index), dtype=bool)
-    for f in divisors(m):
-        hit = undecided & ~phase[:, units % f == 1 % f].any(axis=1)
-        conductor[hit] = f
-        undecided &= ~hit
     return tuple(
-        DirichletCharacter(m, tuple(vals), not ks.any(), cond == m, cond)
-        for vals, ks, cond in zip(values.tolist(), index, conductor.tolist())
+        DirichletCharacter(m, tuple(vals), not ks.any())
+        for vals, ks in zip(values.tolist(), index)
     )
 
 
@@ -496,48 +488,3 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
             rhs = rhs + _unit_roots(n_mod[:, None] * units % m, m) @ g_vec / phi
         worst = max(worst, float(np.abs(closed[1:] - rhs).max(initial=0.0)))
     return worst
-
-
-def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character chi* mod m* inducing non-principal chi.
-
-    The scale check verifies c'_chi((m/m*) t) = (phi(m)/phi(m*)) c'_{chi*}(t)
-    on a sample of t.  The textbook display of this relation keeps the same
-    frequency argument on both sides, which fails numerically (e.g. modulus 8
-    induced from 4 at n = 6); regrouping residues mod m* forces the frequency
-    rescaling n = (m/m*) t used here.  Failure beyond 1e-9 raises: it can
-    only mean the construction is wrong.
-    """
-    if chi.is_principal:
-        raise ValueError("induce_primitive requires a non-principal character")
-    m = chi.modulus
-    mstar = chi.conductor
-    if mstar == m:
-        return chi
-
-    values = [complex(0.0)] * mstar
-    for a in range(mstar):
-        if math.gcd(a, mstar) != 1:
-            continue
-        b = a
-        while math.gcd(b, m) != 1:
-            b += mstar
-        values[a] = chi.values[b % m]
-    star = DirichletCharacter(
-        modulus=mstar,
-        values=tuple(values),
-        is_principal=mstar == 1,
-        is_primitive=True,
-        conductor=mstar,
-    )
-    ratio = euler_phi(m) / euler_phi(mstar)
-    stretch = m // mstar
-    for t in range(1, min(2 * mstar, 24) + 1):
-        lhs = gauss_sum(chi, stretch * t)
-        rhs = ratio * gauss_sum(star, t)
-        if abs(lhs - rhs) > CHARACTER_TOL:
-            raise RuntimeError(
-                f"primitive induction scale identity failed at m={m}, t={t}: "
-                f"|{lhs} - {rhs}| = {abs(lhs - rhs):.3e}"
-            )
-    return star

@@ -43,12 +43,13 @@ def character_orthogonality(top: int = 50) -> Outcome:
         target = np.zeros(m)
         target[1 % m] = arith.euler_phi(m)
         worst = max(worst, float(np.abs(totals - target).max()))
-    return worst < 1e-9, f"max orthogonality defect = {worst:.3e}"
+    return worst < arith.CHARACTER_TOL, f"max orthogonality defect = {worst:.3e}"
 
 
 def shifted_sum_identity(m_max: int = 30, n_max: int = 100) -> Outcome:
     worst = arith.shifted_identity_max_residual(m_max, n_max)
-    return worst < 1e-9, f"max residual = {worst:.3e} over m <= {m_max}, n <= {n_max}"
+    detail = f"max residual = {worst:.3e} over m <= {m_max}, n <= {n_max}"
+    return worst < arith.CHARACTER_TOL, detail
 
 
 def oracle_equivalence(n_max: int = 12) -> Outcome:

@@ -285,6 +285,11 @@ class TailReport:
 
     @property
     def self_consistent(self) -> bool:
+        """Every record a probability, on the branch its x selects, under a
+        bound >= 0; vacuously true with no records (a refused row, where
+        n <= 1 admits no split)."""
+        if not self.records:
+            return True
         t_split = tail_split(self.n, self.r)
         for rec in self.records:
             if not 0.0 <= rec.prob <= 1.0:

@@ -250,7 +250,7 @@ def build_table(
     rows = [0] * (n_max + 1)
     rows[0] = 1
     standard = False
-    lo = prev = n_max + 1  # rows 1..lo-1 are zero; reversed: top(n) = n // prev
+    lo = n_max + 1  # rows 1..lo-1 are zero; reversed, factors descend: top(n) = n // lo
     for j in order:
         d = gaps[j - 1]
         if d == 0:
@@ -258,12 +258,12 @@ def build_table(
         if not standard:
             # flip at an ascent, or when row n_max would pad more than it holds
             last = rows[n_max]
-            deg = n_max // prev - ((last & -last).bit_length() - 1) // bits
-            standard = j > prev or (last != 0 and 2 * (n_max // j - deg) > deg + 1)
+            deg = n_max // lo - ((last & -last).bit_length() - 1) // bits
+            standard = j > lo or (last != 0 and 2 * (n_max // j - deg) > deg + 1)
             for n in range(lo, n_max + 1):
                 if standard:
-                    rows[n] = _flip(rows[n], bits, n // prev)
-                elif lift := n // j - n // prev:
+                    rows[n] = _flip(rows[n], bits, n // lo)
+                elif lift := n // j - n // lo:
                     rows[n] <<= bits * lift
         step = bits if standard else 0  # one u digit; x << 0 would copy x
         if abs(d) <= n_max // j:
@@ -287,9 +287,9 @@ def build_table(
                 rows[n] = acc
             for c, shift, dz in shifted:
                 rows[dz] += c << shift
-        lo, prev = min(lo, j), j
+        lo = min(lo, j)
     if not standard:
-        rows = [_flip(row, bits, n // prev) for n, row in enumerate(rows)]
+        rows = [_flip(row, bits, n // lo) for n, row in enumerate(rows)]
 
     coeff = [_unpack_row(rows[n], bits) for n in range(n_max + 1)]
     row_totals = _log_derivative_series(gaps, n_max)

@@ -11,8 +11,9 @@ code with the kernels or the pair sieve under test.
 
 The number-theory loops below are the same kind of reference for the
 integer-phase kernels of divpart.arith: characters evaluated one value at
-a time from exact rational angles, with a tolerance-based conductor
-search, and Ramanujan and Gauss sums added one residue at a time with
+a time from exact rational angles, a tolerance-based conductor search
+(divpart computes no conductor; the primitive inducer the tests find by
+matching values must have it as its modulus), and Ramanujan and Gauss sums added one residue at a time with
 cmath.exp.  They share only the unit-group structure
 (arith._component_structure) with the code under test.  The von Sterneck
 form of c_m(n), the per-m weighted partial and the plain partial sum of
@@ -294,7 +295,7 @@ def unit_root(num, den):
     return cmath.exp(arith.TWO_PI * 1j * ((num % den) / den))
 
 
-def _conductor(m, values):
+def conductor(m, values):
     """Smallest f | m with chi within CHARACTER_TOL of 1 on every unit
     congruent to 1 mod f."""
     for f in arith.divisors(m):
@@ -308,8 +309,8 @@ def _conductor(m, values):
 
 
 def characters(m):
-    """[(values, is_principal, is_primitive, conductor)] for every character
-    mod m >= 2, in the order of arith.characters_mod.
+    """[(values, is_principal)] for every character mod m >= 2, in the order
+    of arith.characters_mod.
 
     Character k sends the unit with discrete logs t to e(sum_c k_c t_c / d_c),
     the angle taken over the product P of the orders d_c and reduced mod 1 in
@@ -331,8 +332,7 @@ def characters(m):
         for a, vec in unit_logs.items():
             num = sum(k * t for k, t in zip(ks, vec))
             values[a] = cmath.exp(arith.TWO_PI * 1j * ((num % total) / total))
-        cond = _conductor(m, values)
-        out.append((tuple(values), all(k == 0 for k in ks), cond == m, cond))
+        out.append((tuple(values), all(k == 0 for k in ks)))
     return out
 
 
@@ -425,6 +425,17 @@ def pmf_tails(pmf, mean, std, x):
     upper = sum((p for z, p in zs if z >= x), Fraction(0))
     lower = sum((p for z, p in zs if z <= -x), Fraction(0))
     return float(upper), float(lower)
+
+
+def tail_budget(n, r, x):
+    """(bound, branch) of the paper's sub-Gaussian tail budget at x > 0, with
+    the split T = n^((r+1)/(6(r+2))) / log n formed through exp and log:
+    1.5 e^(-x^2/2) ("gauss") for x <= T, 1.5 e^(-T x/2) ("linear") above."""
+    log_n = math.log(n)
+    split = math.exp(log_n * (r + 1) / (6 * (r + 2))) / log_n
+    if x <= split:
+        return 1.5 * math.exp(-0.5 * x**2), "gauss"
+    return 1.5 * math.exp(-0.5 * split * x), "linear"
 
 
 def pmf_mgf(pmf, mean, std, theta):

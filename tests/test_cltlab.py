@@ -1,8 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+import _scalar_oracle as oracle
 from divpart import cltlab, partition
 
 
@@ -94,6 +96,32 @@ class TestCltReport:
         with pytest.raises(ValueError, match="non-empty, strictly increasing and positive"):
             cltlab.clt_report(2, n_list)
 
+    def test_exponent_fit_from_four_rows(self, table_r2_60):
+        # the fit of the gap-weighted saddle slopes needs four rows
+        four = cltlab.clt_report(2, [20, 30, 40, 50], table=table_r2_60)
+        fit = cltlab.exponent_fit(2, [20, 30, 40, 50])
+        assert (four.exponent_fit_mean, four.exponent_fit_var) == (fit.slope_mean, fit.slope_var)
+        three = cltlab.clt_report(2, [20, 30, 40], table=table_r2_60)
+        assert three.exponent_fit_mean is None and three.exponent_fit_var is None
+
+    def test_negative_mass_limit_is_inclusive(self):
+        # r = 1, n = 8: cells (0, -2, 29, 5, 2) over 34, signed defect 2/34
+        table = partition.build_table(1, 8)
+        at = cltlab.clt_report(1, [8], table=table, max_negative_mass=2 / 34)
+        below = cltlab.clt_report(1, [8], table=table,
+                                  max_negative_mass=math.nextafter(2 / 34, 0.0))
+        assert (at.excluded, below.excluded) == ([], [8])
+
+    def test_ks_trend_slack_is_inclusive(self):
+        rows = [cltlab.CltRow(n=n, mean_exact=1.0, var_exact=1.0, mu_saddle={}, nu2_saddle={},
+                              ks_distance=ks, negativity_count=0, included=True)
+                for n, ks in ((10, 0.1), (20, 1.1 * 0.1), (30, 1.1 * (1.1 * 0.1)))]
+        report = cltlab.CltReport(r=2, n_list=[10, 20, 30], rows=rows,
+                                  exponent_fit_mean=None, exponent_fit_var=None)
+        assert cltlab.ks_trend_ok(report)
+        worse = dataclasses.replace(rows[2], ks_distance=math.nextafter(rows[2].ks_distance, 1.0))
+        assert not cltlab.ks_trend_ok(dataclasses.replace(report, rows=[*rows[:2], worse]))
+
     def test_gate_admits_any_override_only_at_positive_variance(self):
         # r = 1: rows 4 and 6 are signed with exact variance -1/9 and -22/75
         table = partition.build_table(1, 7)
@@ -161,6 +189,24 @@ class TestTail:
         expected = n ** (3.0 / 24.0) / math.log(n)
         assert abs(cltlab.tail_split(n, r) - expected) < 1e-15
 
+    @pytest.mark.parametrize("x, branch", [(0.25, "gauss"), (1.0, "linear"), (2.0, "linear")])
+    def test_budget_against_formula(self, table_r3_400, x, branch):
+        # n = 400, r = 3: T = 0.371, so x = 0.25 reads 1.5 e^(-x^2/2) and
+        # x = 1, 2 read 1.5 e^(-T x/2)
+        records = cltlab.tail_check(400, 3, [x], table=table_r3_400, max_negative_mass=1e-9)
+        bound, want = oracle.tail_budget(400, 3, x)
+        assert want == branch
+        for rec in records:
+            assert rec.branch == branch
+            assert abs(rec.bound - bound) <= 1e-14 * bound
+
+    def test_gauss_branch_at_the_split(self, table_r3_400):
+        t_split = cltlab.tail_split(400, 3)
+        for rec in cltlab.tail_check(400, 3, [t_split], table=table_r3_400,
+                                     max_negative_mass=1e-9):
+            assert rec.branch == "gauss"
+            assert rec.bound == 1.5 * math.exp(-t_split * t_split / 2.0)
+
     def test_records_on_admissible_row(self, table_r3_400):
         records = cltlab.tail_check(
             400, 3, [1.0, 2.0], table=table_r3_400, max_negative_mass=1e-9
@@ -205,8 +251,70 @@ class TestTail:
         assert report.self_consistent
         assert report.findings == []
 
+    def test_report_finds_probability_outside_unit_interval(self):
+        # r = 1, n = 8: cells (0, -2, 29, 5, 2) over 34, admitted only with
+        # the widest override; its lower tail at x = 1 is -2/34
+        report = cltlab.tail_report(8, 1, [1.0], table=partition.build_table(1, 8),
+                                    max_negative_mass=math.inf)
+        assert not report.refused
+        assert report.findings == ["x = 1.0, lower: prob -5.882353e-02 outside [0, 1]"]
+        assert not report.self_consistent
+
+    def test_report_admits_probabilities_zero_and_one(self):
+        # a hand-made signed row 1 - u + u^3: mean 2, variance 4, so at
+        # x = 0.5 the upper tail (z = 0.5 exactly) is 1 and the lower one
+        # (z = -1, -0.5) is 1 - 1 = 0
+        table = partition.PartitionTable(
+            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [1, -1, 0, 1]], row_totals=[1, 1, 1, 1])
+        report = cltlab.tail_report(3, 2, [0.5], table=table, max_negative_mass=math.inf)
+        assert [rec.prob for rec in report.records] == [1.0, 0.0]
+        assert report.findings == [] and report.self_consistent
+
+    def test_tail_equal_to_its_bound_is_within_budget(self):
+        # a hand-made signed row 3 - 3u + u^3: mean 0, variance 6, so the
+        # upper tail is 1 for x up to 1.22; at this x the gauss bound
+        # 1.5 e^(-x^2/2) rounds to exactly 1.0
+        table = partition.PartitionTable(
+            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [3, -3, 0, 1]], row_totals=[1, 1, 1, 1])
+        upper = cltlab.tail_check(3, 2, [0.900516638500549], table=table,
+                                  max_negative_mass=math.inf)[0]
+        assert (upper.prob, upper.bound, upper.ok) == (1.0, 1.0, True)
+
+    def test_report_without_records_is_self_consistent_at_any_n(self):
+        # refused rows at n <= 1: no split is formed (log 1 = 0, log 0 fails)
+        for n in (0, 1):
+            report = cltlab.tail_report(n, 2, [1.0])
+            assert report.refused and report.self_consistent
+
+    @pytest.mark.parametrize("prob, branch, bound, x", [
+        (-1e-12, "gauss", 1.0, 0.25),    # a negative probability
+        (1.0 + 1e-12, "gauss", 1.0, 0.25),  # a probability above 1
+        (0.5, "linear", 1.0, 0.25),      # the linear branch below the split
+        (0.5, "gauss", 1.0, 1.0),        # the gauss branch above it
+        (0.5, "gauss", -1e-300, 0.25),   # a negative bound
+    ])
+    def test_self_consistent_fails_each_condition(self, prob, branch, bound, x):
+        # n = 400, r = 3: T = 0.371; the edge records sit on each boundary
+        edge = [
+            cltlab.TailRecord(x=0.25, side="upper", prob=0.0, bound=0.0, branch="gauss", ok=True),
+            cltlab.TailRecord(x=cltlab.tail_split(400, 3), side="lower", prob=1.0, bound=1.5,
+                              branch="gauss", ok=True),
+        ]
+        report = cltlab.TailReport(n=400, r=3, records=edge, findings=[], refused=False)
+        assert report.self_consistent
+        bad = cltlab.TailRecord(x=x, side="upper", prob=prob, bound=bound, branch=branch,
+                                ok=True)
+        broken = cltlab.TailReport(n=400, r=3, records=[*edge, bad], findings=[],
+                                   refused=False)
+        assert not broken.self_consistent
+
     def test_positive_grid_guard(self):
         for grid in ([-1.0], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="x grid must be positive"):
+                cltlab.tail_check(10, 2, grid)
+
+    def test_grid_with_zero_refused(self):
+        for grid in ([0.0], [1.0, 0.0]):
             with pytest.raises(ValueError, match="x grid must be positive"):
                 cltlab.tail_check(10, 2, grid)
 
