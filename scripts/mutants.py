@@ -68,6 +68,8 @@ SKIP = {
         "at 2 hi^r = 2^63 int64 still holds every sum, as sigma_r(n) < zeta(2) n^r",
     ("arith.py", "_component_structure", "for t in range(2 ** (e + 2)):"):
         "3 has order 2^(e-2) mod 2^e, so the longer walk rewrites the same logs",
+    ("saddle.py", "_sigma_double_sum", "sign = (-1.0) ** (j - 1)"):
+        "(-1)^(j-1) = (-1)^(j+1) for every integer j",
     ("cltlab.py", "_row_gate", "if dist.total < 0:"):
         "exact_distribution refuses a zero row total before the gate sees the row",
     ("cltlab.py", "_least_squares_slope",

@@ -20,6 +20,10 @@ sweeps (an add per row).  The digit width comes from the exact
 coefficients of an absolute-value majorant, and every row sum is checked
 against the u = 1 series; one log-derivative recurrence computes both
 series, so no digit can overflow unnoticed.
+
+Only the exact statistics (exact_distribution, ExactDistribution.negative_mass)
+import fractions, so a process that builds no law, verify among them,
+loads neither it nor the decimal module it pulls in.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .arith import GapSequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def general_binomial(d: int, m: int) -> int:
@@ -460,6 +467,8 @@ class ExactDistribution:
     @property
     def negative_mass(self) -> Fraction:
         """Total signed defect: sum of |cells[k]| / |total| where cells[k] * total < 0."""
+        from fractions import Fraction
+
         return Fraction(sum(abs(c) for c in self.cells if c * self.total < 0), abs(self.total))
 
 
@@ -475,6 +484,8 @@ def exact_distribution(table: PartitionTable, n: int) -> ExactDistribution:
             "row is k-truncated (its cells do not sum to the row total); "
             "exact distribution needs the uncapped table"
         )
+    from fractions import Fraction  # only the exact statistics need it
+
     first = sum(k * c for k, c in enumerate(cells))
     second = sum(k * k * c for k, c in enumerate(cells))
     return ExactDistribution(

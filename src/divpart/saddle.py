@@ -10,8 +10,8 @@ the leading-order Mellin asymptotics and the minor-arc decay.
 Every k-sum, the Mellin double sums included, runs through one numpy
 kernel, _ksum, under the shared truncation rule: stop once
 max(|w(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the running total,
-hard-capped at 10^7 terms.  The kernel adds the terms of each block of k
-by numpy's pairwise summation and the block sums by math.fsum, so a sum
+hard-capped at 10^7 terms.  The kernel adds the terms of each chunk of k
+by numpy's pairwise summation and the chunk sums by math.fsum, so a sum
 is good to a few ulps of sum |term| rather than of |sum|; the tests hold
 it to 1e-13 relative against a compensated scalar loop.
 """
@@ -73,6 +73,7 @@ class SaddleBracketError(RuntimeError):
 
 _BLOCK_MIN = 64
 _BLOCK_MAX = 1 << 16
+_CHUNK = 1 << 12
 _LOG_RATIO = -math.log(TRUNCATION_RATIO)
 
 
@@ -99,35 +100,44 @@ def _ksum(
 
     Each sum stops at the first k where
     max(|w(k)|, 1) k^4 e^(-gamma k) < TRUNCATION_RATIO * |its running
-    total|, or after k = k_cap.  The terms are evaluated over
-    equal blocks of k of at most 2^16 entries, and each block sieves its
-    own exact sigma_r window (arith.sigma_window) for its weights, so
-    memory stays flat and nothing is shared between calls or threads.  A
-    sum still open after HARD_TERM_CAP terms raises RuntimeError; a
-    non-finite term raises ArithmeticError.
+    total|, or after k = k_cap.  The k run over equal blocks of at most
+    2^16 entries, and each block sieves its own exact sigma_r window
+    (arith.sigma_window) for its weights; inside a block the weights,
+    terms, stop-rule bounds and partial sums are formed over chunks of at
+    most 2^12 k, each sum's running total carried from chunk to chunk.  So
+    memory follows one window and one chunk, not the longest sum, and
+    nothing is shared between calls or threads.  A sum still open after
+    HARD_TERM_CAP terms raises RuntimeError; a non-finite term raises
+    ArithmeticError.
     """
     cap = HARD_TERM_CAP if k_cap is None else min(k_cap, HARD_TERM_CAP)
     if cap < 1:
         empty = np.empty(0)
         return [0.0] * len(summands(empty, empty))
     running: list[float] = []   # cumulative total, for the stop rule
-    pieces: list[list[float]] = []  # per-sum block sums, added by fsum
+    pieces: list[list[float]] = []  # per-sum chunk sums, added by fsum
     open_sums: list[int] = []
     start = 1
+    base = end = 0  # the current block, base..end
     size = _block_length(gamma, 4 + (r or 0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while start <= cap:
-            end = min(start + size - 1, cap)
-            k = np.arange(start, end + 1, dtype=np.float64)
+            if start > end:  # a new block: sieve its exact sigma window once
+                base, end = start, min(start + size - 1, cap)
+                if r is not None:
+                    lo, hi = (base, end + 1) if shift is None else (base + shift, end + shift)
+                    window = sigma_window(r, lo, hi)
+            last = min(start + _CHUNK - 1, end)
+            k = np.arange(start, last + 1, dtype=np.float64)
             q = np.exp(-gamma * k)
             bound = k**4 * q
             terms = summands(k, q)
             if r is not None:
                 # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
                 if shift is None:
-                    w = np.diff(sigma_window(r, start, end + 1)).astype(np.float64)
+                    w = np.diff(window[start - base : last - base + 2]).astype(np.float64)
                 else:
-                    w = sigma_window(r, start + shift, end + shift).astype(np.float64)
+                    w = window[start - base : last - base + 1].astype(np.float64)
                 bound *= np.maximum(np.abs(w), 1.0)
                 terms = [w * t for t in terms]
                 zero = w == 0.0
@@ -154,7 +164,7 @@ def _ksum(
                     open_sums.remove(i)
             if not open_sums:
                 break
-            start = end + 1
+            start = last + 1
     if open_sums and (k_cap is None or k_cap > HARD_TERM_CAP):
         raise RuntimeError(
             f"k-sum budget exhausted at gamma = {gamma}: over {HARD_TERM_CAP} terms"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -619,3 +620,17 @@ class TestImportFootprint:
         assert all(hasattr(divpart, name) for name in divpart.__all__)
         with pytest.raises(AttributeError):
             divpart.no_such_module  # noqa: B018
+
+    def test_verify_path_loads_no_fractions(self):
+        # against what the interpreter had loaded before the import, since
+        # site may preload modules; only the exact statistics need Fraction
+        code = ("import json, sys\n"
+                "before = set(sys.modules)\n"
+                "import divpart.cli, divpart.checks\n"
+                "print(json.dumps(sorted({'fractions', 'decimal'} & (set(sys.modules) - before))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        dist = partition.exact_distribution(partition.build_table(2, 10), 10)
+        assert all(isinstance(x, Fraction) for x in (dist.mean, dist.variance, dist.negative_mass))

@@ -35,7 +35,7 @@ class TestPartials:
 
     def test_domain(self):
         # NaN fails the guard too, before it reaches the kernel
-        for gamma, u in ((-0.1, 1.0), (0.1, 0.0), (math.nan, 1.0), (0.1, math.nan)):
+        for gamma, u in ((-0.1, 1.0), (0.0, 1.0), (0.1, 0.0), (math.nan, 1.0), (0.1, math.nan)):
             with pytest.raises(ValueError, match="F_partial requires"):
                 sd.F_partial(gamma, u, 2, (0, 0))
 
@@ -107,6 +107,86 @@ class TestSolveSaddle:
             sd.solve_saddle(1, 1.0, 2)
         assert len(exc.value.profile) == sd.MAX_SOLVE_STEPS
         assert all(f == 0.5 for _, f in exc.value.profile)
+
+    # At n = 16, r = 2 the general solve starts at tau = 16^(-1/4) = 0.5
+    # exactly, so scripted profiles can put a Newton step on a chosen float.
+
+    @staticmethod
+    def _scripted(monkeypatch, points, fallback):
+        """Replace the saddle equation by (lhs, slope) = points[t], or
+        fallback(t) elsewhere; return the list of t the solve samples."""
+        seen = []
+
+        def equation(t, u, r, mode):
+            seen.append(t)
+            return points[t] if t in points else fallback(t)
+
+        monkeypatch.setattr(sd, "_saddle_equation", equation)
+        return seen
+
+    @pytest.mark.parametrize("t0,first", [
+        # no slope: halving while lo = 0, then bisection
+        (0.15, [0.5, 0.25, 0.125, 0.1875]),
+        # no slope: doubling while hi is open; lhs = n at 1.5 is a lower end
+        (1.5, [0.5, 1.0, 2.0, 1.5, 1.75]),
+    ])
+    def test_bracket_without_a_slope(self, monkeypatch, t0, first):
+        seen = self._scripted(monkeypatch, {}, lambda t: (16.0 * (t0 / t), 0.0))
+        sp = sd.solve_saddle(16, 1.0, 2)
+        assert seen[: len(first)] == first
+        assert abs(sp.tau - t0) <= 1e-15 and sp.residual <= 1e-14
+
+    def test_lhs_of_zero_halves_tau(self, monkeypatch):
+        # an lhs that underflowed to 0 has no log, so no Newton step
+        seen = self._scripted(monkeypatch, {0.5: (0.0, -1.0)},
+                              lambda t: (16.0 * (0.3 / t), -16.0 * 0.3 / t**2))
+        sp = sd.solve_saddle(16, 1.0, 2)
+        assert seen[:2] == [0.5, 0.25]
+        assert abs(sp.tau - 0.3) <= 1e-15
+
+    @pytest.mark.parametrize("points,first", [
+        # from lo = 0.5 to 1.0, whose Newton step lands back on lo exactly
+        ({0.5: (32.0, -64.0), 1.0: (8.0, -8.0)}, [0.5, 1.0, 0.75]),
+        # from hi = 0.5 to 0.25, whose Newton step lands back on hi exactly
+        ({0.5: (8.0, -16.0), 0.25: (32.0, -128.0)}, [0.5, 0.25, 0.375]),
+    ])
+    def test_newton_step_onto_a_bracket_end_bisects(self, monkeypatch, points, first):
+        # the bracket is open at both ends: a step onto an end is refused
+        seen = self._scripted(monkeypatch, points, lambda t: (16.0 * (first[-1] / t), 0.0))
+        sd.solve_saddle(16, 1.0, 2)
+        assert seen[:3] == first
+
+    def test_newton_stops_at_a_step_of_1e_14(self, monkeypatch):
+        # a step of exactly 1e-14 ends the solve at its first sample
+        f = 16.000000000001
+        df = -math.log(f / 16) * f / (0.5 * 1e-14)
+        for _ in range(3):
+            df = math.nextafter(df, 0.0)
+        for _ in range(7):
+            if math.log(f / 16) * f / (-0.5 * df) == 1e-14:
+                break
+            df = math.nextafter(df, -math.inf)
+        assert math.log(f / 16) * f / (-0.5 * df) == 1e-14
+        seen = self._scripted(monkeypatch, {0.5: (f, df)}, lambda t: (16.0 * (0.5 / t), -16.0))
+        assert sd.solve_saddle(16, 1.0, 2).tau == 0.5
+        assert seen == [0.5]
+
+    def test_residual_equal_to_the_tolerance_passes(self, monkeypatch):
+        # at n = 10^9 the tolerance 1e-9 n is 1.0 exactly, as is |lhs - n|
+        # at lhs = n + 1; a slope this steep ends the solve there
+        n = 10**9
+        seen = self._scripted(monkeypatch, {}, lambda t: (n + 1.0, -1e30))
+        sp = sd.solve_saddle(n, 1.0, 2)
+        assert len(seen) == 1 and sp.residual == 1e-9 * n == 1.0
+        self._scripted(monkeypatch, {}, lambda t: (n + 2.0, -1e30))
+        with pytest.raises(sd.SaddleBracketError, match="residual"):
+            sd.solve_saddle(n, 1.0, 2)
+
+    def test_flat_curvature_at_the_root_is_refused(self, monkeypatch):
+        self._scripted(monkeypatch, {}, lambda t: (16.0, -1.0))
+        monkeypatch.setattr(sd, "_partials", lambda gamma, u, r, pairs: [1.0, -16.0, 0.0])
+        with pytest.raises(sd.SaddleBracketError, match="second derivative"):
+            sd.solve_saddle(16, 1.0, 2)
 
     def test_tiny_u_reads_an_int64_table(self, monkeypatch):
         # the k-sums run past 10^6 terms; r = 1 windows stay int64 at that size
@@ -189,6 +269,28 @@ class TestGapWindows:
                 want = [float(sig[k + 1] - sig[k]) for k in ks]
                 assert _kernel_gaps(r, ks, k_cap) == want, (block, k_cap)
 
+    def test_a_solve_sieves_one_window_per_pass(self, monkeypatch):
+        # a block reaches where max(|w|, 1) k^4 e^(-gamma k) falls to 1e-18,
+        # so each weighted pass of a catalog solve sieves one window
+        passes, windows = [], []
+        real_ksum, real_window = sd._ksum, sd.sigma_window
+
+        def counting_ksum(*args, **kwargs):
+            passes.append(args[0])
+            return real_ksum(*args, **kwargs)
+
+        def counting_window(*args):
+            windows.append(args)
+            return real_window(*args)
+
+        monkeypatch.setattr(sd, "_ksum", counting_ksum)
+        monkeypatch.setattr(sd, "sigma_window", counting_window)
+        for n, r, u in ((1000, 2, 0.5), (30000, 3, 2.0)):
+            passes.clear()
+            windows.clear()
+            sd.solve_saddle(n, u, r)
+            assert len(windows) == len(passes), (n, r, u)
+
     def test_long_sum_memory_stays_flat(self):
         # 2*10^6 terms at r = 2, where one shared int64 sigma table would
         # take 16 MiB alone
@@ -202,6 +304,166 @@ class TestGapWindows:
         assert peak < 16 * 2**20, peak
 
 
+
+def _edge_gamma(k_stop):
+    """The gamma at which a sum of ones stops at exactly k_stop: its running
+    total is k, so the rule k^4 e^(-gamma k) < 1e-18 k first holds where
+    k^3 e^(-gamma k) crosses 1e-18, put here half a term before k_stop."""
+    k = k_stop - 0.5
+    return (3.0 * math.log(k) + sd._LOG_RATIO) / k
+
+
+def _ones(k, q):
+    return [np.ones_like(k)]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * abs(want)
+
+
+class TestChunkEdges:
+    """The kernel forms its terms over chunks of _CHUNK k inside each sigma
+    window and carries every running total across; nothing of that may
+    show in a sum."""
+
+    @pytest.mark.parametrize("k_stop", [sd._CHUNK - 1, sd._CHUNK, sd._CHUNK + 1, 2 * sd._CHUNK])
+    def test_stop_on_either_side_of_a_chunk_edge(self, k_stop):
+        gamma = _edge_gamma(k_stop)
+        want = oracle.kahan_ksum(gamma, None, lambda k, q: 1.0)
+        assert want == k_stop  # the scalar loop stops where the rule says
+        got = sd._ksum(gamma, None, _ones)[0]
+        assert _close(got, want) and got == k_stop
+
+    def test_sums_of_one_call_close_in_different_chunks(self):
+        # a sum 2^40 times smaller runs about 1,800 terms longer
+        gamma = _edge_gamma(sd._CHUNK)
+        small = 2.0**-40
+        got = sd._ksum(gamma, None, lambda k, q: [np.ones_like(k), np.full_like(k, small), q])
+        want = [oracle.kahan_ksum(gamma, None, summand)
+                for summand in (lambda k, q: 1.0, lambda k, q: small, lambda k, q: q)]
+        assert got[0] == sd._CHUNK and 1.2 * sd._CHUNK < got[1] / small < 2 * sd._CHUNK
+        assert all(_close(g, w) for g, w in zip(got, want)), (got, want)
+        # each sum stops by its own rule, as in a call of its own
+        assert got[1] == sd._ksum(gamma, None, lambda k, q: [np.full_like(k, small)])[0]
+
+    def test_sum_over_several_chunks_and_windows(self, monkeypatch):
+        # r = 3 at gamma = 5e-4 runs past 2^16 terms: each sigma window of
+        # 2^16 k is sieved once, and its chunks carry the totals across
+        gamma, u, r = 5e-4, 1.0, 3
+        windows = []
+        real = sd.sigma_window
+
+        def recording(r, lo, hi):
+            windows.append((lo, hi))
+            return real(r, lo, hi)
+
+        monkeypatch.setattr(sd, "sigma_window", recording)
+        orders = ((0, 0), (1, 0), (2, 0))
+        got = sd._partials(gamma, u, r, orders)
+        size = sd._block_length(gamma, 4 + r)
+        assert size == sd._BLOCK_MAX and len(windows) >= 3
+        assert windows == [(1 + i * size, 1 + (i + 1) * size) for i in range(len(windows))]
+        head = sd._ksum(gamma, r, lambda k, q: [sd._partial_terms(2, 0, k, q, u)], k_cap=size)
+        assert not _close(head[0], got[2])  # the first window does not hold the sum
+        for order, value in zip(orders, got):
+            want = oracle.F_partial(gamma, u, r, *order)
+            assert _close(value, want), (order, value, want)
+
+    @pytest.mark.parametrize("k_cap", [
+        sd._CHUNK - 1, sd._CHUNK + 1, sd._BLOCK_MAX + sd._CHUNK // 2, sd._BLOCK_MAX + 1,
+    ])
+    def test_cap_inside_a_chunk(self, k_cap):
+        got = sd._ksum(1e-6, 2, lambda k, q: [q], k_cap=k_cap)[0]
+        want = oracle.kahan_ksum(1e-6, 2, lambda k, q: q, k_cap=k_cap)
+        assert _close(got, want), (got, want)
+
+    @pytest.mark.parametrize("r,shift", [(2, None), (2, 0), (2, 1), (5, 1)])
+    def test_weights_at_chunk_and_window_edges(self, r, shift):
+        # one-hot summands read the kernel's weights back at the k next to
+        # every chunk and window edge up to a cap inside the third window
+        top = 2 * sd._BLOCK_MAX + 2
+        ks = sorted({1, 2, top} | {e + d for e in (sd._CHUNK, 2 * sd._CHUNK, sd._BLOCK_MAX,
+                                                   sd._BLOCK_MAX + sd._CHUNK, 2 * sd._BLOCK_MAX)
+                                   for d in (-1, 0, 1)})
+        got = sd._ksum(1e-12, r, lambda k, q: [(k == j).astype(np.float64) for j in ks],
+                       k_cap=top, shift=shift)
+        sig = arith.sigma_r_table(top + 2, r)
+        if shift is None:
+            want = [float(sig[k + 1] - sig[k]) for k in ks]
+        else:
+            want = [float(sig[k + shift]) for k in ks]
+        assert got == want
+
+    @pytest.mark.parametrize("r", [None, 2])
+    @pytest.mark.parametrize("bad", [sd._CHUNK + 5, sd._BLOCK_MAX + sd._CHUNK + 3])
+    def test_non_finite_term_in_a_later_chunk(self, r, bad):
+        with pytest.raises(ArithmeticError, match=f"at k = {bad} "):
+            sd._ksum(1e-6, r, lambda k, q: [q / (k - bad)])
+
+    def test_chunks_tile_each_window(self, monkeypatch):
+        # summands see consecutive chunks of at most _CHUNK k that restart at
+        # each window's first k, and a one-k chunk at a window's end opens
+        # no window of its own
+        chunks, windows = [], []
+        real = sd.sigma_window
+
+        def recording(r, lo, hi):
+            windows.append(hi - 1)
+            return real(r, lo, hi)
+
+        def summands(k, q):
+            chunks.append((int(k[0]), int(k[-1])))
+            return [q]
+
+        monkeypatch.setattr(sd, "sigma_window", recording)
+        for k_cap, ends in ((2 * sd._CHUNK + 1, [2 * sd._CHUNK + 1]),
+                            (sd._BLOCK_MAX + sd._CHUNK + 3,
+                             [sd._BLOCK_MAX, sd._BLOCK_MAX + sd._CHUNK + 3])):
+            chunks.clear()
+            windows.clear()
+            sd._ksum(1e-12, 2, summands, k_cap=k_cap)
+            want, start = [], 1
+            for end in ends:
+                for lo in range(start, end + 1, sd._CHUNK):
+                    want.append((lo, min(lo + sd._CHUNK - 1, end)))
+                start = end + 1
+            assert windows == ends
+            assert chunks == want
+
+    def test_stop_rule_is_strict(self):
+        # a first term whose 1e-18 share rounds to e^-gamma exactly, the
+        # bound at k = 1: the rule needs the bound below it, so the sum goes
+        # on to k = 2 (not every e^-gamma is such a share; try a few gammas)
+        ties = []
+        for gamma in (5.0 + 0.001 * i for i in range(20)):
+            q = math.exp(-gamma)
+            first = q / sd.TRUNCATION_RATIO
+            for _ in range(4):
+                first = math.nextafter(first, 0.0)
+            for _ in range(8):
+                if sd.TRUNCATION_RATIO * first == q:
+                    ties.append((gamma, first))
+                first = math.nextafter(first, math.inf)
+        assert ties
+        for gamma, first in ties[:3]:
+            got = sd._ksum(gamma, None, lambda k, q: [np.where(k == 1.0, first, 1.0)])[0]
+            want = oracle.kahan_ksum(gamma, None, lambda k, q: first if k == 1 else 1.0)
+            assert got == want == first + 1.0
+
+    def test_block_length_is_where_the_bound_meets_the_ratio(self):
+        # between the clamps, k^p e^(-gamma k) has fallen to about 1e-18 there
+        for gamma, power in ((0.01, 4), (0.003, 7), (0.05, 9)):
+            k = sd._block_length(gamma, power)
+            assert sd._BLOCK_MIN < k < sd._BLOCK_MAX
+            ratio = math.exp(power * math.log(k) - gamma * k) / sd.TRUNCATION_RATIO
+            assert 0.5 < ratio < 2.0, (gamma, power, k, ratio)
+        assert sd._block_length(10.0, 4) == sd._BLOCK_MIN
+        assert sd._block_length(1e-9, 4) == sd._BLOCK_MAX
+
+    def test_one_term_cap(self):
+        assert sd._ksum(0.1, None, lambda k, q: [q], k_cap=1) == [math.exp(-0.1)]
+
+
 class TestMeanVariance:
     def test_mean_is_first_u_partial(self):
         for mode in ("general", "paper_literal"):
@@ -212,6 +474,16 @@ class TestMeanVariance:
     def test_positive_at_moderate_n(self):
         mu, nu2 = sd.mean_variance_saddle(200, 2, mode="general")
         assert mu > 0.0 and nu2 > 0.0
+
+    @pytest.mark.parametrize("sums,message", [
+        # (F_u, F_uu, F_gamma_u, F_gamma_gamma)
+        ([1.0, 0.0, 0.0, 0.0], "curvature sum"),
+        ([1.0, -0.5, 1.0, 2.0], "degenerate variance 0"),
+    ])
+    def test_zero_curvature_or_variance_is_refused(self, monkeypatch, sums, message):
+        monkeypatch.setattr(sd, "_partials", lambda gamma, u, r, pairs: sums)
+        with pytest.raises(ValueError, match=message):
+            sd.mean_variance_at(0.1, 2)
 
     def test_doubling_growth_trend(self):
         # mu(2n)/mu(n) should approach 2^((r+1)/(r+2)) within 15%
@@ -238,8 +510,9 @@ class TestMellinLeadingOrder:
         assert abs(ratios[0] - 1.0) < 0.05
 
     def test_grid_must_decrease(self):
-        with pytest.raises(ValueError):
-            sd.mellin_ratio_check(0, [0.05, 0.1], 1.0, 2)
+        for grid in ([0.05, 0.1], [0.1, 0.1]):
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                sd.mellin_ratio_check(0, grid, 1.0, 2)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_u_above_one(self, r):
@@ -260,6 +533,22 @@ class TestShiftedSumProbe:
     def test_inside_budget(self, j):
         value, bound, ok = sd.h1_boundedness_probe(j, 0.05, 1.0, 2)
         assert ok and abs(value) <= bound
+
+    @pytest.mark.parametrize("j,gamma,u,r", [(0, 0.05, 1.0, 2), (1, 0.1, 0.5, 3)])
+    def test_budget_formula(self, j, gamma, u, r):
+        # 1.5 N(r) |Li_{r+2}(-u)| (r+j)! gamma^-(r+j+1), from the dirichlet layer
+        _, bound, _ = sd.h1_boundedness_probe(j, gamma, u, r)
+        want = (1.5 * dl.growth_constants(r).N * abs(dl.polylog_neg(r + 2.0, u))
+                * math.factorial(r + j) * gamma ** -(r + j + 1.0))
+        assert abs(bound - want) <= 1e-14 * want
+
+    def test_value_equal_to_its_budget_is_inside(self, monkeypatch):
+        _, bound, _ = sd.h1_boundedness_probe(0, 0.05, 1.0, 2)
+        monkeypatch.setattr(sd, "_sigma_double_sum", lambda j, gamma, u, r, shifted: -bound)
+        assert sd.h1_boundedness_probe(0, 0.05, 1.0, 2) == (-bound, bound, True)
+        monkeypatch.setattr(sd, "_sigma_double_sum",
+                            lambda j, gamma, u, r, shifted: math.nextafter(bound, math.inf))
+        assert not sd.h1_boundedness_probe(0, 0.05, 1.0, 2)[2]
 
     def test_gamma_halving_scale(self):
         v1, _, _ = sd.h1_boundedness_probe(0, 0.05, 1.0, 2)
@@ -295,7 +584,7 @@ class TestMinorArc:
             assert sd.minor_arc_ratio(0.4, theta, 1.0, 2, k_cap=9) <= 1.0
 
     def test_domain(self):
-        for tau, u in ((0.0, 1.0), (math.nan, 1.0), (0.1, math.nan)):
+        for tau, u in ((0.0, 1.0), (math.nan, 1.0), (0.1, 0.0), (0.1, math.nan)):
             with pytest.raises(ValueError, match="requires tau > 0 and u > 0"):
                 sd.minor_arc_ratio(tau, 1.0, u, 2)
 
