@@ -78,6 +78,34 @@ SKIP = {
     ("cltlab.py", "_least_squares_slope",
      "sxy = sum((x - mx) * (y + my) for x, y in zip(xs, ys))"):
         "sum(x - mx) = 0, so the centring of y drops out of sxy",
+    ("partition.py", "general_binomial", "if d > 0:"):
+        "at d = 0 and m >= 1 both branches give 0: C(0, m) = C(m - 1, m) = 0",
+    ("partition.py", "_expansion_terms", "if d >= 0:"):
+        "differs only at d = 0, which build_table skips before it expands a factor",
+    ("partition.py", "_unpack_row",
+     "raw, _ = _offset_bytes(packed, bits, (packed.bit_length() + 2 + bits + 1) // bits)"):
+        "a slot past the ceiling holds digit 0, which the trailing-zero pop removes",
+    ("partition.py", "build_table",
+     "deg = n_max // lo - ((last & -last).bit_length() + 1) // bits"):
+        "differs only at a lowest digit of +-2^(bits-2), at least 2^30, and then only in "
+        "when the rows flip, never in a cell",
+    ("partition.py", "build_table",
+     "standard = j >= lo or (last != 0 and 2 * (n_max // j - deg) > deg + 1)"):
+        "j never equals lo, the smallest of the distinct factors applied before it",
+    ("partition.py", "build_table", "for n in range(n_max, lo - j - 1, -1):"):
+        "a row below lo + j reaches no source (n - lo < j), so it is written back unchanged",
+    ("partition.py", "_naive_table", "if d >= 0:"):
+        "at d = 0 the loop runs zero times",
+    ("partition.py", "_naive_table", "elif d <= 0:"):
+        "at d = 0 the loop runs zero times",
+    ("partition.py", "_naive_table", "row.extend([0] * (k + 1 + len(row)))"):
+        "the longer padding is zeros past cell k, which _trim removes",
+    ("partition.py", "negative_mass",
+     "return Fraction(sum(abs(c) for c in self.cells if c // self.total < 0), abs(self.total))"):
+        "c // t < 0 exactly when c and t have opposite signs, as c * t < 0",
+    ("partition.py", "negative_mass",
+     "return Fraction(sum(abs(c) for c in self.cells if c * self.total <= 0), abs(self.total))"):
+        "the cells it adds are zeros",
 }
 
 

@@ -7,8 +7,8 @@ which are tabulated complex roots of unity (CHARACTER_TOL = 1e-9 on the
 character identities that verify checks).  A character is its modulus,
 its values and whether it is principal; its primitive inducer, which no
 production path reads, is found and held to the scale identity in
-tests/test_arith.py.  The one cache, _mu_power_prefix, is built once and
-read-only afterwards, so concurrent readers are safe.  sigma_r has two
+tests/test_arith.py.  Nothing is cached: every table is built by the call
+that reads it, so concurrent callers share no state.  sigma_r has two
 exact sources: the exact layers (GapSequence, hence the partition tables)
 read the pure-Python divisor-add sieve sigma_r_table, and the numpy
 layers read windows lo..limit of one pair sieve (divisor_sum_sieve):
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _iproduct
 from typing import TYPE_CHECKING
 
@@ -307,30 +306,25 @@ def ramanujan_sum_exponential(m: int, n):
     return complex(sums[0]) if np.ndim(n) == 0 else sums
 
 
-@lru_cache(maxsize=8)
-def _mu_power_prefix(r: int, limit: int) -> tuple[float, ...]:
-    """Prefix sums of mu(t) / t^(r+1) for t <= limit."""
-    mu, _ = mu_phi_tables(limit)
-    out = [0.0] * (limit + 1)
-    acc = 0.0
-    for t in range(1, limit + 1):
-        if mu[t]:
-            acc += mu[t] / t ** (r + 1)
-        out[t] = acc
-    return tuple(out)
-
-
-def ramanujan_weighted_partial(n: int, m_limit: int, r: int) -> float:
-    """Truncated sum over m <= m_limit of c_m(n) / m^(r+1).
+def ramanujan_weighted_partial(ns: list[int], m_limit: int, r: int) -> list[float]:
+    """Truncated sums over m <= m_limit of c_m(n) / m^(r+1), one per n in ns.
 
     Regrouped exactly through the divisor form of c_m(n):
     sum_{d | n} d^(-r) * sum_{t <= m_limit/d} mu(t)/t^(r+1),
-    which is the same finite sum evaluated in O(d(n)) lookups.
+    which is the same finite sum evaluated in O(d(n)) lookups into one
+    table of prefix sums of mu(t)/t^(r+1), built once per call.
     """
-    prefix = _mu_power_prefix(r, m_limit)
-    return math.fsum(
-        prefix[m_limit // d] / d**r for d in divisors(n) if m_limit // d >= 1
-    )
+    mu, _ = mu_phi_tables(m_limit)
+    prefix = [0.0] * (m_limit + 1)
+    acc = 0.0
+    for t in range(1, m_limit + 1):
+        if mu[t]:
+            acc += mu[t] / t ** (r + 1)
+        prefix[t] = acc
+    return [
+        math.fsum(prefix[m_limit // d] / d**r for d in divisors(n) if m_limit // d >= 1)
+        for n in ns
+    ]
 
 
 # ---------------------------------------------------------------------------

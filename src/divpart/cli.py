@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="path (default stdout)")
 
     p = sub.add_parser("constants", help="emit the derived constants as JSON")
-    _add_r(p, default=1)
+    # growth_constants forms r!, which is a float up to r = 170
+    p.add_argument("--r", type=_checked(int, lambda r: 1 <= r <= 170, "--r must be in [1, 170]"),
+                   default=1, help="divisor power (default %(default)s)")
     _add_prime_cutoff(p)
     p.add_argument("--convention", choices=("standard", "shifted-zeta"),
                    default="standard",

@@ -283,22 +283,6 @@ class TailReport:
     findings: list[str]
     refused: bool
 
-    @property
-    def self_consistent(self) -> bool:
-        """Every record a probability, on the branch its x selects, under a
-        bound >= 0; vacuously true with no records (a refused row, where
-        n <= 1 admits no split)."""
-        if not self.records:
-            return True
-        t_split = tail_split(self.n, self.r)
-        for rec in self.records:
-            if not 0.0 <= rec.prob <= 1.0:
-                return False
-            want = "gauss" if rec.x <= t_split else "linear"
-            if rec.branch != want or rec.bound < 0.0:
-                return False
-        return True
-
 
 def tail_report(
     n: int,

@@ -102,12 +102,6 @@ class PartitionTable:
     coeff: list[list[int]]
     row_totals: list[int]
 
-    def value(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.n_max or k < 0:
-            raise IndexError(f"(n, k) = ({n}, {k}) outside table")
-        row = self.coeff[n]
-        return row[k] if k < len(row) else 0
-
     @_unlimited_int_str
     def to_csv(self) -> str:
         lines = ["n,k,coefficient"]
@@ -336,7 +330,6 @@ class OracleTables:
 
     enumeration: PartitionTable | None
     naive: PartitionTable
-    enumeration_refused: str | None = None
 
 
 def _enumeration_table(r: int, n_max: int, gaps: tuple[int, ...]) -> PartitionTable | None:
@@ -418,15 +411,9 @@ def oracle_table(r: int, n_max: int) -> OracleTables:
     if n_max > 14:
         raise ValueError("oracle_table is exponential-cost; n_max <= 14")
     gaps = GapSequence.build(r, max(n_max, 1)).gaps
-    enum = _enumeration_table(r, n_max, gaps)
-    refused = None
-    if enum is None:
-        first_neg = next(j for j in range(1, n_max + 1) if gaps[j - 1] < 0)
-        refused = f"gap({first_neg}) = {gaps[first_neg - 1]} < 0"
     return OracleTables(
-        enumeration=enum,
+        enumeration=_enumeration_table(r, n_max, gaps),
         naive=_naive_table(r, n_max, gaps),
-        enumeration_refused=refused,
     )
 
 

@@ -255,13 +255,7 @@ def _saddle_equation(t: float, u: float, r: int, mode: str) -> tuple[float, floa
     return -g1, -g2
 
 
-def solve_saddle(
-    n: int,
-    u: float,
-    r: int,
-    mode: str = "general",
-    bracket_hint: float | None = None,
-) -> SaddlePoint:
+def solve_saddle(n: int, u: float, r: int, mode: str = "general") -> SaddlePoint:
     """Positive root of the saddle equation, to residual < 1e-9 max(1, n).
 
     general: solve -F_gamma(tau, u) = n (gap weights inside);
@@ -275,18 +269,15 @@ def solve_saddle(
     if not (n >= 1 and u > 0.0):
         raise ValueError("solve_saddle requires n >= 1 and u > 0")
     if mode == "general":
-        scale = float(n) ** (-1.0 / (r + 2))
+        root = float(n) ** (-1.0 / (r + 2))
     elif mode == "paper_literal":
-        scale = math.sqrt(math.pi**2 / 12.0 / n)
+        root = math.sqrt(math.pi**2 / 12.0 / n)
     else:
         raise ValueError("mode must be 'general' or 'paper_literal'")
-    if bracket_hint is not None:
-        scale *= bracket_hint
 
     # lhs decreases in tau: lo has lhs >= n, hi has lhs < n
     profile = []
     lo, hi = 0.0, math.inf
-    root = scale
     for _ in range(MAX_SOLVE_STEPS):
         f, df = _saddle_equation(root, u, r, mode)
         profile.append((root, f))

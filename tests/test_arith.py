@@ -213,11 +213,18 @@ def test_divisor_form_agrees(m, n):
 
 def test_weighted_partial_regrouping_matches_naive():
     # (12, 10) and (36, 20) reach divisors d with m_limit // d = 1
-    for n, m_limit in ((1, 2000), (7, 2000), (12, 2000), (36, 2000), (50, 2000),
-                       (12, 10), (36, 20)):
-        fast = arith.ramanujan_weighted_partial(n, m_limit, 2)
-        slow = oracle.ramanujan_weighted_partial(n, m_limit, 2)
-        assert abs(fast - slow) < 1e-12
+    for ns, m_limit in (([1, 7, 12, 36, 50], 2000), ([12], 10), ([36], 20)):
+        fast = arith.ramanujan_weighted_partial(ns, m_limit, 2)
+        assert len(fast) == len(ns)
+        for n, value in zip(ns, fast):
+            assert abs(value - oracle.ramanujan_weighted_partial(n, m_limit, 2)) < 1e-12
+
+
+def test_weighted_partial_one_value_per_n_in_order():
+    ns = [50, 1, 12, 12, 7]
+    together = arith.ramanujan_weighted_partial(ns, 500, 3)
+    assert together == [arith.ramanujan_weighted_partial([n], 500, 3)[0] for n in ns]
+    assert arith.ramanujan_weighted_partial([], 500, 3) == []
 
 
 # ---------------------------------------------------------------------------

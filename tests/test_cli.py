@@ -1,8 +1,10 @@
 import argparse
 import collections
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,9 +67,9 @@ class TestConstants:
         proc = subprocess.run(
             [sys.executable, "-m", "divpart", "constants", "--r", "171", "--prime-cutoff", "1000"],
             capture_output=True, text=True, env=_src_env())
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error:") and "r <= 170" in proc.stderr
+        assert proc.stderr.startswith("configuration error:") and "[1, 170]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("r,expected", [
@@ -620,6 +622,20 @@ class TestImportFootprint:
         assert all(hasattr(divpart, name) for name in divpart.__all__)
         with pytest.raises(AttributeError):
             divpart.no_such_module  # noqa: B018
+
+    def test_src_holds_no_cache(self):
+        # every table is built by the call that reads it; __main__ only calls cli.main
+        import divpart
+
+        names = [m.name for m in pkgutil.iter_modules(divpart.__path__) if m.name != "__main__"]
+        assert "arith" in names and "partition" in names
+        for name in names:
+            module = importlib.import_module(f"divpart.{name}")
+            members = list(vars(module).items())
+            members += [(f"{key}.{attr}", value) for key, cls in vars(module).items()
+                        if isinstance(cls, type) for attr, value in vars(cls).items()]
+            cached = [key for key, value in members if hasattr(value, "cache_info")]
+            assert cached == [], f"divpart.{name}: {cached}"
 
     def test_verify_path_loads_no_fractions(self):
         # against what the interpreter had loaded before the import, since

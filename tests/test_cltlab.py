@@ -234,7 +234,6 @@ class TestTail:
         assert report.refused
         assert report.records == []
         assert any("negative cells" in f for f in report.findings)
-        assert report.self_consistent  # vacuous over zero records
 
     def test_report_refuses_point_mass_row(self):
         # n = 1 is a point mass; its budget split would divide by log 1 = 0
@@ -248,7 +247,10 @@ class TestTail:
             400, 3, [1.0, 2.0], table=table_r3_400, max_negative_mass=1e-9
         )
         assert not report.refused
-        assert report.self_consistent
+        t_split = cltlab.tail_split(400, 3)
+        assert all(0.0 <= rec.prob <= 1.0 and rec.bound >= 0.0
+                   and rec.branch == ("gauss" if rec.x <= t_split else "linear")
+                   for rec in report.records)
         assert report.findings == []
 
     def test_report_finds_probability_outside_unit_interval(self):
@@ -258,7 +260,6 @@ class TestTail:
                                     max_negative_mass=math.inf)
         assert not report.refused
         assert report.findings == ["x = 1.0, lower: prob -5.882353e-02 outside [0, 1]"]
-        assert not report.self_consistent
 
     def test_report_admits_probabilities_zero_and_one(self):
         # a hand-made signed row 1 - u + u^3: mean 2, variance 4, so at
@@ -268,7 +269,7 @@ class TestTail:
             r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [1, -1, 0, 1]], row_totals=[1, 1, 1, 1])
         report = cltlab.tail_report(3, 2, [0.5], table=table, max_negative_mass=math.inf)
         assert [rec.prob for rec in report.records] == [1.0, 0.0]
-        assert report.findings == [] and report.self_consistent
+        assert report.findings == []
 
     def test_tail_equal_to_its_bound_is_within_budget(self):
         # a hand-made signed row 3 - 3u + u^3: mean 0, variance 6, so the
@@ -280,33 +281,11 @@ class TestTail:
                                   max_negative_mass=math.inf)[0]
         assert (upper.prob, upper.bound, upper.ok) == (1.0, 1.0, True)
 
-    def test_report_without_records_is_self_consistent_at_any_n(self):
-        # refused rows at n <= 1: no split is formed (log 1 = 0, log 0 fails)
+    def test_report_refuses_rows_below_two(self):
+        # no split is formed at n <= 1 (log 1 = 0, log 0 fails)
         for n in (0, 1):
             report = cltlab.tail_report(n, 2, [1.0])
-            assert report.refused and report.self_consistent
-
-    @pytest.mark.parametrize("prob, branch, bound, x", [
-        (-1e-12, "gauss", 1.0, 0.25),    # a negative probability
-        (1.0 + 1e-12, "gauss", 1.0, 0.25),  # a probability above 1
-        (0.5, "linear", 1.0, 0.25),      # the linear branch below the split
-        (0.5, "gauss", 1.0, 1.0),        # the gauss branch above it
-        (0.5, "gauss", -1e-300, 0.25),   # a negative bound
-    ])
-    def test_self_consistent_fails_each_condition(self, prob, branch, bound, x):
-        # n = 400, r = 3: T = 0.371; the edge records sit on each boundary
-        edge = [
-            cltlab.TailRecord(x=0.25, side="upper", prob=0.0, bound=0.0, branch="gauss", ok=True),
-            cltlab.TailRecord(x=cltlab.tail_split(400, 3), side="lower", prob=1.0, bound=1.5,
-                              branch="gauss", ok=True),
-        ]
-        report = cltlab.TailReport(n=400, r=3, records=edge, findings=[], refused=False)
-        assert report.self_consistent
-        bad = cltlab.TailRecord(x=x, side="upper", prob=prob, bound=bound, branch=branch,
-                                ok=True)
-        broken = cltlab.TailReport(n=400, r=3, records=[*edge, bad], findings=[],
-                                   refused=False)
-        assert not broken.self_consistent
+            assert report.refused and report.records == []
 
     def test_positive_grid_guard(self):
         for grid in ([-1.0], [1.0, math.nan]):

@@ -33,19 +33,19 @@ def test_general_binomial():
 
 def test_hand_expansion_examples():
     # (1+uz)^4 (1+uz^2)^5 (1+uz^3)^11 truncated at z^3
-    t = build_table(2, 3)
-    assert t.value(0, 0) == 1
-    assert t.value(1, 1) == 4
-    assert t.value(2, 1) == 5
-    assert t.value(2, 2) == 6       # C(4,2)
-    assert t.value(3, 2) == 20      # 4*5
-    assert t.value(3, 3) == 4       # C(4,3)
-    assert t.value(3, 1) == 11
+    c = build_table(2, 3).coeff
+    assert c[0][0] == 1
+    assert c[1][1] == 4
+    assert c[2][1] == 5
+    assert c[2][2] == 6       # C(4,2)
+    assert c[3][2] == 20      # 4*5
+    assert c[3][3] == 4       # C(4,3)
+    assert c[3][1] == 11
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_empty_product_cell(r):
-    assert build_table(r, 1).value(0, 0) == 1
+    assert build_table(r, 1).coeff[0][0] == 1
 
 
 # r = 1 has gap(4) = -1, applied as one divide-by-(1 + u z^4) sweep
@@ -55,11 +55,11 @@ def test_oracle_equivalence(r, n_max):
     built = build_table(r, n_max)
     oracles = oracle_table(r, n_max)
     assert tables_equal(built, oracles.naive)
+    # the enumeration oracle refuses exactly when a gap in range is negative
+    negative_gap = any(g < 0 for g in GapSequence.build(r, max(n_max, 1)).gaps[:n_max])
+    assert (oracles.enumeration is None) == negative_gap
     if oracles.enumeration is not None:
         assert tables_equal(built, oracles.enumeration)
-    else:
-        assert oracles.enumeration_refused is not None
-        assert "< 0" in oracles.enumeration_refused
 
 
 def test_enumeration_refusal_is_negative_gap_regime():
@@ -68,9 +68,17 @@ def test_enumeration_refusal_is_negative_gap_regime():
     assert oracle_table(2, 9).enumeration is not None
 
 
+def test_tables_equal_reads_every_cell():
+    table = build_table(2, 6)
+    assert tables_equal(table, build_table(2, 6))
+    assert not tables_equal(table, build_table(3, 6))
+    assert not tables_equal(table, build_table(2, 7))
+
+
 def test_oracle_budget_guard():
     with pytest.raises(ValueError):
         oracle_table(2, 15)
+    assert tables_equal(oracle_table(1, 14).naive, build_table(1, 14))  # the limit itself
 
 
 def test_row_totals_match_bivariate_sums(table_r2_60):
@@ -185,6 +193,53 @@ def test_any_factor_order_equals_default(r, n_max):
         built = build_table(r, n_max, factor_order=order)
         assert built.coeff == default.coeff, name
         assert built.row_totals == default.row_totals, name
+
+
+@pytest.mark.parametrize("r,n_max", [(1, 0), (1, 1), (2, 10), (2, 20), (1, 40), (2, 100),
+                                     (3, 40), (4, 100)])
+def test_rows_flip_where_row_n_max_would_pad_past_its_degree(monkeypatch, r, n_max):
+    # the default order keeps the reversed layout until, at factor j, row
+    # n_max's new top n_max // j would exceed its u-degree by more than half
+    # its digit count; the flip then covers rows lo..n_max, lo the factor
+    # before j.  The degrees come from a dict product in the same order.
+    gaps = GapSequence.build(r, max(n_max, 1)).gaps
+    poly = {(0, 0): 1}
+    lo, flipped = n_max + 1, n_max + 1  # no flip in the loop: every row at the end
+    for j in range(n_max, 0, -1):
+        d = gaps[j - 1]
+        if d == 0:
+            continue
+        deg = max((k for (n, k), c in poly.items() if n == n_max), default=None)
+        if deg is not None and 2 * (n_max // j - deg) > deg + 1:
+            flipped = n_max - lo + 1
+            break
+        out = dict(poly)
+        for (n, k), c in poly.items():
+            for m in range(1, (n_max - n) // j + 1):
+                key = (n + j * m, k + m)
+                out[key] = out.get(key, 0) + general_binomial(d, m) * c
+        poly = {key: c for key, c in out.items() if c}
+        lo = j
+    calls = []
+    real = partition._flip
+    monkeypatch.setattr(partition, "_flip", lambda *args: calls.append(args) or real(*args))
+    build_table(r, n_max)
+    assert len(calls) == flipped
+
+
+@pytest.mark.parametrize("r,n_max", [(1, 2), (1, 5), (1, 10), (1, 20), (2, 10), (2, 20)])
+def test_small_gaps_are_single_term_sweeps(monkeypatch, r, n_max):
+    # a factor with 0 < |gap(j)| <= n_max // j (at most its number of
+    # expansion terms) is applied as |gap(j)| sweeps; only the others expand.
+    # Each input has a factor with |gap(j)| = n_max // j.
+    gaps = GapSequence.build(r, max(n_max, 1)).gaps
+    assert any(g and abs(g) == n_max // j for j, g in enumerate(gaps[:n_max], start=1))
+    expanded = []
+    real = partition._expansion_terms
+    monkeypatch.setattr(partition, "_expansion_terms",
+                        lambda d, j, n: expanded.append(j) or real(d, j, n))
+    build_table(r, n_max)
+    assert expanded == [j for j in range(n_max, 0, -1) if abs(gaps[j - 1]) > n_max // j]
 
 
 @pytest.mark.parametrize("bits", [8, 16, 64, 200, 312, 360])
@@ -309,7 +364,7 @@ class TestExport:
         assert doc["r"] == 2 and doc["n_max"] == 10 and doc["k_max"] == 10
         cells = {(n, k): int(c) for n, k, c in doc["entries"]}
         for (n, k), c in cells.items():
-            assert t.value(n, k) == c
+            assert t.coeff[n][k] == c
         assert [int(x) for x in doc["row_totals"]] == t.row_totals
 
     def test_export_deterministic(self):
@@ -322,5 +377,6 @@ class TestExport:
 def test_build_rejects_bad_order():
     with pytest.raises(ValueError):
         build_table(2, 5, factor_order=[1, 2, 3])
-    with pytest.raises(ValueError):
-        build_table(0, 5)
+    for r, n_max in ((0, 5), (2, -1)):
+        with pytest.raises(ValueError, match="requires r >= 1 and n_max >= 0"):
+            build_table(r, n_max)

@@ -74,16 +74,21 @@ class TestSolveSaddle:
         taus = [sd.solve_saddle(n, 1.0, 2).tau for n in (50, 100, 200, 400)]
         assert all(b < a for a, b in zip(taus, taus[1:]))
 
-    def test_bracket_perturbation_stable(self):
+    @pytest.mark.parametrize("start", [1.7, 0.1, 30.0])
+    def test_far_start_reaches_same_root(self, start, monkeypatch):
+        # the equation in tau / c has its root c times further out, so the
+        # asymptotic start sits 1/c = start times the root's own scale
         base = sd.solve_saddle(100, 1.0, 2).tau
-        moved = sd.solve_saddle(100, 1.0, 2, bracket_hint=1.7).tau
-        assert abs(base - moved) < 1e-10
+        real = sd._saddle_equation
+        c = 1.0 / start
 
-    @pytest.mark.parametrize("hint", [0.1, 30.0])
-    def test_far_start_reaches_same_root(self, hint):
-        base = sd.solve_saddle(100, 1.0, 2).tau
-        moved = sd.solve_saddle(100, 1.0, 2, bracket_hint=hint).tau
-        assert abs(base - moved) < 1e-10
+        def rescaled(t, u, r, mode):
+            f, df = real(t / c, u, r, mode)
+            return f, df / c
+
+        monkeypatch.setattr(sd, "_saddle_equation", rescaled)
+        moved = sd.solve_saddle(100, 1.0, 2).tau
+        assert abs(base - moved / c) < 1e-10
 
     @pytest.mark.parametrize("mode", ["general", "paper_literal"])
     def test_newton_needs_few_kernel_passes(self, mode, monkeypatch):
