@@ -623,20 +623,6 @@ class TestImportFootprint:
         with pytest.raises(AttributeError):
             divpart.no_such_module  # noqa: B018
 
-    def test_src_holds_no_cache(self):
-        # every table is built by the call that reads it; __main__ only calls cli.main
-        import divpart
-
-        names = [m.name for m in pkgutil.iter_modules(divpart.__path__) if m.name != "__main__"]
-        assert "arith" in names and "partition" in names
-        for name in names:
-            module = importlib.import_module(f"divpart.{name}")
-            members = list(vars(module).items())
-            members += [(f"{key}.{attr}", value) for key, cls in vars(module).items()
-                        if isinstance(cls, type) for attr, value in vars(cls).items()]
-            cached = [key for key, value in members if hasattr(value, "cache_info")]
-            assert cached == [], f"divpart.{name}: {cached}"
-
     def test_verify_path_loads_no_fractions(self):
         # against what the interpreter had loaded before the import, since
         # site may preload modules; only the exact statistics need Fraction
@@ -650,3 +636,18 @@ class TestImportFootprint:
         assert json.loads(proc.stdout) == []
         dist = partition.exact_distribution(partition.build_table(2, 10), 10)
         assert all(isinstance(x, Fraction) for x in (dist.mean, dist.variance, dist.negative_mass))
+
+
+def test_src_holds_no_cache():
+    # every table is built by the call that reads it; importing __main__ would run the CLI
+    import divpart
+
+    names = [m.name for m in pkgutil.iter_modules(divpart.__path__) if m.name != "__main__"]
+    assert "arith" in names and "partition" in names
+    for name in names:
+        module = importlib.import_module(f"divpart.{name}")
+        members = list(vars(module).items())
+        members += [(f"{key}.{attr}", value) for key, cls in vars(module).items()
+                    if isinstance(cls, type) for attr, value in vars(cls).items()]
+        cached = [key for key, value in members if hasattr(value, "cache_info")]
+        assert cached == [], f"divpart.{name}: {cached}"
