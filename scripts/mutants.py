@@ -68,6 +68,13 @@ SKIP = {
         "at 2 hi^r = 2^63 int64 still holds every sum, as sigma_r(n) < zeta(2) n^r",
     ("arith.py", "_component_structure", "for t in range(2 ** (e + 2)):"):
         "3 has order 2^(e-2) mod 2^e, so the longer walk rewrites the same logs",
+    ("dirichlet.py", "_alternating_sum", "d = (d - 1.0 / d) / 2.0"):
+        "1/d is about 10^-37 of d, under half its ulp, so d + 1/d and d - 1/d round alike",
+    ("dirichlet.py", "eta_alternating", "if s <= 2.0:"):
+        "at s = 2, -expm1(-log 2) rounds to 0.5 = 1 - 2^-1, so both branches agree bit for bit",
+    ("dirichlet.py", "tree", "if hi - lo >= _SERIES_BLOCK:"):
+        "a leaf of exactly _SERIES_BLOCK terms split once more splits where np.sum's own "
+        "pairwise tree does, so every sum is the same",
     ("saddle.py", "_sigma_double_sum", "sign = (-1.0) ** (j - 1)"):
         "(-1)^(j-1) = (-1)^(j+1) for every integer j",
     ("cltlab.py", "_row_gate", "if dist.total < 0:"):

@@ -53,25 +53,41 @@ PRIME_CUTOFF_LIMIT = 10**8
 # Primes and factorization
 # ---------------------------------------------------------------------------
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an integer array, by an Eratosthenes sieve over
-    the odd numbers in a numpy boolean array (entry i stands for 2i + 1)."""
+def odd_sieve(limit: int) -> np.ndarray:
+    """The Eratosthenes sieve of the primes <= limit over the odd numbers: a
+    numpy boolean array whose entry i stands for 2i + 1, except entry 0,
+    which stands for 2; an entry is set when its number is prime.
+    sieve_primes reads the numbers back."""
     import numpy as np
 
     if limit < 2:
-        return np.empty(0, dtype=np.intp)
+        return np.zeros(0, dtype=bool)
     odd = np.ones((limit + 1) // 2, dtype=bool)
     for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    # entry 0 (the number 1) stays set and becomes 2: one index array, made
-    # odd in place, with no copy
-    primes = np.flatnonzero(odd)
+    return odd
+
+
+def sieve_primes(odd: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The primes that entries lo..hi-1 of an odd_sieve array stand for, in
+    increasing order, as an integer array."""
+    import numpy as np
+
+    # one index array, made odd in place, with no copy
+    primes = np.flatnonzero(odd[lo:hi])
+    primes += lo
     primes *= 2
     primes += 1
-    primes[0] = 2
+    if primes.size and primes[0] == 1:  # entry 0, which stands for 2
+        primes[0] = 2
     return primes
+
+
+def prime_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit as an integer array (odd_sieve read whole)."""
+    return sieve_primes(odd_sieve(limit))
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -278,7 +278,6 @@ class TailReport:
     raises ValueError."""
 
     n: int
-    r: int
     records: list[TailRecord]
     findings: list[str]
     refused: bool
@@ -295,7 +294,7 @@ def tail_report(
     try:
         records = tail_check(n, r, x_grid, table=table, max_negative_mass=max_negative_mass)
     except RowRefused as exc:
-        return TailReport(n=n, r=r, records=[], findings=[str(exc)], refused=True)
+        return TailReport(n=n, records=[], findings=[str(exc)], refused=True)
     for rec in records:
         if not rec.ok:
             findings.append(
@@ -306,7 +305,7 @@ def tail_report(
             findings.append(
                 f"x = {rec.x}, {rec.side}: prob {rec.prob:.6e} outside [0, 1]"
             )
-    return TailReport(n=n, r=r, records=records, findings=findings, refused=False)
+    return TailReport(n=n, records=records, findings=findings, refused=False)
 
 
 def exponent_fit(r: int, n_grid: list[int]) -> ExponentFit:

@@ -7,9 +7,10 @@ Gamma values at integers are factorials.
 
 Every truncated sum or product returns one SeriesValue: the value and a
 valid bound on what the truncation left out.  Each Euler product (default
-cutoff 10^6) sieves, per call, only the primes whose factors can differ
-from 1.0, takes them a chunk at a time, and bounds its tail by integral
-comparison, sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  dirichlet_d1 is the
+cutoff 10^6) sieves, per call, only up to the prime past which its factors
+round to 1.0, reads that odd-number sieve in spans, so no array of every
+prime is formed, and bounds its tail by integral comparison,
+sum_{n > P} n^(-a) <= P^(1-a)/(a-1).  dirichlet_d1 is the
 closed form of the double series and d1_direct its truncated sum, the
 oracle.  The directly summed divisor series sieve sigma_r window by
 window.  Nothing is cached, so memory stays bounded whatever the length.
@@ -141,7 +142,8 @@ def eta_alternating(s: float) -> float:
 # Euler products
 # ---------------------------------------------------------------------------
 
-# primes per factor evaluation in _euler_product (128 KiB of float64)
+# odd numbers per span of the prime sieve that _euler_product reads at once
+# (the first span holds the most primes, 3,512: 27 KiB of float64)
 _EULER_CHUNK = 1 << 14
 
 
@@ -159,9 +161,10 @@ def _euler_product(
     tail_alpha: float,
     cutoff: int,
 ) -> SeriesValue:
-    """prod over p <= cutoff of factor(p), with factor evaluated over float
-    arrays of at most _EULER_CHUNK primes at a time; the logs are added by
-    math.fsum.
+    """prod over p <= cutoff of factor(p).  The sieve (arith.odd_sieve) is
+    read in spans of _EULER_CHUNK odd numbers, and factor is evaluated on
+    one span's primes at a time, as float64, so no array of every prime is
+    ever formed; the logs are added by math.fsum.
 
     Each family bounds |factor(p) - 1| <= tail_const p^-tail_alpha for all
     p >= 2, so past stop = (tail_const 2^56)^(1/tail_alpha) a factor is 1.0
@@ -169,15 +172,15 @@ def _euler_product(
     below 1.0: exactly 1.0.  Only the primes <= min(cutoff, stop) are
     sieved, and only their nonzero logs go to the exactly rounded fsum, so
     the value is the product over every p <= cutoff bit for bit, whatever
-    the chunk size."""
+    the span."""
     if not tail_alpha > 1.0:  # false for NaN too
         raise ValueError("divergent parameter region (tail exponent <= 1)")
     stop = min(cutoff, math.ceil((tail_const * 2.0**56) ** (1.0 / tail_alpha)))
-    primes = arith.prime_sieve(stop).astype(np.float64)
+    odd = arith.odd_sieve(stop)
 
     def nonzero_logs():
-        for start in range(0, primes.size, _EULER_CHUNK):
-            p = primes[start : start + _EULER_CHUNK]
+        for lo in range(0, odd.size, _EULER_CHUNK):
+            p = arith.sieve_primes(odd, lo, lo + _EULER_CHUNK).astype(np.float64)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 f = factor(p)
             bad = np.flatnonzero(~(f > 0.0))
@@ -407,8 +410,8 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
 # The shifted divisor series
 # ---------------------------------------------------------------------------
 
-# terms formed at a time by _divisor_series (0.5 MiB of float64)
-_SERIES_BLOCK = 1 << 16
+# terms formed at a time by _divisor_series (128 KiB of float64)
+_SERIES_BLOCK = 1 << 14
 # largest range of n whose sigma window _divisor_series sieves at once (2 MiB)
 _SIEVE_WINDOW = 1 << 18
 _SERIES_TERMS = 10**6  # of the directly summed divisor series

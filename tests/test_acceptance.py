@@ -159,7 +159,8 @@ def test_criterion_10_clt_trend(table_r2_400):
 def test_criterion_11_tail_bounds(table_r2_400):
     def consistent(rep):
         # each record a probability, on the branch its x selects, under a bound >= 0
-        t_split = cltlab.tail_split(rep.n, rep.r)
+        # (every report here is at r = 2)
+        t_split = cltlab.tail_split(rep.n, 2)
         return all(
             0.0 <= rec.prob <= 1.0
             and rec.branch == ("gauss" if rec.x <= t_split else "linear")

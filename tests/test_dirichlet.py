@@ -71,6 +71,13 @@ class TestPolylog:
         assert below > at > above
         assert abs(above - below) < 2e-9
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_series_at_one(self, s):
+        # u = 1 belongs to the series, whose value the inversion formula
+        # (exact in exact arithmetic there too) misses by an ulp at s = 4, 6
+        series = -dl._alternating_sum(lambda k: (k + 1.0) ** -s)
+        assert dl.polylog_neg(s, 1.0) == series
+
     def test_reaches_u_above_one(self):
         # monotone decreasing in u, and finite
         a = dl.polylog_neg(3.0, 1.0)
@@ -148,6 +155,13 @@ class TestMpmathOracles:
     def test_beta(self, mp, s):
         assert self.rel(dl.beta_dirichlet(s), float(mp.dirichlet(s, [0, 1, 0, -1]))) < 1e-12
 
+    def test_beta_sweep(self, mp):
+        # the accelerated series to a few ulps; a weight d formed with
+        # 3 - sqrt(8) in place of 3 + sqrt(8) was off by up to 3e-14
+        worst = max(self.rel(dl.beta_dirichlet(s), float(mp.dirichlet(s, [0, 1, 0, -1])))
+                    for s in (0.1, 0.2, 0.5, 1.0, 2.0, 3.3, 7.0))
+        assert worst < 4e-15
+
     @pytest.mark.parametrize("s", [1.0, 1.0 + 1e-6, 2.0, 5.0])
     def test_eta(self, mp, s):
         # eta(1) = log 2 is the removable point; just above it zeta(s) ~ 1/(s-1)
@@ -205,6 +219,9 @@ class TestEulerK:
             dl.euler_K(-3.0, 1)
         with pytest.raises(ValueError, match="euler_K requires s"):
             dl.euler_K(math.nan, 2)
+        # the edge s = -r itself, where the tail exponent is still 2
+        with pytest.raises(ValueError, match="euler_K requires s"):
+            dl.euler_K(-2.0, 2)
 
 
 class TestEulerProductContracts:
@@ -224,6 +241,21 @@ class TestEulerProductContracts:
         # a factor that first fails in a later chunk names its prime too
         with pytest.raises(ValueError, match="p = 100003"):
             dl._euler_product(lambda p: np.where(p > 10**5, -1.0, 1.0), 1.0, 2.0, 10**6)
+
+    @pytest.mark.parametrize("name,make,const,alpha", [
+        ("C(2)", lambda c: dl.constant_C(2, cutoff=c), 2.0, 4.0),
+        ("K_1(2)", lambda c: dl.euler_K(2.0, 1, cutoff=c), 4.0 / (1.0 - 2.0**-4), 3.0),
+        ("K_2(-0.5)", lambda c: dl.euler_K(-0.5, 2, cutoff=c), 4.0 / (1.0 - 2.0**-2.5), 3.5),
+        ("E_2(1)", lambda c: dl._E_r(1.0, 2, c), 1.0 / (1.0 - 2.0**-4), 11.0),
+        ("C'(3)", lambda c: dl.E_r_and_Cprime(1.0, 3, cutoff=c)[1], 1.0, 4.0),
+        ("quartic(3, 2)", lambda c: dl.d2_quartic_character(3.0, 2, cutoff=c), 4.0, 3.0),
+    ])
+    def test_tail_bound_is_the_documented_one(self, name, make, const, alpha):
+        # |value| (exp(c P^(1-alpha)/(alpha-1)) - 1) with each family's own c and alpha
+        for cutoff in (100, 1000):
+            got = make(cutoff)
+            log_tail = const * cutoff ** (1.0 - alpha) / (alpha - 1.0)
+            assert got.bound == pytest.approx(abs(got.value) * math.expm1(log_tail), rel=1e-12), name
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan])
     def test_tail_exponent_domain(self, alpha):
@@ -250,7 +282,7 @@ class TestEulerProductContracts:
 
     def test_memory_stays_within_chunks(self, monkeypatch):
         # K_2(-1.9) has tail exponent 2.1 and stops past 10^6, so it walks
-        # all 78,498 primes <= 10^6, about five chunks of 2^14
+        # all 78,498 primes <= 10^6, in 31 spans of 2^14 odd numbers
         def peak(run):
             tracemalloc.start()
             try:
@@ -263,11 +295,32 @@ class TestEulerProductContracts:
         chunked = peak(lambda: dl.euler_K(-1.9, 2))
         monkeypatch.setattr(dl, "_EULER_CHUNK", 1 << 30)
         one_shot = peak(lambda: dl.euler_K(-1.9, 2))
-        # beside the prime arrays, the chunked product holds a few
-        # temporaries of 128 KiB; one shot holds several of 0.6 MiB each
+        # beside its sieve, the chunked product holds a few temporaries of at
+        # most 27 KiB; one shot holds several of 0.6 MiB each
         whole = 8 * 78498
         assert chunked - primes < 2**20
         assert one_shot - chunked > 4 * whole
+
+    def test_holds_no_full_prime_array(self, monkeypatch):
+        # K_1(2) stops near 6.8*10^5, past 54,000 primes: reading its sieve a
+        # span at a time stays under the sieve plus one float64 array of all
+        # its primes, which holding an int and a float64 prime array at once
+        # would pass
+        limits = []
+        real_sieve = arith.odd_sieve
+        monkeypatch.setattr(arith, "odd_sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+        want = dl.euler_K(2.0, 1)
+        monkeypatch.undo()
+        odd = arith.odd_sieve(limits[0])
+        whole = odd.nbytes + 8 * arith.sieve_primes(odd).size
+        tracemalloc.start()
+        try:
+            got = dl.euler_K(2.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < whole
 
 
 # (name, the product at a given cutoff); the factors at s < 0 and at sigma
@@ -298,7 +351,7 @@ class TestEulerProductStop:
         # factor over every prime <= cutoff bit for bit, and every factor
         # past the stop (up to 10^6) must be exactly 1.0
         seen, limits = [], []
-        real_product, real_sieve = dl._euler_product, arith.prime_sieve
+        real_product, real_sieve = dl._euler_product, arith.odd_sieve
 
         def recording(factor, tail_const, tail_alpha, cutoff):
             before = len(limits)
@@ -307,11 +360,11 @@ class TestEulerProductStop:
             return value
 
         monkeypatch.setattr(dl, "_euler_product", recording)
-        monkeypatch.setattr(arith, "prime_sieve", lambda limit: limits.append(limit) or real_sieve(limit))
+        monkeypatch.setattr(arith, "odd_sieve", lambda limit: limits.append(limit) or real_sieve(limit))
         make(cutoff)
         factor, got, stop = seen[-1]
         assert stop <= cutoff
-        primes = real_sieve(10**6).astype(np.float64)
+        primes = arith.sieve_primes(real_sieve(10**6)).astype(np.float64)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f = factor(primes)
         assert got == math.exp(math.fsum(np.log(f[primes <= cutoff]).tolist())), (name, cutoff, stop)
@@ -339,6 +392,15 @@ class TestDoubleSeries:
             direct = dl.d1_direct(s, r, m_limit=500, n_limit=5000).value
             assert abs(closed - direct) < 1e-3
 
+    @pytest.mark.parametrize("s,r", [(3.0, 2), (1.5, 1), (5.0, 4)])
+    def test_closed_form_scales_K_and_its_bound(self, s, r):
+        # zeta(s) K_r(s) / zeta(s+r+1), and K_r's tail bound times the same scale
+        scale = dl.zeta_real(s) / dl.zeta_real(s + r + 1.0)
+        k_val = dl.euler_K(s, r, cutoff=1000)
+        d1 = dl.dirichlet_d1(s, r, cutoff=1000)
+        assert d1.value == scale * k_val.value
+        assert d1.bound == pytest.approx(scale * k_val.bound, rel=1e-15) and d1.bound > 0.0
+
     def test_first_term_is_zeta(self):
         sv = dl.d1_direct(3.0, 2, m_limit=1, n_limit=20000)
         head = math.fsum(n**-3.0 for n in range(1, 20001))
@@ -365,6 +427,39 @@ class TestDoubleSeries:
     def test_direct_reports_unconverged_rather_than_failing(self):
         sv = dl.d1_direct(2.0, 1, m_limit=50, n_limit=200)
         assert sv.bound > 1e-3
+
+    @pytest.mark.parametrize("s,r,m_limit,n_limit", [(3.0, 2, 30, 100), (1.5, 1, 12, 7),
+                                                     (4.0, 3, 1, 1)])
+    def test_direct_bound_is_the_documented_one(self, s, r, m_limit, n_limit):
+        # the inner tails |mu(m)/(phi(m) m^(r+1))| m (1 + log m) N^(1-s)/(s-1)
+        # over squarefree m, plus the outer tail through phi(m) >= m/6
+        inner = math.fsum(
+            m * (1.0 + math.log(m)) / (arith.euler_phi(m) * m ** (r + 1))
+            for m in range(1, m_limit + 1) if arith.mobius(m)
+        ) * n_limit ** (1.0 - s) / (s - 1.0)
+        outer = (dl.zeta_real(s) * 6.0 * ((1.0 + math.log(m_limit)) / r + 1.0 / r**2)
+                 * m_limit ** float(-r))
+        got = dl.d1_direct(s, r, m_limit=m_limit, n_limit=n_limit)
+        assert got.bound == pytest.approx(inner + outer, rel=1e-12)
+
+    def test_direct_at_one_term(self):
+        # m = n = 1: the single term 1, with n_limit = 1 allowed
+        assert dl.d1_direct(3.0, 2, m_limit=1, n_limit=1).value == 1.0
+
+    def test_direct_m_limit_edge(self, monkeypatch):
+        # m_limit = 500000 itself passes the guard (and reaches the tables,
+        # stopped here before the long sum); one more is refused
+        class Reached(Exception):
+            pass
+
+        def tables(m_limit):
+            raise Reached
+
+        monkeypatch.setattr(dl, "mu_phi_tables", tables)
+        with pytest.raises(Reached):
+            dl.d1_direct(3.0, 2, m_limit=500_000)
+        with pytest.raises(ValueError, match="m_limit <= 500000"):
+            dl.d1_direct(3.0, 2, m_limit=500_001)
 
     @pytest.mark.parametrize("s", [1.0, 0.5, math.nan])
     def test_closed_domain(self, s):
@@ -403,6 +498,9 @@ class TestBoundSideProducts:
             dl.E_r_and_Cprime(-2.0, 2)
         with pytest.raises(ValueError, match="E_r requires sigma"):
             dl.E_r_and_Cprime(math.nan, 2)
+        # the edge sigma = -2r/3 itself, where the tail exponent is still r + 2
+        with pytest.raises(ValueError, match="E_r requires sigma"):
+            dl.E_r_and_Cprime(-2.0, 3)
 
 
 class TestSecondSeriesBound:
@@ -418,10 +516,18 @@ class TestSecondSeriesBound:
         # every zeta factor and E_r tend to 1, leaving zeta(r)
         assert abs(dl.d2_bound(40.0, 2) - dl.zeta_real(2.0)) < 1e-9
 
+    @pytest.mark.parametrize("sigma,r", [(2.0, 2), (1.5, 3), (3.0, 5)])
+    def test_defining_form(self, sigma, r):
+        z = dl.zeta_real
+        want = (z(sigma) * z(sigma + r) * z(sigma + r + 1.0) / z(2.0 * (sigma + r))
+                * z(float(r)) * dl._E_r(sigma, r, 1000).value)
+        assert dl.d2_bound(sigma, r, cutoff=1000) == pytest.approx(want, rel=1e-15)
+
     def test_domain(self):
-        with pytest.raises(ValueError):
+        # its own messages at the edges sigma = 1 and r = 1, not zeta's
+        with pytest.raises(ValueError, match="d2_bound requires sigma > 1"):
             dl.d2_bound(1.0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d2_bound requires r > 1"):
             dl.d2_bound(3.0, 1)
         with pytest.raises(ValueError, match="d2_bound requires sigma > 1"):
             dl.d2_bound(math.nan, 2)
@@ -439,6 +545,11 @@ class TestQuarticCharacterSeries:
             dl.d2_quartic_character(0.5, 2)
         with pytest.raises(ValueError, match="d2_quartic_character requires"):
             dl.d2_quartic_character(math.nan, 2)
+        # the edges s = 1 and r = 1 themselves
+        with pytest.raises(ValueError, match="d2_quartic_character requires"):
+            dl.d2_quartic_character(1.0, 2)
+        with pytest.raises(ValueError, match="d2_quartic_character requires"):
+            dl.d2_quartic_character(3.0, 1)
 
 
 class TestShiftedSeries:
@@ -449,19 +560,59 @@ class TestShiftedSeries:
         assert chk.residual_bound_ok
         assert abs(chk.direct - chk.d1_part) <= chk.d2_budget + chk.truncation
 
+    @pytest.mark.parametrize("s,r", [(5.0, 2), (6.5, 3)])
+    def test_parts_are_the_documented_ones(self, s, r):
+        # the Mobius-side part zeta(r+1) sum_i C(r,i) D1(s-i, r), its budget
+        # from d2_bound(s-i, r), and the slack: the 10^6-term truncation
+        # zeta(r) 2^r N^(r+1-s)/(s-r-1) plus the closed forms' own tails
+        chk = dl.shifted_series_residual(s, r, cutoff=1000)
+        zr1 = dl.zeta_real(r + 1.0)
+        closed = [dl.dirichlet_d1(s - i, r, cutoff=1000) for i in range(r + 1)]
+        part = zr1 * math.fsum(math.comb(r, i) * sv.value for i, sv in enumerate(closed))
+        tails = zr1 * math.fsum(math.comb(r, i) * sv.bound for i, sv in enumerate(closed))
+        budget = zr1 * math.fsum(math.comb(r, i) * dl.d2_bound(s - i, r, cutoff=1000)
+                                 for i in range(r + 1))
+        trunc = dl.zeta_real(float(r)) * 2.0**r * 1e6 ** (r + 1.0 - s) / (s - r - 1.0)
+        assert chk.d1_part == pytest.approx(part, rel=1e-14)
+        assert chk.d2_budget == pytest.approx(budget, rel=1e-14)
+        assert chk.truncation == pytest.approx(trunc + tails, rel=1e-12)
+        assert chk.d1_closed == closed[0]
+
+    def test_bound_check_is_inclusive(self, monkeypatch):
+        # with D1 set to 0, a direct sum exactly at budget + slack passes and
+        # one ulp more fails
+        monkeypatch.setattr(dl, "dirichlet_d1", lambda s, r, cutoff: dl.SeriesValue(0.0, 0.0))
+
+        def check(direct):
+            monkeypatch.setattr(dl, "_divisor_series", lambda r, s, n_cutoff: (1.0, direct))
+            return dl.shifted_series_residual(5.0, 2)
+
+        first = check(0.0)
+        edge = first.d2_budget + first.truncation
+        assert first.truncation > 0.0
+        assert check(edge).residual_bound_ok
+        assert not check(math.nextafter(edge, math.inf)).residual_bound_ok
+
     @pytest.mark.parametrize("s,r", [(5.0, 2), (6.0, 2), (6.0, 3)])
     def test_dsigma_identity(self, s, r):
         assert dl.dsigma_residual(s, r) < 1e-6
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need s - r > 1 so every"):
             dl.shifted_series_residual(2.5, 2)
+        # the edge s - r = 1 itself
+        with pytest.raises(ValueError, match="need s - r > 1 so every"):
+            dl.shifted_series_residual(3.0, 2)
         with pytest.raises(ValueError, match="r >= 2"):
             dl.shifted_series_residual(3.5, 1)
         with pytest.raises(ValueError, match="need s - r > 1 so every"):
             dl.shifted_series_residual(math.nan, 2)
         with pytest.raises(ValueError, match="need s - r > 1"):
             dl.dsigma_residual(math.nan, 2)
+        # its own message below and at the edge s - r = 1, not zeta's
+        for s in (2.5, 3.0):
+            with pytest.raises(ValueError, match="need s - r > 1"):
+                dl.dsigma_residual(s, 2)
 
     def test_dsigma_identity_at_r1(self):
         assert dl.dsigma_residual(3.5, 1) < 1e-6
@@ -486,6 +637,17 @@ class TestBlockedDivisorSeries:
             for shift in (0, 1):
                 assert sums[shift] == _unblocked_series(r, s, n_cutoff, shift)
 
+    @pytest.mark.parametrize("window", [2**16, 2**18])
+    @pytest.mark.parametrize("leaf", [2**10, 2**14, 2**16])
+    @pytest.mark.parametrize("n_cutoff", [2**16 + 1, 2**17 + 8, 10**6])
+    def test_leaf_and_window_sizes_move_no_bit(self, monkeypatch, leaf, window, n_cutoff):
+        monkeypatch.setattr(dl, "_SERIES_BLOCK", leaf)
+        monkeypatch.setattr(dl, "_SIEVE_WINDOW", window)
+        for r, s in ((2, 5.0), (5, 7.5)):
+            sums = dl._divisor_series(r, s, n_cutoff)
+            for shift in (0, 1):
+                assert sums[shift] == _unblocked_series(r, s, n_cutoff, shift), (r, shift)
+
     @pytest.mark.parametrize("shift", [0, 1])
     def test_one_block_beside_the_sigma_table(self, shift):
         # the sigma table is now sieved one window at a time, so nothing is
@@ -496,9 +658,9 @@ class TestBlockedDivisorSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a 2^18-entry sigma window is 2 MiB and a block of terms 0.5 MiB;
-        # the full sigma table alone would be 7.6 MiB
-        assert peak < 3.5 * 2**20
+        # a 2^18-entry sigma window is 2 MiB and a leaf's two arrays of 2^14
+        # terms 128 KiB each; the full sigma table alone would be 7.6 MiB
+        assert peak < 2.25 * 2**20
         assert sums[shift] == _unblocked_series(2, 4.0, 10**6, shift)
 
     @pytest.mark.parametrize("r", [52, 60])
@@ -508,6 +670,34 @@ class TestBlockedDivisorSeries:
             dl.shifted_series_residual(r + 2.0, r)
         with pytest.raises(ValueError, match="supports r <= 51"):
             dl.dsigma_residual(r + 2.0, r)
+
+    def test_overflow_rule_at_its_edge(self):
+        # 1 + r log2(n_cutoff + 1) = 1024 exactly at r = 341, n_cutoff = 7:
+        # sigma_341(8) might reach 2^1024, so it is refused, and r = 340 is not
+        with pytest.raises(ValueError, match=r"sigma_341\(n\) for n <= 8 overflows float64: "
+                                             r"the direct divisor series supports r <= 340"):
+            dl._divisor_series(341, 343.0, 7)
+        assert all(math.isfinite(v) for v in dl._divisor_series(340, 342.0, 7))
+
+    @pytest.mark.parametrize("n_cutoff,windows", [(2**18 - 1, 1), (2**18, 1), (2**18 + 1, 2),
+                                                  (2**19, 2), (10**6, 4)])
+    def test_each_window_sieved_once(self, monkeypatch, n_cutoff, windows):
+        # the first tree node of at most _SIEVE_WINDOW terms, a window itself
+        # included, sieves sigma_r over lo .. limit (both ends included);
+        # consecutive windows share one end and cover 1 .. n_cutoff + 1
+        ranges = []
+        real_sieve = arith.divisor_sum_sieve
+
+        def spy(r, limit, dtype, lo):
+            ranges.append((lo, limit))
+            return real_sieve(r, limit, dtype, lo=lo)
+
+        monkeypatch.setattr(arith, "divisor_sum_sieve", spy)
+        dl._divisor_series(2, 4.0, n_cutoff)
+        assert len(ranges) == windows
+        assert ranges[0][0] == 1 and ranges[-1][1] == n_cutoff + 1
+        assert all(b[0] == a[1] for a, b in zip(ranges, ranges[1:]))
+        assert all(hi - lo <= dl._SIEVE_WINDOW for lo, hi in ranges)
 
     def test_largest_supported_r_stays_finite(self):
         chk = dl.shifted_series_residual(53.0, 51)
@@ -522,6 +712,19 @@ class TestBlockedDivisorSeries:
 
 
 class TestGrowthConstants:
+    @pytest.mark.parametrize("r", [2, 3, 7])
+    def test_aggregate_constant_against_its_defining_form(self, r):
+        # N(r) = |zeta(r+1) K_r(1)/zeta(r+2)
+        #         + zeta(r+1)^2 zeta(r+2) zeta(r) E_r(1)/zeta(2(r+1)) - zeta(r+1)|
+        z = dl.zeta_real
+        gc = dl.growth_constants(r, cutoff=1000)
+        assert gc.K1 == dl.euler_K(1.0, r, cutoff=1000).value
+        assert gc.E1 == dl._E_r(1.0, r, 1000).value
+        want = abs(z(r + 1.0) * gc.K1 / z(r + 2.0)
+                   + z(r + 1.0) ** 2 * z(r + 2.0) * z(float(r)) * gc.E1 / z(2.0 * (r + 1))
+                   - z(r + 1.0))
+        assert gc.N == pytest.approx(want, rel=1e-14)
+
     def test_nonnegative_by_construction(self):
         for r in (2, 3, 4):
             assert dl.growth_constants(r).N >= 0.0
