@@ -16,7 +16,10 @@ exact ones (sigma_window) in the k-sum kernel, float64 ones in the
 shifted divisor series of dirichlet.  No window is kept.
 
 numpy is imported inside the functions that use it, so the exact layers
-(GapSequence, factorization, Ramanujan sums) load without it.
+(GapSequence, factorization, Ramanujan sums) load without it.  Every sum
+over characters or units is an elementwise product summed along one axis,
+never a matrix product: the tables are tiny, and the buffers of a first
+BLAS call take more memory than all of them.
 """
 
 from __future__ import annotations
@@ -448,7 +451,10 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
         list(_iproduct(*(range(d) for d in orders))), dtype=np.int64
     ).reshape(math.prod(orders), len(orders))
     exponent = math.lcm(*orders)
-    phase = (index * [exponent // d for d in orders]) @ logs.T % exponent
+    phase = np.zeros((len(index), len(units)), dtype=np.int64)
+    for c, d in enumerate(orders):  # at most three cyclic components
+        phase += np.multiply.outer(index[:, c] * (exponent // d), logs[:, c])
+    phase %= exponent
 
     values = np.zeros((len(index), m), dtype=complex)
     values[:, units] = _unit_roots(phase, exponent)
@@ -471,7 +477,7 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
 
     m = chi.modulus
     units = _units(m)
-    return complex(np.array(chi.values)[units] @ _unit_roots(units * (n % m) % m, m))
+    return complex((np.array(chi.values)[units] * _unit_roots(units * (n % m) % m, m)).sum())
 
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
@@ -480,7 +486,8 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
 
     Per modulus, with V the non-principal character values on the units b:
     tau = V e(b/m), G(b) = sum over chi of tau(chi) conj(chi(b)) = tau
-    conj(V), and every n at once as the phase matrix e(b n / m) times G.
+    conj(V), and every n at once as the rows of the phase matrix
+    e(b n / m) times G, each summed over b.
     """
     import numpy as np
 
@@ -493,8 +500,9 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
         nonprincipal = [chi.values for chi in characters_mod(m) if not chi.is_principal]
         if nonprincipal:
             v = np.array(nonprincipal)[:, units]
-            g_vec = (v @ _unit_roots(units, m)) @ v.conj()
+            tau = (v * _unit_roots(units, m)).sum(axis=1)
+            g_vec = (tau[:, None] * v.conj()).sum(axis=0)
             n_mod = np.arange(1, n_max + 1) % m
-            rhs = rhs + _unit_roots(n_mod[:, None] * units % m, m) @ g_vec / phi
+            rhs = rhs + (_unit_roots(n_mod[:, None] * units % m, m) * g_vec).sum(axis=1) / phi
         worst = max(worst, float(np.abs(closed[1:] - rhs).max(initial=0.0)))
     return worst

@@ -10,7 +10,8 @@ only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
 
 Exit codes: 0 success; 1 a runtime failure: a failed verify check, or
 ``error: <message>`` on stderr for a computation that raises or an --output
-or --csv path that cannot be written; 2 a configuration error.
+or --csv path that cannot be written; 2 a configuration error, which
+includes a table weight past SIZE_LIMIT without --no-size-limit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import sys
 from typing import Any
 
 from .arith import DEFAULT_PRIME_CUTOFF, PRIME_CUTOFF_LIMIT
+
+#: Largest table weight (table --N, tail and mgf --n, the last --n-list
+#: entry) taken without --no-size-limit.  At fixed r the exact table costs
+#: about n^4: build_table(3, 1000) takes about 6 s, and r = 4 about 4x that.
+SIZE_LIMIT = 1000
 
 
 def fmt(x: Any) -> Any:
@@ -243,6 +249,10 @@ class ConfigError(Exception):
     argparse lets it out of a type= converter."""
 
 
+class SizeError(ConfigError):
+    """A table weight past SIZE_LIMIT while the limit holds."""
+
+
 def _checked(parse, ok, message):
     """The type= converter of one flag: parse the text, then raise
     ConfigError(message), or ConfigError(message()) for a callable, unless
@@ -256,6 +266,27 @@ def _checked(parse, ok, message):
 
     convert.__name__, convert.ok = parse.__name__, ok  # argparse: "invalid int value"
     return convert
+
+
+def _sized(convert, flag: str, limited: bool, top=lambda v: v):
+    """convert, then SizeError when top(value), the largest table weight the
+    value asks for, is past SIZE_LIMIT and limited.  ok holds the defaults
+    to the limit too."""
+    def sized(text):
+        value = convert(text)
+        if limited and top(value) > SIZE_LIMIT:
+            raise SizeError(f"{flag} asks for a table of weight {top(value)}, past the "
+                            f"size limit {SIZE_LIMIT}; pass --no-size-limit to build it anyway")
+        return value
+
+    sized.__name__ = convert.__name__
+    sized.ok = lambda v: convert.ok(v) and not (limited and top(v) > SIZE_LIMIT)
+    return sized
+
+
+def _add_size_override(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-size-limit", action="store_true",
+                   help=f"build tables past weight {SIZE_LIMIT}, which can take minutes")
 
 
 def _u_max() -> float:
@@ -291,19 +322,22 @@ def _theta_list(flag: str):
                     f"{flag} must be non-empty, with values in [-2, 2]")
 
 
-def _add_n_list(p: argparse.ArgumentParser) -> None:
+def _add_n_list(p: argparse.ArgumentParser, limited: bool) -> None:
     p.add_argument("--n-list",
-                   type=_checked(_int_list,
-                                 lambda ns: ns and ns[0] >= 1
-                                 and all(a < b for a, b in zip(ns, ns[1:])),
-                                 "--n-list must be non-empty, strictly increasing and positive"),
+                   type=_sized(_checked(_int_list,
+                                        lambda ns: ns and ns[0] >= 1
+                                        and all(a < b for a, b in zip(ns, ns[1:])),
+                                        "--n-list must be non-empty, strictly increasing and "
+                                        "positive"),
+                               "--n-list", limited, top=lambda ns: ns[-1]),
                    default=[50, 100, 200, 400],
                    help="comma-separated weights (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(limited: bool = True) -> argparse.ArgumentParser:
     """The eight subcommands.  Each flag declares its default and domain
-    once, here; a value outside the domain raises ConfigError as it parses."""
+    once, here; a value outside the domain raises ConfigError as it parses.
+    limited=False lifts SIZE_LIMIT, as --no-size-limit does (see main)."""
     parser = argparse.ArgumentParser(
         prog="divpart",
         description="Exact and asymptotic statistics of divisor-gap "
@@ -314,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="export an exact coefficient table")
     _add_r(p)
     p.add_argument("--N", dest="table_limit",
-                   type=_checked(int, lambda n: n >= 0, "--N must be >= 0"),
+                   type=_sized(_checked(int, lambda n: n >= 0, "--N must be >= 0"),
+                               "--N", limited),
                    default=40, help="max weight (default %(default)s)")
+    _add_size_override(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default %(default)s)")
     p.add_argument("--output", default=None, help="path (default stdout)")
@@ -353,15 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt-report", help="exact-vs-normal distribution report")
     _add_r(p)
-    _add_n_list(p)
+    _add_n_list(p, limited)
+    _add_size_override(p)
     _add_max_negative_mass(p)
     p.add_argument("--csv", dest="csv_output", default=None, help="CSV path (default stdout)")
     p.add_argument("--output", default=None, help="JSON summary path (default stdout)")
 
     p = sub.add_parser("tail", help="exact tail probabilities vs the budget")
-    p.add_argument("--n", type=_checked(int, lambda n: n >= 2,
-                                        "tail needs --n >= 2 (its budget divides by log n)"),
+    p.add_argument("--n", type=_sized(_checked(int, lambda n: n >= 2,
+                                               "tail needs --n >= 2 (its budget divides by "
+                                               "log n)"), "--n", limited),
                    default=400, help="weight (default %(default)s)")
+    _add_size_override(p)
     _add_r(p)
     p.add_argument("--x-grid",
                    type=_checked(_float_list, lambda xs: xs and all(x > 0.0 for x in xs),
@@ -372,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("mgf", help="exact standardized MGF vs Gaussian target")
-    p.add_argument("--n", type=_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
+    p.add_argument("--n", type=_sized(_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
+                                      "--n", limited),
                    default=200, help="weight (default %(default)s)")
+    _add_size_override(p)
     _add_r(p)
     p.add_argument("--theta-grid", type=_theta_list("--theta-grid"),
                    default=[0.25, 0.5, 1.0],
@@ -406,10 +447,17 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # BLAS here is a few tiny products; a second OpenBLAS thread only costs start-up CPU
+    # divpart makes no BLAS call; a second OpenBLAS thread only costs numpy's start-up CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SizeError:
+            # argparse converts each flag as it reads it, so the override may
+            # come after the size it lifts: parse again without the limit
+            args = build_parser(limited=False).parse_args(argv)
+            if not args.no_size_limit:
+                raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -365,11 +365,13 @@ def d2_direct_probe(s: float, r: int) -> complex:
     for m in range(1, 61):
         units = arith._units(m)
         # W[b] = sum_n e(bn/m)/n^s over the units b
-        w_units = arith._unit_roots(units[:, None] * (n_arr % m) % m, m) @ ns
+        roots = arith._unit_roots(units[:, None] * (n_arr % m) % m, m)
+        roots *= ns  # in place: this units x 4000 matrix is the probe's largest array
+        w_units = roots.sum(axis=1)
         inner = complex(0.0)
         for chi in characters_mod(m):
             if not chi.is_principal:
-                series = complex(np.array(chi.values)[units].conj() @ w_units)
+                series = complex((np.array(chi.values)[units].conj() * w_units).sum())
                 inner += gauss_sum(chi, 1) * series
         total += inner / (arith.euler_phi(m) * m ** (r + 1))
     return total
@@ -412,8 +414,8 @@ def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -
 
 # terms formed at a time by _divisor_series (128 KiB of float64)
 _SERIES_BLOCK = 1 << 14
-# largest range of n whose sigma window _divisor_series sieves at once (2 MiB)
-_SIEVE_WINDOW = 1 << 18
+# largest range of n whose sigma window _divisor_series sieves at once (1 MiB)
+_SIEVE_WINDOW = 1 << 17
 _SERIES_TERMS = 10**6  # of the directly summed divisor series
 
 

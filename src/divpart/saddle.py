@@ -289,7 +289,8 @@ def solve_saddle(n: int, u: float, r: int, mode: str = "general") -> SaddlePoint
         if f > 0.0 and df < 0.0:
             # Newton on log lhs against log tau; a step moves tau at most e^2-fold
             step = math.log(f / n) * f / (-root * df)
-            if abs(step) <= 1e-14:
+            # the kernel's sums hold to about 1e-13, so a smaller step is rounding noise
+            if abs(step) <= 1e-12:
                 break
             cand = root * math.exp(max(-2.0, min(2.0, step)))
         if not lo < cand < hi:

@@ -11,8 +11,12 @@ diagnostic rerun under the documented signed-row override, which shows
 the genuine trend through n = 200 and the bulk-scale breakdown at 400.
 """
 
+import dataclasses
+import math
 import time
 
+import numpy as np
+import pytest
 from _fd import fd_mixed_richardson
 from divpart import arith, checks, cli, cltlab, dirichlet, partition, saddle
 
@@ -202,3 +206,170 @@ def test_criterion_12_verify_determinism(capsys, tmp_path):
     ok = codes == {0} and stdout_same and files_same
     _report(12, ok,
             "verify --quick byte-identical across reruns and worker counts 1/4")
+
+
+# ---------------------------------------------------------------------------
+# Each check fails when the layer it reads is corrupted
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("bad_n", range(1, 13))
+def test_oracle_equivalence_sees_each_corrupt_size(monkeypatch, r, bad_n):
+    # one wrong cell in the table of one size, which only that size's
+    # comparison with the naive oracle can see
+    real = partition.build_table
+
+    def corrupt(rr, n, *args, **kwargs):
+        table = real(rr, n, *args, **kwargs)
+        if (rr, n) == (r, bad_n):
+            table.coeff[n][-1] += 1
+        return table
+
+    monkeypatch.setattr(partition, "build_table", corrupt)
+    assert checks.oracle_equivalence(n_max=12) == (False, f"naive oracle mismatch at r = {r}")
+
+
+@pytest.mark.parametrize("r,bad_n", [(2, n) for n in range(1, 10)] + [(3, n) for n in range(1, 13)])
+def test_oracle_equivalence_reads_the_enumeration_to_its_last_row(monkeypatch, r, bad_n):
+    # the enumeration oracle reaches n = 9 at r = 2 (gap(10) < 0) and every
+    # n <= 12 at r = 3; a wrong cell in any of its rows fails the check
+    real = partition.oracle_table
+
+    def corrupt(rr, n_max):
+        oracles = real(rr, n_max)
+        if rr == r and oracles.enumeration is not None:
+            oracles.enumeration.coeff[bad_n][-1] += 1
+        return oracles
+
+    monkeypatch.setattr(partition, "oracle_table", corrupt)
+    assert checks.oracle_equivalence(n_max=12) == (False, f"enumeration oracle mismatch at r = {r}")
+
+
+@pytest.mark.parametrize("m,n", [(12, 1), (1, 12)])
+def test_ramanujan_checks_read_the_last_modulus_and_weight(monkeypatch, m, n):
+    # c_m(n) off by one at one coprime pair on the edge of the sweep
+    real = arith.ramanujan_sum
+    monkeypatch.setattr(arith, "ramanujan_sum", lambda mm, nn: real(mm, nn) + ((mm, nn) == (m, n)))
+    assert checks.ramanujan_equals_mobius_on_coprimes(top=12) == (
+        False, "1 coprime pairs violate c_m(n) = mu(m)")
+    assert checks.ramanujan_closed_vs_exponential(top=12) == (
+        False, "max |closed - exponential| = 1.000e+00")
+
+
+def test_closed_vs_exponential_tolerance_is_strict(monkeypatch):
+    monkeypatch.setattr(arith, "ramanujan_sum", lambda m, n: 0)
+    for defect, ok in ((1e-10, False), (math.nextafter(1e-10, 0.0), True)):
+        monkeypatch.setattr(arith, "ramanujan_sum_exponential",
+                            lambda m, ns, d=defect: np.full(len(ns), d))
+        assert checks.ramanujan_closed_vs_exponential(top=5)[0] is ok
+
+
+def test_character_orthogonality_reads_the_last_modulus_strictly(monkeypatch):
+    # a defect of exactly CHARACTER_TOL in residue 0 mod 6, the last modulus
+    tol = arith.CHARACTER_TOL
+    real = arith.characters_mod
+    for defect, ok in ((tol, False), (math.nextafter(tol, 0.0), True)):
+        def chars(m, d=defect):
+            table = real(m)
+            if m != 6:
+                return table
+            first = table[0]
+            return (dataclasses.replace(first, values=(d, *first.values[1:])), *table[1:])
+
+        monkeypatch.setattr(arith, "characters_mod", chars)
+        assert checks.character_orthogonality(top=6) == (
+            ok, f"max orthogonality defect = {defect:.3e}")
+
+
+def test_shifted_sum_identity_tolerance_is_strict(monkeypatch):
+    tol = arith.CHARACTER_TOL
+    for worst, ok in ((tol, False), (math.nextafter(tol, 0.0), True)):
+        monkeypatch.setattr(arith, "shifted_identity_max_residual", lambda m, n, w=worst: w)
+        assert checks.shifted_sum_identity(m_max=3, n_max=4)[0] is ok
+
+
+def test_totient_constant_needs_both_values(monkeypatch):
+    # C(1) off by 1e-3 with zeta(2) C(1) exactly Landau's value, and back
+    for c1, ok in ((1.339784 + 1e-3, False), (1.339784, True)):
+        monkeypatch.setattr(dirichlet, "constant_C", lambda r, c=c1: dirichlet.SeriesValue(c, 0.0))
+        monkeypatch.setattr(dirichlet, "zeta_real", lambda s, c=c1: 2.20386 / c)
+        assert checks.totient_summatory_constant()[0] is ok
+    monkeypatch.setattr(dirichlet, "zeta_real", lambda s: 2.20386 / 1.339784 + 1e-3)
+    assert checks.totient_summatory_constant()[0] is False
+
+
+@pytest.mark.parametrize("name", ["polylog", "double_series", "cutoff_stability"])
+def test_float_check_tolerances_are_strict(monkeypatch, name):
+    # each check's defect set to exactly its tolerance fails, and one ulp below passes
+    tol = {"polylog": 1e-9, "double_series": 1e-3, "cutoff_stability": 2e-8}[name]
+    for defect, ok in ((tol, False), (math.nextafter(tol, 0.0), True)):
+        if name == "polylog":
+            # rhs = -(1 - 2^(1-s)) * 0.0, so lhs - rhs is the defect itself
+            monkeypatch.setattr(dirichlet, "zeta_real", lambda s: 0.0)
+            monkeypatch.setattr(dirichlet, "polylog_neg", lambda s, u, d=defect: d)
+            got = checks.polylog_special_values()
+        elif name == "double_series":
+            monkeypatch.setattr(dirichlet, "dirichlet_d1",
+                                lambda s, r, d=defect: dirichlet.SeriesValue(d, 0.0))
+            monkeypatch.setattr(dirichlet, "d1_direct",
+                                lambda s, r, m_limit, n_limit: dirichlet.SeriesValue(0.0, 0.0))
+            got = checks.double_series_closed_vs_direct()
+        else:
+            # only C(2) drifts, by the defect, when its cutoff doubles
+            def value(cutoff, d=defect):
+                return dirichlet.SeriesValue(d if cutoff == 10**5 else 0.0, 0.0)
+
+            monkeypatch.setattr(dirichlet, "constant_C", lambda r, cutoff: value(cutoff))
+            monkeypatch.setattr(dirichlet, "euler_K",
+                                lambda s, r, cutoff: dirichlet.SeriesValue(0.0, 0.0))
+            monkeypatch.setattr(dirichlet, "E_r_and_Cprime",
+                                lambda s, r, cutoff: (dirichlet.SeriesValue(0.0, 0.0), None))
+            got = checks.euler_product_cutoff_stability()
+        assert got[0] is ok, (defect, got)
+
+
+def test_residual_check_tolerance_is_strict(monkeypatch):
+    # at n = 1 the scaled residual is the residual itself
+    for residual, ok in ((1e-9, False), (math.nextafter(1e-9, 0.0), True)):
+        monkeypatch.setattr(saddle, "solve_saddle", lambda n, u, r, mode, res=residual:
+                            saddle.SaddlePoint(n=n, u=u, r=r, mode=mode, tau=1.0, residual=res,
+                                               F_val=0.0, F_g=0.0, F_gg=1.0, theta_n=0.0))
+        assert checks.residual_tolerance(ns=(1,))[0] is ok
+
+
+def test_fd_check_tolerance_is_strict(monkeypatch):
+    # F on the check's 3 x 3 stencil: the (0, 1) difference is 10001 and
+    # the other two are 1/h^2 and 1/(4 h^2).  The exact (0, 1) partial
+    # 10000 is off by exactly 1e-4 relative and fails; the next float up passes.
+    gamma, u, h = 0.1, 1.0, 1e-4
+    a = 10001.0 * (2 * h)
+    while a / (2 * h) != 10001.0:
+        a = math.nextafter(a, math.inf if a / (2 * h) < 10001.0 else 0.0)
+    stencil = {(gamma, u + h): a, (gamma + h, u): 1.0, (gamma + h, u + h): 1.0}
+    fds = {(2, 0): 1.0 / h**2, (1, 1): 1.0 / (4 * h * h)}
+    for exact, ok in ((10000.0, False), (math.nextafter(10000.0, math.inf), True)):
+        partials = {**fds, (0, 1): exact}
+        monkeypatch.setattr(saddle, "F_partial", lambda g, v, r, order, p=partials:
+                            stencil.get((g, v), 0.0) if order == (0, 0) else p[order])
+        assert checks.partials_match_finite_differences()[0] is ok
+
+
+@pytest.mark.parametrize("ratios,tol,ok", [
+    ([1.5, 0.5], 0.6, True),     # equally far from 1 counts as monotone
+    ([1.2, 1.5], 0.6, False),    # moving away from 1 fails, though the last is near
+    ([1.25], 0.25, False),       # exactly tol from 1 is not near
+    ([1.25], 0.2500001, True),
+])
+def test_mellin_check_edges(monkeypatch, ratios, tol, ok):
+    monkeypatch.setattr(saddle, "mellin_ratio_check", lambda j, grid, u, r: ratios)
+    assert checks.mellin_leading_order(tol=tol)[0] is ok
+
+
+@pytest.mark.parametrize("zero,far,ok", [
+    (0.0, -1.0, True), (1e-300, -1.0, False), (0.0, 1.0, False), (0.0, 0.0, False),
+    (0.0, -math.inf, False), (0.0, math.nan, False),
+])
+def test_minor_arc_check_needs_every_clause(monkeypatch, zero, far, ok):
+    monkeypatch.setattr(saddle, "minor_arc_log_ratio",
+                        lambda gamma, theta, u, r: zero if theta == 0.0 else far)
+    assert checks.minor_arc_decay()[0] is ok

@@ -651,3 +651,90 @@ def test_src_holds_no_cache():
                     if isinstance(cls, type) for attr, value in vars(cls).items()]
         cached = [key for key, value in members if hasattr(value, "cache_info")]
         assert cached == [], f"divpart.{name}: {cached}"
+
+
+#: numpy names that reach BLAS (or LAPACK) from an attribute or an import
+BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "vdot", "linalg"}
+
+
+def test_src_makes_no_blas_call():
+    # every product over characters or units is elementwise, summed along one
+    # axis: a first BLAS call costs about half a MiB of buffers
+    import ast
+
+    import divpart
+
+    src = os.path.dirname(divpart.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append((name, node.lineno, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                words = [alias.name for alias in node.names]
+                words += (node.module or "").split(".") if isinstance(node, ast.ImportFrom) else []
+                found += [(name, node.lineno, w) for w in words
+                          if BLAS_NAMES & set(w.split("."))]
+    assert found == []
+
+
+class TestSizeLimit:
+    """Table weights past cli.SIZE_LIMIT are a configuration error unless
+    --no-size-limit is given, before or after the size."""
+
+    # (argv with the weight as {}, the flag the message names, the cfg field holding it)
+    SIZED = [
+        (["table", "--N", "{}"], "--N", "table_limit"),
+        (["tail", "--n", "{}"], "--n", "n"),
+        (["mgf", "--n", "{}"], "--n", "n"),
+        (["clt-report", "--n-list", "10,{}"], "--n-list", "n_list"),
+    ]
+
+    @staticmethod
+    def _argv(template, weight):
+        return [arg.format(weight) for arg in template]
+
+    @pytest.mark.parametrize("template,flag,field", SIZED)
+    def test_past_the_limit_is_refused(self, capsys, template, flag, field):
+        code, out, err = run_cli(self._argv(template, cli.SIZE_LIMIT + 1), capsys)
+        assert code == 2 and out == ""
+        assert err == (f"configuration error: {flag} asks for a table of weight "
+                       f"{cli.SIZE_LIMIT + 1}, past the size limit {cli.SIZE_LIMIT}; "
+                       f"pass --no-size-limit to build it anyway\n")
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("template,flag,field", SIZED)
+    def test_override_and_the_limit_itself_pass(self, monkeypatch, template, flag, field, where):
+        # the handler is stubbed: only what reaches it is checked
+        seen = []
+        name = template[0]
+        monkeypatch.setitem(cli._DISPATCH, name, lambda cfg: seen.append(getattr(cfg, field)) or 0)
+        assert cli.main(self._argv(template, cli.SIZE_LIMIT)) == 0
+        argv = self._argv(template, 10**6)
+        argv = ([name, "--no-size-limit", *argv[1:]] if where == "before"
+                else [*argv, "--no-size-limit"])
+        assert cli.main(argv) == 0
+        last = [s[-1] if isinstance(s, list) else s for s in seen]
+        assert last == [cli.SIZE_LIMIT, 10**6]
+
+    def test_override_keeps_every_other_check(self, capsys):
+        # lifting the limit lifts nothing else
+        code, out, err = run_cli(["table", "--N", "5000", "--r", "0", "--no-size-limit"], capsys)
+        assert code == 2 and out == "" and "--r must be >= 1" in err
+        code, out, err = run_cli(["clt-report", "--n-list", "5000,10", "--no-size-limit"],
+                                 capsys)
+        assert code == 2 and out == "" and "strictly increasing" in err
+
+    def test_bound_admits_the_largest_catalog_inputs(self):
+        # table --N 604, tail --n 354 and clt-report --n-list ...,354
+        parser = cli.build_parser()
+        for argv in (["table", "--N", "604"], ["table", "--r", "363", "--N", "40"],
+                     ["tail", "--n", "354"], ["mgf", "--n", "304"],
+                     ["clt-report", "--n-list", "100,200,300,354"]):
+            parser.parse_args(argv)

@@ -637,7 +637,7 @@ class TestBlockedDivisorSeries:
             for shift in (0, 1):
                 assert sums[shift] == _unblocked_series(r, s, n_cutoff, shift)
 
-    @pytest.mark.parametrize("window", [2**16, 2**18])
+    @pytest.mark.parametrize("window", [2**16, 2**17, 2**18])
     @pytest.mark.parametrize("leaf", [2**10, 2**14, 2**16])
     @pytest.mark.parametrize("n_cutoff", [2**16 + 1, 2**17 + 8, 10**6])
     def test_leaf_and_window_sizes_move_no_bit(self, monkeypatch, leaf, window, n_cutoff):
@@ -658,9 +658,9 @@ class TestBlockedDivisorSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a 2^18-entry sigma window is 2 MiB and a leaf's two arrays of 2^14
+        # a 2^17-entry sigma window is 1 MiB and a leaf's two arrays of 2^14
         # terms 128 KiB each; the full sigma table alone would be 7.6 MiB
-        assert peak < 2.25 * 2**20
+        assert peak < 2**17 * 8 + 2 * 2**14 * 8
         assert sums[shift] == _unblocked_series(2, 4.0, 10**6, shift)
 
     @pytest.mark.parametrize("r", [52, 60])
@@ -679,12 +679,15 @@ class TestBlockedDivisorSeries:
             dl._divisor_series(341, 343.0, 7)
         assert all(math.isfinite(v) for v in dl._divisor_series(340, 342.0, 7))
 
-    @pytest.mark.parametrize("n_cutoff,windows", [(2**18 - 1, 1), (2**18, 1), (2**18 + 1, 2),
-                                                  (2**19, 2), (10**6, 4)])
-    def test_each_window_sieved_once(self, monkeypatch, n_cutoff, windows):
-        # the first tree node of at most _SIEVE_WINDOW terms, a window itself
-        # included, sieves sigma_r over lo .. limit (both ends included);
-        # consecutive windows share one end and cover 1 .. n_cutoff + 1
+    @pytest.mark.parametrize("case", ["w-1", "w", "w+1", "2w", "10^6"])
+    def test_each_window_sieved_once(self, monkeypatch, case):
+        # the first tree node of at most _SIEVE_WINDOW = w terms, a window
+        # itself included, sieves sigma_r over lo .. limit (both ends
+        # included); consecutive windows share one end and cover
+        # 1 .. n_cutoff + 1.  The tree halves 10^6 terms until a node fits.
+        w = dl._SIEVE_WINDOW
+        n_cutoff, windows = {"w-1": (w - 1, 1), "w": (w, 1), "w+1": (w + 1, 2), "2w": (2 * w, 2),
+                             "10^6": (10**6, 2 ** math.ceil(math.log2(10**6 / w)))}[case]
         ranges = []
         real_sieve = arith.divisor_sum_sieve
 

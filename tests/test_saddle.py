@@ -161,20 +161,30 @@ class TestSolveSaddle:
         sd.solve_saddle(16, 1.0, 2)
         assert seen[:3] == first
 
-    def test_newton_stops_at_a_step_of_1e_14(self, monkeypatch):
-        # a step of exactly 1e-14 ends the solve at its first sample
-        f = 16.000000000001
-        df = -math.log(f / 16) * f / (0.5 * 1e-14)
+    def test_newton_stops_at_a_step_of_1e_12(self, monkeypatch):
+        # a step of exactly 1e-12 ends the solve at its first sample; one of
+        # the next float up takes another Newton step
+        f = 16.00000000001
+
+        def step(df):
+            return math.log(f / 16) * f / (-0.5 * df)
+
+        df = -math.log(f / 16) * f / (0.5 * 1e-12)
         for _ in range(3):
             df = math.nextafter(df, 0.0)
         for _ in range(7):
-            if math.log(f / 16) * f / (-0.5 * df) == 1e-14:
+            if step(df) == 1e-12:
                 break
             df = math.nextafter(df, -math.inf)
-        assert math.log(f / 16) * f / (-0.5 * df) == 1e-14
+        assert step(df) == 1e-12
         seen = self._scripted(monkeypatch, {0.5: (f, df)}, lambda t: (16.0 * (0.5 / t), -16.0))
         assert sd.solve_saddle(16, 1.0, 2).tau == 0.5
         assert seen == [0.5]
+        while step(df) <= 1e-12:
+            df = math.nextafter(df, 0.0)
+        seen = self._scripted(monkeypatch, {0.5: (f, df)}, lambda t: (16.0 * (0.5 / t), -16.0))
+        sd.solve_saddle(16, 1.0, 2)
+        assert seen[0] == 0.5 and len(seen) > 1
 
     def test_residual_equal_to_the_tolerance_passes(self, monkeypatch):
         # at n = 10^9 the tolerance 1e-9 n is 1.0 exactly, as is |lhs - n|
