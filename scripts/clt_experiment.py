@@ -22,7 +22,7 @@ from divpart import cli, cltlab, partition
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     cli._add_r(ap)
-    cli._add_n_list(ap, limited=False)  # an experiment asks for its own sizes
+    cli._add_n_list(ap)  # an experiment asks for its own sizes: no size guard
     cli._add_max_negative_mass(ap)
     ap.add_argument("--theta", type=cli._theta_list("--theta"), default=[0.25, 0.5])
     try:

@@ -10,8 +10,9 @@ only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
 
 Exit codes: 0 success; 1 a runtime failure: a failed verify check, or
 ``error: <message>`` on stderr for a computation that raises or an --output
-or --csv path that cannot be written; 2 a configuration error, which
-includes a table weight past SIZE_LIMIT without --no-size-limit.
+or --csv path that cannot be written; 2 a configuration error: a value that
+its flag's type= converter refuses during the one parse, or then a table
+weight past SIZE_LIMIT without --no-size-limit.
 """
 
 from __future__ import annotations
@@ -245,43 +246,44 @@ def _float_list(text: str) -> list[float]:
 
 
 class ConfigError(Exception):
-    """A flag value outside its domain (exit 2).  Not a ValueError, so that
-    argparse lets it out of a type= converter."""
-
-
-class SizeError(ConfigError):
-    """A table weight past SIZE_LIMIT while the limit holds."""
+    """A flag value outside its domain, or a table weight past SIZE_LIMIT
+    (exit 2).  Not a ValueError, so that argparse lets it out of a type=
+    converter."""
 
 
 def _checked(parse, ok, message):
     """The type= converter of one flag: parse the text, then raise
     ConfigError(message), or ConfigError(message()) for a callable, unless
-    ok(value).  ok stays on the converter for the defaults, which argparse
-    never runs through type=."""
+    ok(value)."""
     def convert(text):
         value = parse(text)
         if not ok(value):
             raise ConfigError(message() if callable(message) else message)
         return value
 
-    convert.__name__, convert.ok = parse.__name__, ok  # argparse: "invalid int value"
+    convert.__name__ = parse.__name__  # argparse: "invalid int value"
     return convert
 
 
-def _sized(convert, flag: str, limited: bool, top=lambda v: v):
-    """convert, then SizeError when top(value), the largest table weight the
-    value asks for, is past SIZE_LIMIT and limited.  ok holds the defaults
-    to the limit too."""
-    def sized(text):
-        value = convert(text)
-        if limited and top(value) > SIZE_LIMIT:
-            raise SizeError(f"{flag} asks for a table of weight {top(value)}, past the "
-                            f"size limit {SIZE_LIMIT}; pass --no-size-limit to build it anyway")
-        return value
+#: subcommand -> (the flag that sets its table weight, that weight in the
+#: parsed arguments)
+_SIZED = {
+    "table": ("--N", lambda cfg: cfg.table_limit),
+    "tail": ("--n", lambda cfg: cfg.n),
+    "mgf": ("--n", lambda cfg: cfg.n),
+    "clt-report": ("--n-list", lambda cfg: cfg.n_list[-1]),
+}
 
-    sized.__name__ = convert.__name__
-    sized.ok = lambda v: convert.ok(v) and not (limited and top(v) > SIZE_LIMIT)
-    return sized
+
+def _check_size(cfg: argparse.Namespace) -> None:
+    """ConfigError when cfg asks for a table past SIZE_LIMIT without
+    --no-size-limit.  It reads what argparse kept, so the last of a
+    repeated flag counts and the override may come anywhere."""
+    if cfg.subcommand in _SIZED and not cfg.no_size_limit:
+        flag, weight = _SIZED[cfg.subcommand]
+        if weight(cfg) > SIZE_LIMIT:
+            raise ConfigError(f"{flag} asks for a table of weight {weight(cfg)}, past the "
+                              f"size limit {SIZE_LIMIT}; pass --no-size-limit to build it anyway")
 
 
 def _add_size_override(p: argparse.ArgumentParser) -> None:
@@ -322,22 +324,20 @@ def _theta_list(flag: str):
                     f"{flag} must be non-empty, with values in [-2, 2]")
 
 
-def _add_n_list(p: argparse.ArgumentParser, limited: bool) -> None:
+def _add_n_list(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-list",
-                   type=_sized(_checked(_int_list,
-                                        lambda ns: ns and ns[0] >= 1
-                                        and all(a < b for a, b in zip(ns, ns[1:])),
-                                        "--n-list must be non-empty, strictly increasing and "
-                                        "positive"),
-                               "--n-list", limited, top=lambda ns: ns[-1]),
+                   type=_checked(_int_list,
+                                 lambda ns: ns and ns[0] >= 1
+                                 and all(a < b for a, b in zip(ns, ns[1:])),
+                                 "--n-list must be non-empty, strictly increasing and positive"),
                    default=[50, 100, 200, 400],
                    help="comma-separated weights (default %(default)s)")
 
 
-def build_parser(limited: bool = True) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """The eight subcommands.  Each flag declares its default and domain
     once, here; a value outside the domain raises ConfigError as it parses.
-    limited=False lifts SIZE_LIMIT, as --no-size-limit does (see main)."""
+    SIZE_LIMIT is not a domain: main checks it once the parse is done."""
     parser = argparse.ArgumentParser(
         prog="divpart",
         description="Exact and asymptotic statistics of divisor-gap "
@@ -348,8 +348,7 @@ def build_parser(limited: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="export an exact coefficient table")
     _add_r(p)
     p.add_argument("--N", dest="table_limit",
-                   type=_sized(_checked(int, lambda n: n >= 0, "--N must be >= 0"),
-                               "--N", limited),
+                   type=_checked(int, lambda n: n >= 0, "--N must be >= 0"),
                    default=40, help="max weight (default %(default)s)")
     _add_size_override(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -389,16 +388,15 @@ def build_parser(limited: bool = True) -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt-report", help="exact-vs-normal distribution report")
     _add_r(p)
-    _add_n_list(p, limited)
+    _add_n_list(p)
     _add_size_override(p)
     _add_max_negative_mass(p)
     p.add_argument("--csv", dest="csv_output", default=None, help="CSV path (default stdout)")
     p.add_argument("--output", default=None, help="JSON summary path (default stdout)")
 
     p = sub.add_parser("tail", help="exact tail probabilities vs the budget")
-    p.add_argument("--n", type=_sized(_checked(int, lambda n: n >= 2,
-                                               "tail needs --n >= 2 (its budget divides by "
-                                               "log n)"), "--n", limited),
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 2,
+                                        "tail needs --n >= 2 (its budget divides by log n)"),
                    default=400, help="weight (default %(default)s)")
     _add_size_override(p)
     _add_r(p)
@@ -411,8 +409,7 @@ def build_parser(limited: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("mgf", help="exact standardized MGF vs Gaussian target")
-    p.add_argument("--n", type=_sized(_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
-                                      "--n", limited),
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 1, "mgf needs --n >= 1"),
                    default=200, help="weight (default %(default)s)")
     _add_size_override(p)
     _add_r(p)
@@ -450,14 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     # divpart makes no BLAS call; a second OpenBLAS thread only costs numpy's start-up CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SizeError:
-            # argparse converts each flag as it reads it, so the override may
-            # come after the size it lifts: parse again without the limit
-            args = build_parser(limited=False).parse_args(argv)
-            if not args.no_size_limit:
-                raise
+        args = build_parser().parse_args(argv)
+        _check_size(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

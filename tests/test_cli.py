@@ -209,6 +209,16 @@ class TestReportCommands:
         assert lines[0] == "theta,mgf_exact,gauss_target,rel_deviation"
         assert len(lines) == 3
 
+    def test_mgf_rel_deviation_is_the_documented_one(self, capsys):
+        # |m - t| / t from the printed values, which 17 digits give exactly
+        code, out, err = run_cli(["mgf", "--n", "60", "--r", "3", "--theta-grid=-1,0.5,2",
+                                  "--max-negative-mass", "1e-12"], capsys)
+        assert code == 0, err
+        for line in out.splitlines()[1:]:
+            _, m_est, target, dev = map(float, line.split(","))
+            assert m_est != target
+            assert dev == abs(m_est - target) / target
+
     def test_mgf_strict_refuses(self, capsys):
         code, _, err = run_cli(["mgf", "--n", "50", "--r", "2"], capsys)
         assert code == 1
@@ -425,6 +435,12 @@ class TestConfigErrors:
         ["clt-report", "--n-list", "20,20,20,20"],
         ["mgf", "--theta-grid", "0.5,nan"],
         ["tail", "--x-grid", "nan"],
+        # the edge just outside each domain
+        ["tail", "--x-grid", "1,0"],
+        ["mgf", "--theta-grid", "2.0000000000000004"],
+        ["clt-report", "--n-list", "0,1"],
+        ["constants", "--prime-cutoff", "99"],
+        ["verify", "--workers", "0"],
     ])
     def test_domain_errors_exit_2(self, args):
         # a fresh process, so a hang fails by timeout and a traceback shows
@@ -457,6 +473,25 @@ class TestConfigErrors:
         assert proc.returncode == 2, proc.stderr
         assert f"{script}: error: --" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--r", "1", "--N", "0"],
+        ["constants", "--r", "1", "--prime-cutoff", "100"],
+        ["constants", "--r", "170", "--prime-cutoff", str(10**8)],
+        ["dirichlet-check", "--s", repr(math.nextafter(1.0, 2.0))],
+        ["saddle", "--n", "1", "--u", "1e143"],
+        ["saddle", "--n", "1", "--u", "5e-324"],
+        ["tail", "--n", "2", "--x-grid", "5e-324"],
+        ["mgf", "--n", "1", "--theta-grid=-2,2", "--max-negative-mass", "0"],
+        ["clt-report", "--n-list", "1,2", "--max-negative-mass", "0"],
+        ["verify", "--workers", "1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_domain_edges_are_admitted(self, monkeypatch, argv):
+        # each domain holds its edge; the handler is stubbed
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, argv[0], lambda cfg: seen.append(cfg) or 0)
+        assert cli.main(argv) == 0
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("u", ["0", "-1", "inf", "nan", "1e144"])
     def test_u_outside_its_range_names_it(self, capsys, u):
@@ -496,13 +531,16 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_defaults_lie_in_their_domains(self, name):
-        # argparse runs only strings through type=, so no parse checks a default
+        # argparse runs only strings through type=, so no parse checks a
+        # default: run each converter on its default's text
         checked = 0
         for action in _subparsers()[name]._actions:
             if action.choices is not None:
                 assert action.default in action.choices, action.dest
-            if hasattr(action.type, "ok") and action.default is not None:
-                assert action.type.ok(action.default), (action.dest, action.default)
+            if action.type is not None and action.default is not None:
+                default = action.default
+                text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+                assert action.type(text) == default, (action.dest, default)
                 checked += 1
         assert checked > 0
 
@@ -731,10 +769,44 @@ class TestSizeLimit:
                                  capsys)
         assert code == 2 and out == "" and "strictly increasing" in err
 
-    def test_bound_admits_the_largest_catalog_inputs(self):
-        # table --N 604, tail --n 354 and clt-report --n-list ...,354
-        parser = cli.build_parser()
+    def test_bound_admits_the_largest_catalog_inputs(self, monkeypatch):
+        # table --N 604, tail --n 354 and clt-report --n-list ...,354; the
+        # handlers are stubbed: only what reaches them is checked
+        seen = []
+        for name in cli._DISPATCH:
+            monkeypatch.setitem(cli._DISPATCH, name, lambda cfg: seen.append(cfg) or 0)
         for argv in (["table", "--N", "604"], ["table", "--r", "363", "--N", "40"],
                      ["tail", "--n", "354"], ["mgf", "--n", "304"],
                      ["clt-report", "--n-list", "100,200,300,354"]):
-            parser.parse_args(argv)
+            assert cli.main(argv) == 0, argv
+        assert len(seen) == 5
+
+    def test_a_repeated_flag_counts_its_last_value(self, capsys):
+        # argparse keeps the last value; the guard reads what it kept
+        code, out, err = run_cli(["table", "--N", str(cli.SIZE_LIMIT + 1), "--N", "5"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["table", "--N", "5"], capsys)[1]
+        code, out, err = run_cli(["table", "--N", "5", "--N", str(cli.SIZE_LIMIT + 1)], capsys)
+        assert code == 2 and out == "" and "--N asks for a table of weight 1001" in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["table", "--N", "1000"], 0),
+        (["table", "--N", "1001"], 2),
+        (["table", "--no-size-limit", "--N", "1001"], 0),
+        (["table", "--N", "1001", "--no-size-limit"], 0),
+    ])
+    def test_main_parses_once(self, monkeypatch, argv, code):
+        built, parsed = [], []
+        build = cli.build_parser
+
+        def counted():
+            parser = build()
+            parse = parser.parse_args
+            parser.parse_args = lambda args: parsed.append(args) or parse(args)
+            built.append(parser)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setitem(cli._DISPATCH, "table", lambda cfg: 0)
+        assert cli.main(argv) == code
+        assert len(built) == 1 and parsed == [argv]
