@@ -12,7 +12,9 @@ written into a temporary copy of src, tests and scripts, so the checkout
 is never written, and the given tests run against that copy with pytest
 -x.  A mutant is killed when the tests fail or run past the timeout (a
 mutated loop bound can spin); it survives when they pass.  The tests must
-pass on the unmutated copy first, or the sweep stops.
+pass on the unmutated copy first, or the sweep stops.  A sweep stopped
+by SIGTERM or Ctrl-C kills its running tests, removes the copy and exits
+128 + the signal number.
 
 SKIP lists the equivalent mutants, which no test can kill, each with a
 one-line reason; they count neither as killed nor in the total.  A mutant
@@ -31,6 +33,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -202,7 +205,15 @@ def _run_tests(workdir: Path, tests: list[str], timeout: float) -> bool:
     return proc.returncode == 0
 
 
+def _stop(signum, frame):
+    # SystemExit unwinds through subprocess.run, which kills the tests, and
+    # through TemporaryDirectory, which removes the copy
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a file under src/, e.g. src/divpart/cltlab.py")
     parser.add_argument("tests", nargs="+", help="test files or node ids, relative to the root")

@@ -1,8 +1,8 @@
 """The cross-module invariant checks behind ``divpart verify`` and the
-acceptance gate, defined once.  Each returns ``(ok, detail)``; its size
-keywords default to the full sweep, and ``REGISTRY`` holds the reduced
-``--quick`` sizes.  Layer functions are looked up on their modules at call
-time, so a rebinding (a tracer, a test) is seen here.
+acceptance gate, defined once.  Each returns ``(ok, detail)``, and
+``verify`` runs each at its default sizes, the ones the gate uses.  Layer
+functions are looked up on their modules at call time, so a rebinding (a
+tracer, a test) is seen here.
 """
 
 from __future__ import annotations
@@ -55,20 +55,16 @@ def oracle_equivalence(n_max: int = 12) -> Outcome:
     """The packed builder at every size 1..n_max against both oracles.
 
     Each oracle is built once per r, and row z^n of a truncated product
-    does not depend on where it is truncated: the naive oracle at n_max,
-    the enumeration oracle at the largest n whose gaps are all >= 0 (it
-    needs nonnegative multiplicities).  build_table(r, n) is compared with
-    rows 0..n of each that reaches n."""
+    does not depend on where it is truncated, so build_table(r, n) is
+    compared with rows 0..n of each oracle that reaches n."""
     for r in (2, 3):
-        gaps = arith.GapSequence.build(r, n_max).gaps
-        reach = next((i for i, g in enumerate(gaps) if g < 0), n_max)
-        naive = partition.oracle_table(r, n_max).naive.coeff
-        enumeration = partition.oracle_table(r, reach).enumeration.coeff
+        oracles = partition.oracle_table(r, n_max)
+        reach = oracles.enumeration.n_max
         for n in range(1, n_max + 1):
             built = partition.build_table(r, n).coeff
-            if built != naive[: n + 1]:
+            if built != oracles.naive.coeff[: n + 1]:
                 return False, f"naive oracle mismatch at r = {r}"
-            if n <= reach and built != enumeration[: n + 1]:
+            if n <= reach and built != oracles.enumeration.coeff[: n + 1]:
                 return False, f"enumeration oracle mismatch at r = {r}"
     return True, f"entrywise equal through n = {n_max}"
 
@@ -161,35 +157,32 @@ def minor_arc_decay() -> Outcome:
     return ok, f"log ratio(0) = {zero}, log ratio(pi) = {far:.3e}"
 
 
-# (name, check, keyword arguments of the --quick sweep), sorted by name
-REGISTRY: tuple[tuple[str, Callable[..., Outcome], dict], ...] = (
-    ("arith.character_orthogonality", character_orthogonality, {"top": 20}),
-    ("arith.ramanujan_closed_vs_exponential", ramanujan_closed_vs_exponential, {"top": 40}),
-    ("arith.ramanujan_equals_mobius_on_coprimes", ramanujan_equals_mobius_on_coprimes,
-     {"top": 40}),
-    ("arith.shifted_sum_identity", shifted_sum_identity, {"m_max": 12, "n_max": 40}),
-    ("dirichlet.double_series_closed_vs_direct", double_series_closed_vs_direct,
-     {"m_limit": 300, "n_limit": 3000, "tol": 5e-3}),
-    ("dirichlet.euler_product_cutoff_stability", euler_product_cutoff_stability, {}),
-    ("dirichlet.polylog_special_values", polylog_special_values, {}),
-    ("dirichlet.totient_summatory_constant", totient_summatory_constant, {}),
-    ("partition.factor_permutation_invariance", factor_permutation_invariance,
-     {"n_max": 24, "trials": 3}),
-    ("partition.oracle_equivalence", oracle_equivalence, {"n_max": 9}),
-    ("saddle.mellin_leading_order", mellin_leading_order, {"grid": (0.1, 0.05), "tol": 0.1}),
-    ("saddle.minor_arc_decay", minor_arc_decay, {}),
-    ("saddle.partials_match_finite_differences", partials_match_finite_differences, {}),
-    ("saddle.residual_tolerance", residual_tolerance, {"ns": (1, 100)}),
+# (name, check), sorted by name; each check runs at its defaults
+REGISTRY: tuple[tuple[str, Callable[[], Outcome]], ...] = (
+    ("arith.character_orthogonality", character_orthogonality),
+    ("arith.ramanujan_closed_vs_exponential", ramanujan_closed_vs_exponential),
+    ("arith.ramanujan_equals_mobius_on_coprimes", ramanujan_equals_mobius_on_coprimes),
+    ("arith.shifted_sum_identity", shifted_sum_identity),
+    ("dirichlet.double_series_closed_vs_direct", double_series_closed_vs_direct),
+    ("dirichlet.euler_product_cutoff_stability", euler_product_cutoff_stability),
+    ("dirichlet.polylog_special_values", polylog_special_values),
+    ("dirichlet.totient_summatory_constant", totient_summatory_constant),
+    ("partition.factor_permutation_invariance", factor_permutation_invariance),
+    ("partition.oracle_equivalence", oracle_equivalence),
+    ("saddle.mellin_leading_order", mellin_leading_order),
+    ("saddle.minor_arc_decay", minor_arc_decay),
+    ("saddle.partials_match_finite_differences", partials_match_finite_differences),
+    ("saddle.residual_tolerance", residual_tolerance),
 )
 
 
-def run(quick: bool) -> list[tuple[str, bool, str]]:
-    """(name, ok, detail) for every check, full or quick sizes; a check
-    that raises fails with the exception as its detail."""
+def run() -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) for every check; a check that raises fails with
+    the exception as its detail."""
     results = []
-    for name, check, quick_kwargs in REGISTRY:
+    for name, check in REGISTRY:
         try:
-            ok, detail = check(**quick_kwargs) if quick else check()
+            ok, detail = check()
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))

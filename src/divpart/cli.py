@@ -3,7 +3,8 @@
 Every subcommand is deterministic: identical flags produce byte-identical
 artifacts.  Floats are therefore always emitted as decimal strings with 17
 significant digits, JSON keys are sorted, CSV uses LF line endings, and
-verify's worker-count flag changes nothing.
+verify's worker-count flag changes nothing.  verify has one sweep: every
+check of divpart.checks at its default sizes.
 
 Each handler imports the library modules it runs, so a subcommand loads
 only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
@@ -211,7 +212,7 @@ def _cmd_mgf(cfg: argparse.Namespace) -> int:
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     from . import checks
-    results = checks.run(cfg.quick)
+    results = checks.run()
     lines = []
     failures = 0
     for name, ok, detail in results:
@@ -223,7 +224,6 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if cfg.output:
         emit_json({
-            "quick": cfg.quick,
             "checks": [
                 {"name": name, "ok": ok, "detail": detail}
                 for name, ok, detail in results
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p.add_argument("--quick", action="store_true", help="reduced sweep ranges")
     p.add_argument("--workers", type=_checked(int, lambda w: w >= 1, "--workers must be >= 1"),
                    default=1,
                    help="accepted for compatibility; the checks always run "

@@ -323,18 +323,16 @@ def permuted_build_matches(r: int, n_max: int, trials: int = 5, seed: int = 0) -
 class OracleTables:
     """Results of the two independent oracle builds.
 
-    enumeration is None when some gap is negative within range (the
-    distinguishable-copy reading requires nonnegative multiplicities);
-    naive is always present.
+    naive reaches n_max; enumeration reaches the last n <= n_max whose gaps
+    are all >= 0 (the distinguishable-copy reading requires nonnegative
+    multiplicities), which is its own n_max.
     """
 
-    enumeration: PartitionTable | None
+    enumeration: PartitionTable
     naive: PartitionTable
 
 
-def _enumeration_table(r: int, n_max: int, gaps: tuple[int, ...]) -> PartitionTable | None:
-    if any(g < 0 for g in gaps[:n_max]):
-        return None
+def _enumeration_table(r: int, n_max: int, gaps: tuple[int, ...]) -> PartitionTable:
     # one 0/1 item per distinguishable copy of each part size
     items = [j for j in range(1, n_max + 1) for _ in range(gaps[j - 1])]
     dp = [[0] * (n_max + 1) for _ in range(n_max + 1)]
@@ -411,8 +409,9 @@ def oracle_table(r: int, n_max: int) -> OracleTables:
     if n_max > 14:
         raise ValueError("oracle_table is exponential-cost; n_max <= 14")
     gaps = GapSequence.build(r, max(n_max, 1)).gaps
+    reach = next((n for n, g in enumerate(gaps) if g < 0), n_max)
     return OracleTables(
-        enumeration=_enumeration_table(r, n_max, gaps),
+        enumeration=_enumeration_table(r, reach, gaps),
         naive=_naive_table(r, n_max, gaps),
     )
 

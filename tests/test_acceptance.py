@@ -40,7 +40,7 @@ def test_criterion_02_oracle_equivalence():
     # the negative-gap regime (gap(10) = -8 at r = 2) must be covered by the naive oracle
     assert arith.GapSequence.build(2, 10).gaps[9] < 0
     for n_max in (10, 11, 12):
-        assert partition.oracle_table(2, n_max).enumeration is None
+        assert partition.oracle_table(2, n_max).enumeration.n_max == 9
     elapsed = time.perf_counter() - t0
     _report(2, ok and elapsed < 30.0,
             f"{detail} at every N and r in {{2,3}}, incl. negative-gap N=10..12, "
@@ -196,7 +196,7 @@ def test_criterion_12_verify_determinism(capsys, tmp_path):
     outputs = []
     for workers, tag in ((1, "a"), (4, "b"), (1, "c")):
         path = tmp_path / f"verify_{tag}.json"
-        code = cli.main(["verify", "--quick", "--workers", str(workers),
+        code = cli.main(["verify", "--workers", str(workers),
                          "--output", str(path)])
         captured = capsys.readouterr().out
         outputs.append((code, captured, path.read_bytes()))
@@ -205,7 +205,7 @@ def test_criterion_12_verify_determinism(capsys, tmp_path):
     files_same = len({b for _, _, b in outputs}) == 1
     ok = codes == {0} and stdout_same and files_same
     _report(12, ok,
-            "verify --quick byte-identical across reruns and worker counts 1/4")
+            "verify byte-identical across reruns and worker counts 1/4")
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +237,27 @@ def test_oracle_equivalence_reads_the_enumeration_to_its_last_row(monkeypatch, r
 
     def corrupt(rr, n_max):
         oracles = real(rr, n_max)
-        if rr == r and oracles.enumeration is not None:
+        if rr == r:
             oracles.enumeration.coeff[bad_n][-1] += 1
         return oracles
 
     monkeypatch.setattr(partition, "oracle_table", corrupt)
     assert checks.oracle_equivalence(n_max=12) == (False, f"enumeration oracle mismatch at r = {r}")
+
+
+def test_oracle_equivalence_builds_each_oracle_once_per_r(monkeypatch):
+    calls = []
+    for name in ("_naive_table", "_enumeration_table"):
+        real = getattr(partition, name)
+
+        def counted(r, n_max, gaps, real=real, name=name):
+            calls.append((name, r, n_max))
+            return real(r, n_max, gaps)
+
+        monkeypatch.setattr(partition, name, counted)
+    assert checks.oracle_equivalence(n_max=12) == (True, "entrywise equal through n = 12")
+    assert sorted(calls) == [("_enumeration_table", 2, 9), ("_enumeration_table", 3, 12),
+                             ("_naive_table", 2, 12), ("_naive_table", 3, 12)]
 
 
 @pytest.mark.parametrize("m,n", [(12, 1), (1, 12)])

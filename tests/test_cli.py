@@ -323,12 +323,13 @@ class TestDirichletCheck:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys, tmp_path):
+    def test_passes(self, capsys, tmp_path):
         path = tmp_path / "verify.json"
-        code, out, _ = run_cli(["verify", "--quick", "--output", str(path)], capsys)
+        code, out, _ = run_cli(["verify", "--output", str(path)], capsys)
         assert code == 0
         assert out.strip().endswith("checks passed)")
         doc = json.loads(path.read_text())
+        assert sorted(doc) == ["checks", "failures"]
         assert doc["failures"] == 0
         arc = [c["detail"] for c in doc["checks"] if c["name"] == "saddle.minor_arc_decay"]
         # the far-arc value is a finite negative log, not an underflowed ratio
@@ -340,13 +341,22 @@ class TestVerify:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(saddle, "minor_arc_log_ratio", boom)
-        code, out, _ = run_cli(["verify", "--quick"], capsys)
+        code, out, _ = run_cli(["verify"], capsys)
         lines = out.splitlines()
         assert code == 1
         assert "FAIL saddle.minor_arc_decay: raised RuntimeError: boom" in lines
         assert lines[-1] == "FAILED (13/14 checks passed)"
         names = [line.split()[1].rstrip(":") for line in lines[:-1]]
         assert names == sorted(names)
+
+    def test_quick_is_an_unknown_flag(self):
+        # the reduced sweep is retired: verify has one set of sizes
+        proc = subprocess.run([sys.executable, "-m", "divpart", "verify", "--quick"],
+                              capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --quick" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # (subcommand, file flag) -> cheap arguments of a run that writes through it
@@ -359,7 +369,7 @@ FILE_WRITERS = {
     ("clt-report", "--output"): ["--n-list", "10,20"],
     ("tail", "--output"): ["--n", "10"],
     ("mgf", "--output"): ["--n", "10", "--max-negative-mass", "inf"],
-    ("verify", "--output"): ["--quick"],
+    ("verify", "--output"): [],
 }
 
 

@@ -168,6 +168,7 @@ def test_clt_report(n_list, argv):
     assert_clean_exit(["clt-report", f"--n-list={n_list}", *argv])
 
 
+# --quick, the retired reduced sweep, is an unknown flag: argparse's exit 2
 @FUZZ
 @given(st.booleans(), flags(workers=mostly(ints(-3, 3), st.sampled_from(["0", "-1", "x", ""]))))
 def test_verify(quick, argv):

@@ -55,17 +55,25 @@ def test_oracle_equivalence(r, n_max):
     built = build_table(r, n_max)
     oracles = oracle_table(r, n_max)
     assert tables_equal(built, oracles.naive)
-    # the enumeration oracle refuses exactly when a gap in range is negative
+    # the enumeration oracle stops short exactly when a gap in range is negative
     negative_gap = any(g < 0 for g in GapSequence.build(r, max(n_max, 1)).gaps[:n_max])
-    assert (oracles.enumeration is None) == negative_gap
-    if oracles.enumeration is not None:
-        assert tables_equal(built, oracles.enumeration)
+    reach = oracles.enumeration.n_max
+    assert (reach < n_max) == negative_gap
+    assert oracles.enumeration.coeff == built.coeff[: reach + 1]
 
 
-def test_enumeration_refusal_is_negative_gap_regime():
-    oracles = oracle_table(2, 12)
-    assert oracles.enumeration is None      # gap(10) = -8
-    assert oracle_table(2, 9).enumeration is not None
+# the last n <= 14 with gap(1..n) >= 0: r = 1 has gap(4) = -1, r = 2 gap(10) = -8,
+# and r = 3 and 4 no negative gap up to 14
+@pytest.mark.parametrize("r,last", [(1, 3), (2, 9), (3, 14), (4, 14)])
+def test_enumeration_reaches_the_last_size_of_nonnegative_gaps(r, last):
+    gaps = GapSequence.build(r, 14).gaps
+    assert min(gaps[:last]) >= 0 and (last == 14 or gaps[last] < 0)
+    for n_max in range(15):
+        reach = min(n_max, last)
+        enumeration = oracle_table(r, n_max).enumeration
+        assert enumeration.n_max == reach
+        assert enumeration.coeff == build_table(r, reach).coeff
+        assert enumeration.row_totals == build_table(r, reach).row_totals
 
 
 def test_tables_equal_reads_every_cell():
