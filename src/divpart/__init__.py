@@ -20,7 +20,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["arith", "partition", "dirichlet", "saddle", "cltlab", "__version__"]
+__all__ = ["arith", "partition", "dirichlet", "saddle", "cltlab", "checks", "cli", "__version__"]
 
 
 def __getattr__(name: str):

@@ -106,7 +106,7 @@ def euler_product_cutoff_stability() -> Outcome:
     for make in (
         lambda c: dirichlet.constant_C(2, cutoff=c).value,
         lambda c: dirichlet.euler_K(2.0, 1, cutoff=c).value,
-        lambda c: dirichlet.E_r_and_Cprime(1.0, 2, cutoff=c)[0].value,
+        lambda c: dirichlet._E_r(1.0, 2, c).value,
     ):
         worst = max(worst, abs(make(cut) - make(2 * cut)))
     return worst < 2e-8, f"max cutoff-doubling drift = {worst:.3e}"

@@ -2,9 +2,11 @@
 
 Every subcommand is deterministic: identical flags produce byte-identical
 artifacts.  Floats are therefore always emitted as decimal strings with 17
-significant digits, JSON keys are sorted, CSV uses LF line endings, and
-verify's worker-count flag changes nothing.  verify has one sweep: every
-check of divpart.checks at its default sizes.
+significant digits (fmt, the one float format), JSON keys are sorted, CSV
+uses LF line endings, and verify's worker-count flag changes nothing.
+verify has one sweep: every check of divpart.checks at its default sizes.
+The table export is _cmd_table's; every other report goes out through
+emit_json or emit_csv.
 
 Each handler imports the library modules it runs, so a subcommand loads
 only what it uses: ``table`` never compiles ``dirichlet`` or ``saddle``.
@@ -50,6 +52,16 @@ def emit_json(doc: dict, path: str | None) -> None:
     emit_text(json.dumps(fmt(doc), sort_keys=True, indent=2) + "\n", path)
 
 
+def emit_csv(header: list[str], rows, path: str | None, notes=()) -> None:
+    """The header, a line per row, then a ``# note`` line per note; each
+    cell goes through fmt, a bool as 0/1 and None as an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else str(int(v) if isinstance(v, bool) else fmt(v))
+                       for v in row) for row in rows]
+    lines += [f"# {note}" for note in notes]
+    emit_text("\n".join(lines) + "\n", path)
+
+
 def emit_text(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -65,10 +77,25 @@ def emit_text(text: str, path: str | None) -> None:
 def _cmd_table(cfg: argparse.Namespace) -> int:
     from . import partition
     tab = partition.build_table(cfg.r, cfg.table_limit)
-    if cfg.format == "csv":
-        emit_text(tab.to_csv(), cfg.output)
-    else:
-        emit_text(tab.to_json(), cfg.output)
+    # a generator: a list of the cells would raise the export's peak memory
+    cells = ((n, k, c) for n, row in enumerate(tab.coeff) for k, c in enumerate(row) if c)
+    # cells at large r pass Python's int-to-str limit (4,300 digits since
+    # 3.11); one process runs one export, so it lifts the limit until done
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if cfg.format == "csv":  # integer cells need no fmt call
+            text = "\n".join(["n,k,coefficient", *(f"{n},{k},{c}" for n, k, c in cells)]) + "\n"
+        else:  # rows are never capped in k, so "k_max" is always n_max
+            text = json.dumps({"r": tab.r, "n_max": tab.n_max, "k_max": tab.n_max,
+                               "entries": [[n, k, str(c)] for n, k, c in cells],
+                               "row_totals": [str(t) for t in tab.row_totals]},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+        emit_text(text, cfg.output)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -151,18 +178,13 @@ def _cmd_clt_report(cfg: argparse.Namespace) -> int:
     from . import cltlab
     report = cltlab.clt_report(cfg.r, cfg.n_list,
                                max_negative_mass=cfg.max_negative_mass)
-    lines = ["n,mean_exact,var_exact,mu_general,nu2_general,mu_literal,"
-             "nu2_literal,ks_distance,negativity_count,included,note"]
-    for row in report.rows:
-        ks = f"{row.ks_distance:.17g}" if row.ks_distance is not None else ""
-        lines.append(
-            f"{row.n},{row.mean_exact:.17g},{row.var_exact:.17g},"
-            f"{row.mu_saddle['general']:.17g},{row.nu2_saddle['general']:.17g},"
-            f"{row.mu_saddle['paper_literal']:.17g},"
-            f"{row.nu2_saddle['paper_literal']:.17g},"
-            f"{ks},{row.negativity_count},{int(row.included)},{row.note}"
-        )
-    emit_text("\n".join(lines) + "\n", cfg.csv_output)
+    emit_csv(["n", "mean_exact", "var_exact", "mu_general", "nu2_general", "mu_literal",
+              "nu2_literal", "ks_distance", "negativity_count", "included", "note"],
+             [(row.n, row.mean_exact, row.var_exact,
+               row.mu_saddle["general"], row.nu2_saddle["general"],
+               row.mu_saddle["paper_literal"], row.nu2_saddle["paper_literal"],
+               row.ks_distance, row.negativity_count, row.included, row.note)
+              for row in report.rows], cfg.csv_output)
     emit_json({
         "r": report.r,
         "n_list": report.n_list,
@@ -179,15 +201,10 @@ def _cmd_tail(cfg: argparse.Namespace) -> int:
     from . import cltlab
     report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid,
                                 max_negative_mass=cfg.max_negative_mass)
-    lines = ["x,side,prob,bound,branch,ok"]
-    for rec in report.records:
-        lines.append(
-            f"{rec.x:.17g},{rec.side},{rec.prob:.17g},{rec.bound:.17g},"
-            f"{rec.branch},{int(rec.ok)}"
-        )
-    for finding in report.findings:
-        lines.append(f"# finding: {finding}")
-    emit_text("\n".join(lines) + "\n", cfg.output)
+    emit_csv(["x", "side", "prob", "bound", "branch", "ok"],
+             [(rec.x, rec.side, rec.prob, rec.bound, rec.branch, rec.ok)
+              for rec in report.records],
+             cfg.output, notes=[f"finding: {finding}" for finding in report.findings])
     return 0
 
 
@@ -195,14 +212,11 @@ def _cmd_mgf(cfg: argparse.Namespace) -> int:
     from . import cltlab
     profile = cltlab.mgf_profile(cfg.n, cfg.r, cfg.theta_grid,
                                  max_negative_mass=cfg.max_negative_mass)
-    lines = ["theta,mgf_exact,gauss_target,rel_deviation"]
+    rows = []
     for theta in cfg.theta_grid:
         m_est, target = profile[theta]
-        lines.append(
-            f"{theta:.17g},{m_est:.17g},{target:.17g},"
-            f"{abs(m_est - target) / target:.17g}"
-        )
-    emit_text("\n".join(lines) + "\n", cfg.output)
+        rows.append((theta, m_est, target, abs(m_est - target) / target))
+    emit_csv(["theta", "mgf_exact", "gauss_target", "rel_deviation"], rows, cfg.output)
     return 0
 
 

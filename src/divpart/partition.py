@@ -21,19 +21,17 @@ coefficients of an absolute-value majorant, and every row sum is checked
 against the u = 1 series; one log-derivative recurrence computes both
 series, so no digit can overflow unnoticed.
 
-Only the exact statistics (exact_distribution, ExactDistribution.negative_mass)
-import fractions, so a process that builds no law, verify among them,
-loads neither it nor the decimal module it pulls in.
+The module is arithmetic only: it formats no text (the table export is
+divpart.cli's) and changes no interpreter setting.  Only the exact
+statistics (exact_distribution, ExactDistribution.negative_mass) import
+fractions, so a process that builds no law, verify among them, loads
+neither it nor the decimal module it pulls in.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import random
-import sys
-import threading
 from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING
@@ -65,30 +63,6 @@ def _expansion_terms(d: int, j: int, n_max: int) -> list[tuple[int, int]]:
     return [(general_binomial(d, m), m) for m in range(1, m_cap + 1)]
 
 
-_INT_STR_LOCK = threading.Lock()
-
-
-def _unlimited_int_str(export):
-    """Run export with Python's int-to-str digit limit (4,300 by default
-    since 3.11) lifted, then restore it: at large r the exact coefficients
-    are longer than that.  The limit is per process, so exports in
-    different threads take turns, and each restores what it found."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return export
-
-    @functools.wraps(export)
-    def lifted(*args, **kwargs):
-        with _INT_STR_LOCK:
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                return export(*args, **kwargs)
-            finally:
-                sys.set_int_max_str_digits(limit)
-
-    return lifted
-
-
 @dataclass
 class PartitionTable:
     """Triangular table coeff[n][k] of exact signed big-integer coefficients.
@@ -101,33 +75,6 @@ class PartitionTable:
     n_max: int
     coeff: list[list[int]]
     row_totals: list[int]
-
-    @_unlimited_int_str
-    def to_csv(self) -> str:
-        lines = ["n,k,coefficient"]
-        for n in range(self.n_max + 1):
-            for k, c in enumerate(self.coeff[n]):
-                if c != 0:
-                    lines.append(f"{n},{k},{c}")
-        return "\n".join(lines) + "\n"
-
-    @_unlimited_int_str
-    def to_json(self) -> str:
-        """The nonzero cells and row totals as one line of sorted-key JSON.
-        Rows are never capped in k, so "k_max" is always n_max."""
-        doc = {
-            "r": self.r,
-            "n_max": self.n_max,
-            "k_max": self.n_max,
-            "entries": [
-                [n, k, str(c)]
-                for n in range(self.n_max + 1)
-                for k, c in enumerate(self.coeff[n])
-                if c != 0
-            ],
-            "row_totals": [str(t) for t in self.row_totals],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _digit_bits(gaps: tuple[int, ...], n_max: int) -> int:

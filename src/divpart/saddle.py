@@ -96,7 +96,7 @@ def _ksum(
 ) -> list[float]:
     """sum_{k>=1} w(k) s_i(k, e^(-gamma k)) for every array s_i that
     summands(k, q) returns, with w = gap_r (r given), w = sigma_r(k + shift)
-    (r and shift given) or w = 1 (r None).
+    (r and shift 0 or 1 given) or w = 1 (r None).
 
     Each sum stops at the first k where
     max(|w(k)|, 1) k^4 e^(-gamma k) < TRUNCATION_RATIO * |its running
@@ -124,9 +124,8 @@ def _ksum(
         while start <= cap:
             if start > end:  # a new block: sieve its exact sigma window once
                 base, end = start, min(start + size - 1, cap)
-                if r is not None:
-                    lo, hi = (base, end + 1) if shift is None else (base + shift, end + shift)
-                    window = sigma_window(r, lo, hi)
+                if r is not None:  # sigma_r(base..end + 1): the gaps and either shift
+                    window = sigma_window(r, base, end + 1)
             last = min(start + _CHUNK - 1, end)
             k = np.arange(start, last + 1, dtype=np.float64)
             q = np.exp(-gamma * k)
@@ -134,10 +133,9 @@ def _ksum(
             terms = summands(k, q)
             if r is not None:
                 # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
-                if shift is None:
-                    w = np.diff(window[start - base : last - base + 2]).astype(np.float64)
-                else:
-                    w = window[start - base : last - base + 1].astype(np.float64)
+                block = window[start - base : last - base + 2]
+                w = (np.diff(block) if shift is None
+                     else block[shift : shift + last - start + 1]).astype(np.float64)
                 bound *= np.maximum(np.abs(w), 1.0)
                 terms = [w * t for t in terms]
                 zero = w == 0.0

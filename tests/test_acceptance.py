@@ -337,8 +337,8 @@ def test_float_check_tolerances_are_strict(monkeypatch, name):
             monkeypatch.setattr(dirichlet, "constant_C", lambda r, cutoff: value(cutoff))
             monkeypatch.setattr(dirichlet, "euler_K",
                                 lambda s, r, cutoff: dirichlet.SeriesValue(0.0, 0.0))
-            monkeypatch.setattr(dirichlet, "E_r_and_Cprime",
-                                lambda s, r, cutoff: (dirichlet.SeriesValue(0.0, 0.0), None))
+            monkeypatch.setattr(dirichlet, "_E_r",
+                                lambda sigma, r, cutoff: dirichlet.SeriesValue(0.0, 0.0))
             got = checks.euler_product_cutoff_stability()
         assert got[0] is ok, (defect, got)
 

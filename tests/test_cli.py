@@ -114,6 +114,43 @@ class TestTable:
         assert code == 0, err
         assert out.splitlines()[-1].startswith("30,30,")
 
+    def test_csv_shape(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, _, err = run_cli(["table", "--r", "2", "--N", "3", "--output", str(path)], capsys)
+        assert code == 0, err
+        raw = path.read_bytes()
+        lines = raw.decode().splitlines()
+        assert lines[0] == "n,k,coefficient"
+        assert "3,2,20" in lines
+        assert raw.endswith(b"\n") and b"\r" not in raw
+
+    def test_json_roundtrip(self, capsys):
+        code, out, _ = run_cli(["table", "--r", "2", "--N", "10", "--format", "json"], capsys)
+        assert code == 0
+        t = partition.build_table(2, 10)
+        doc = json.loads(out)
+        assert doc["r"] == 2 and doc["n_max"] == 10 and doc["k_max"] == 10
+        cells = {(n, k): int(c) for n, k, c in doc["entries"]}
+        for (n, k), c in cells.items():
+            assert t.coeff[n][k] == c
+        assert [int(x) for x in doc["row_totals"]] == t.row_totals
+
+    def test_export_deterministic(self, capsys):
+        for fmt in ("csv", "json"):
+            args = ["table", "--r", "2", "--N", "15", "--format", fmt]
+            assert run_cli(args, capsys) == run_cli(args, capsys)
+
+    def test_int_str_limit_restored_after_a_failed_write(self, capsys, tmp_path):
+        # the limit is lifted while the r = 363 text is built, and the write
+        # to a missing directory fails after that
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(["table", "--r", "363", "--N", "40", "--output", str(path)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_cells_past_the_int_str_limit_export(self, capsys, fmt):
         # the widest cell at r = 363, N = 40 has 4,324 digits, past Python's
@@ -248,6 +285,28 @@ class TestReportCommands:
                                   "--max-negative-mass", "inf"], capsys)
         assert code == 1 and out == ""
         assert err == "error: row 4 refused for MGF: nonpositive variance (-1.111e-01)\n"
+
+    # r = 1, n = 236 is the first row of negative total; the gate reads the
+    # total before the cells, whatever max_negative_mass admits
+    def test_clt_report_excludes_a_negative_total(self, capsys):
+        code, out, err = run_cli(["clt-report", "--r", "1", "--n-list", "200,235,236"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[3].startswith("236,") and lines[3].endswith(",,31,0,nonpositive row total")
+        assert not any(line.endswith("nonpositive row total") for line in lines[1:3])
+        assert json.loads("\n".join(lines[4:]))["excluded"] == [200, 235, 236]
+
+    def test_tail_names_the_negative_total(self, capsys):
+        code, out, _ = run_cli(["tail", "--n", "236", "--r", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "# finding: row 236 refused for tail check: nonpositive row total"]
+
+    def test_mgf_names_the_negative_total(self, capsys):
+        code, out, err = run_cli(["mgf", "--n", "236", "--r", "1",
+                                  "--max-negative-mass", "inf"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: row 236 refused for MGF: nonpositive row total\n"
 
 
 class TestDirichletCheck:
@@ -671,6 +730,22 @@ class TestImportFootprint:
         with pytest.raises(AttributeError):
             divpart.no_such_module  # noqa: B018
 
+    def test_every_listed_module_is_a_lazy_attribute(self):
+        # in a fresh process, where no earlier import has set the attribute
+        import divpart
+
+        listed = sorted(set(divpart.__all__) - {"__version__"})
+        assert listed == sorted(m.name for m in pkgutil.iter_modules(divpart.__path__)
+                                if m.name != "__main__")
+        code = ("import json, sys, divpart\n"
+                "loaded = sorted(m for m in sys.modules if m.startswith('divpart.'))\n"
+                "print(json.dumps([loaded, len(divpart.checks.REGISTRY), divpart.cli.SIZE_LIMIT]))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded, checks, size_limit = json.loads(proc.stdout)
+        assert loaded == [] and checks > 0 and size_limit == cli.SIZE_LIMIT
+
     def test_verify_path_loads_no_fractions(self):
         # against what the interpreter had loaded before the import, since
         # site may preload modules; only the exact statistics need Fraction
@@ -699,6 +774,32 @@ def test_src_holds_no_cache():
                     if isinstance(cls, type) for attr, value in vars(cls).items()]
         cached = [key for key, value in members if hasattr(value, "cache_info")]
         assert cached == [], f"divpart.{name}: {cached}"
+
+
+def test_cli_owns_the_output_format():
+    # the one float format is cli.fmt's, and partition is arithmetic only
+    import ast
+
+    import divpart
+
+    src = os.path.dirname(divpart.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                found[name] = fh.read()
+    assert {name: text.count(".17g") for name, text in found.items() if ".17g" in text} == {
+        "cli.py": 1}
+    fmt_node = next(node for node in ast.parse(found["cli.py"]).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "fmt")
+    assert ".17g" in ast.get_source_segment(found["cli.py"], fmt_node)
+    imported = set()
+    for node in ast.walk(ast.parse(found["partition.py"])):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not imported & {"sys", "threading"}, sorted(imported)
 
 
 #: numpy names that reach BLAS (or LAPACK) from an attribute or an import

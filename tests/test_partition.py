@@ -1,4 +1,3 @@
-import json
 import random
 import time
 from fractions import Fraction
@@ -118,6 +117,13 @@ def test_univariate_totals_match_naive_oracle_row_sums(r):
 def test_univariate_totals_match_product_form_knapsack(r):
     gaps = GapSequence.build(r, 300).gaps
     assert partition._log_derivative_series(gaps, 300) == knapsack_totals(gaps, 300)
+
+
+def test_r1_row_totals_turn_negative_at_236():
+    # q_n = Q_n(1) is a signed count: at r = 1 it is first negative at n = 236
+    q = partition._log_derivative_series(GapSequence.build(1, 2000).gaps, 2000)
+    assert all(t > 0 for t in q[:236]) and q[236] < 0
+    assert sum(t < 0 for t in q) == 865
 
 
 def test_univariate_totals_check_every_division():
@@ -355,31 +361,6 @@ def _cached_table():
     if "t" not in _TABLE_CACHE:
         _TABLE_CACHE["t"] = build_table(2, 60)
     return _TABLE_CACHE["t"]
-
-
-class TestExport:
-    def test_csv_shape(self):
-        t = build_table(2, 3)
-        text = t.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "n,k,coefficient"
-        assert "3,2,20" in lines
-        assert text.endswith("\n") and "\r" not in text
-
-    def test_json_roundtrip(self):
-        t = build_table(2, 10)
-        doc = json.loads(t.to_json())
-        assert doc["r"] == 2 and doc["n_max"] == 10 and doc["k_max"] == 10
-        cells = {(n, k): int(c) for n, k, c in doc["entries"]}
-        for (n, k), c in cells.items():
-            assert t.coeff[n][k] == c
-        assert [int(x) for x in doc["row_totals"]] == t.row_totals
-
-    def test_export_deterministic(self):
-        a = build_table(2, 15)
-        b = build_table(2, 15)
-        assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
 
 
 def test_build_rejects_bad_order():
