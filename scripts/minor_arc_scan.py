@@ -2,6 +2,9 @@
 """Scan the far-arc suppression of the weighted product: log of
 |Q(e^(-tau - i theta), u)| / Q(e^(-tau), u) over a (tau, theta) grid,
 plot-ready CSV.  The log collapses like -c tau^(-r/7) at theta = pi.
+A closing ``# tau = ...`` line per tau gives the supremum of the log over
+the arc tau^(1 + 3r/7) <= theta <= pi (saddle.minor_arc_sup), which turns
+positive near pi past n*(r).
 
 Example:
     python scripts/minor_arc_scan.py --r 2 --u 1.0
@@ -32,6 +35,7 @@ def main() -> None:
         ap.error(str(exc))
 
     print("tau,theta,log_ratio,scaled_by_tau_pow")
+    notes = []
     for tau in args.tau:
         theta_lo = tau ** (1.0 + 3.0 * args.r / 7.0)
         for i in range(1, args.theta_steps + 1):
@@ -39,6 +43,13 @@ def main() -> None:
             log_ratio = saddle.minor_arc_log_ratio(tau, theta, args.u, args.r)
             scaled = log_ratio * tau ** (args.r / 7.0)
             print(f"{tau},{theta:.6f},{log_ratio:.6e},{scaled:.6e}")
+        try:
+            theta, sup = saddle.minor_arc_sup(tau, args.u, args.r)
+            notes.append(f"tau = {tau}: sup log_ratio = {sup:.6e} at theta = {theta:.6f}")
+        except ValueError as exc:  # tau so large that the arc is empty
+            notes.append(f"tau = {tau}: {exc}")
+    for note in notes:
+        print(f"# {note}")
 
 
 if __name__ == "__main__":

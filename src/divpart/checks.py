@@ -154,7 +154,10 @@ def minor_arc_decay() -> Outcome:
     zero = saddle.minor_arc_log_ratio(0.05, 0.0, 1.0, 2)
     far = saddle.minor_arc_log_ratio(0.05, math.pi, 1.0, 2)
     ok = zero == 0.0 and math.isfinite(far) and far < 0.0
-    return ok, f"log ratio(0) = {zero}, log ratio(pi) = {far:.3e}"
+    # reported, not judged: past n*(2) the arc's supremum is positive near pi
+    theta, sup = saddle.minor_arc_sup(0.05, 1.0, 2)
+    return ok, (f"log ratio(0) = {zero}, log ratio(pi) = {far:.3e}, "
+                f"sup log ratio = {sup:.3e} at pi - theta = {math.pi - theta:.3e}")
 
 
 # (name, check), sorted by name; each check runs at its defaults

@@ -2,10 +2,11 @@
 
     F(gamma, u) = sum_{k>=1} gap(k) log(1 + u e^(-gamma k))
 
-for the divisor-gap weights, its closed-form partial derivatives, the
-saddle-point equation in both the gap-weighted and plain forms, the
-saddle mean and variance read from those partials, and numeric probes of
-the leading-order Mellin asymptotics and the minor-arc decay.
+for the divisor-gap weights, its closed-form partial derivatives (finite
+for every finite u > 0), the saddle-point equation in gap-weighted and
+plain forms, the saddle mean and variance read from those partials, and
+numeric probes of the leading-order Mellin asymptotics and of the minor
+arc: its log ratio and that ratio's supremum over the arc.
 
 Every k-sum, the Mellin double sums included, runs through one numpy
 kernel, _ksum, under the shared truncation rule: stop once
@@ -28,12 +29,6 @@ from .arith import sigma_window
 
 TRUNCATION_RATIO = 1e-18
 HARD_TERM_CAP = 10**7
-
-#: the largest --u the saddle subcommand takes, below which every partial
-#: of SUPPORTED_PARTIALS stays finite: the largest numerator, the gamma^3
-#: partial's k^3 (u q)^2 with q = e^(-gamma k) < 1 and k <= HARD_TERM_CAP,
-#: stays finite while 10^21 u^2 < 1.8e308, that is u < 4.2e143
-U_MAX = 1e143
 
 #: supported (d/dgamma order, d/du order) pairs
 SUPPORTED_PARTIALS = (
@@ -178,38 +173,42 @@ def _partial_terms(jg: int, ju: int, k: np.ndarray, q: np.ndarray, u: float) -> 
     """Summands of the (jg, ju) partial, without the gap weight, over arrays
     of part sizes k and q = e^(-gamma k).
 
-    All formulas are the literal derivatives of log(1 + u q) written in the
-    overflow-safe variable q.
+    The literal derivatives of log(1 + u q), written in s = 1/(1 + u q) and
+    t = u q s, both in [0, 1]: (1 - u q)/w = (1 - u q) s, (2 - u q)/w =
+    (2 - u q) s and (1 - 4 u q + u^2 q^2)/w^2 = s^2 - 4 t s + t^2, w = 1 + u q.
+    So no summand overflows for any finite u > 0 (q <= 1, k <= HARD_TERM_CAP).
     """
     uq = u * q
-    w = 1.0 + uq
+    s = 1.0 / (1.0 + uq)
+    t = uq * s
+    qs = q * s
     if ju == 0:
         if jg == 0:
             return np.log1p(uq)
         if jg == 1:
-            return -k * uq / w
+            return -k * t
         if jg == 2:
-            return k * k * uq / (w * w)
+            return k * k * t * s
         if jg == 3:
-            return -(k**3) * uq * (1.0 - uq) / w**3
-        return k**4 * uq * (1.0 - 4.0 * uq + uq * uq) / w**4  # jg == 4
+            return -(k**3) * t * s * ((1.0 - uq) * s)
+        return k**4 * t * s * (s * s - 4.0 * t * s + t * t)  # jg == 4
     if jg == 0:
         if ju == 1:
-            return q / w
+            return qs
         if ju == 2:
-            return -(q * q) / (w * w)
-        return 2.0 * q**3 / w**3  # ju == 3
+            return -(qs * qs)
+        return 2.0 * qs**3  # ju == 3
     if ju == 1:
         if jg == 1:
-            return -k * q / (w * w)
+            return -k * qs * s
         if jg == 2:
-            return k * k * q * (1.0 - uq) / w**3
-        return -(k**3) * q * (1.0 - 4.0 * uq + uq * uq) / w**4  # jg == 3
+            return k * k * qs * s * ((1.0 - uq) * s)
+        return -(k**3) * qs * s * (s * s - 4.0 * t * s + t * t)  # jg == 3
     if ju == 2:
         if jg == 1:
-            return 2.0 * k * q * q / w**3
-        return -2.0 * k * k * q * q * (2.0 - uq) / w**4  # jg == 2
-    return -6.0 * k * q**3 / w**4  # (jg, ju) == (1, 3)
+            return 2.0 * k * qs * qs * s
+        return -2.0 * k * k * qs * qs * s * ((2.0 - uq) * s)  # jg == 2
+    return -6.0 * k * qs**3 * s  # (jg, ju) == (1, 3)
 
 
 def _partials(
@@ -419,9 +418,11 @@ def minor_arc_ratio(
 ) -> float:
     """|Q(e^(-tau - i theta), u)| / Q(e^(-tau), u).
 
-    Equals 1 exactly at theta = 0 and sinks below 1 on the far arc; the
-    decay is so strong that the ratio underflows to 0.0 already at
-    moderate tau, so trend comparisons should use minor_arc_log_ratio.
+    Equals 1 exactly at theta = 0.  The gap weights take both signs, so
+    the ratio need not stay below 1: past the turn n*(r) it exceeds 1
+    near theta = pi (see minor_arc_sup).  Where it decays it underflows to
+    0.0 already at moderate tau, so trend comparisons should use
+    minor_arc_log_ratio.
     """
     return math.exp(minor_arc_log_ratio(tau, theta, u, r, k_cap))
 
@@ -441,3 +442,51 @@ def minor_arc_log_ratio(
         return [np.log(1.0 - 2.0 * uq * (1.0 - np.cos(k * theta)) / (1.0 + uq) ** 2)]
 
     return 0.5 * _ksum(tau, r, summands, k_cap=k_cap)[0]
+
+
+def minor_arc_sup(tau: float, u: float, r: int) -> tuple[float, float]:
+    """(theta, log ratio) at the largest minor_arc_log_ratio over the arc
+    tau^(1 + 3r/7) <= theta <= pi.
+
+    The peak sits at pi - theta of about 0.6 tau to 1.7 tau, so the grid
+    steps pi - theta by tau/4 up to 3 tau and by a factor 1.5 from there,
+    ending on the arc's lower end; a peak narrower than its steps farther
+    from pi can fall between them.  Twenty golden-section steps then narrow
+    the bracket of the best grid point, between its grid neighbours, by
+    0.618^20 = 6.6e-5 (to 3.3e-5 tau near pi).  Each theta costs one
+    minor_arc_log_ratio call, so memory does not grow with the grid.
+    """
+    lo = tau ** (1.0 + 3.0 * r / 7.0)
+    width = math.pi - lo
+    if not width >= 0.0:
+        raise ValueError(f"the minor arc [tau^(1 + 3r/7), pi] is empty at tau = {tau}")
+    deltas = [j * tau / 4.0 for j in range(13)]
+    while deltas[-1] < width:
+        deltas.append(1.5 * deltas[-1])
+    grid = [math.pi - d for d in deltas if d < width] + [lo]
+    best = (grid[0], minor_arc_log_ratio(tau, grid[0], u, r))
+
+    def f(theta: float) -> float:
+        nonlocal best
+        value = minor_arc_log_ratio(tau, theta, u, r)
+        if value > best[1]:
+            best = (theta, value)
+        return value
+
+    for theta in grid[1:]:
+        f(theta)
+    i = grid.index(best[0])
+    a, b = grid[min(i + 1, len(grid) - 1)], grid[max(i - 1, 0)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(20):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return best

@@ -391,9 +391,14 @@ class TestVerify:
         assert sorted(doc) == ["checks", "failures"]
         assert doc["failures"] == 0
         arc = [c["detail"] for c in doc["checks"] if c["name"] == "saddle.minor_arc_decay"]
+        fields = dict(part.split(" = ", 1) for part in arc[0].split(", "))
         # the far-arc value is a finite negative log, not an underflowed ratio
-        far = float(arc[0].rsplit("= ", 1)[1])
+        far = float(fields["log ratio(pi)"])
         assert math.isfinite(far) and far < 0.0
+        # the arc's supremum is reported beside it, and is at least the value at pi
+        sup, at = fields["sup log ratio"].split(" at pi - theta = ")
+        assert math.isfinite(float(sup)) and float(sup) >= far
+        assert abs(float(at) - 0.0509) < 1e-4
 
     def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -491,12 +496,6 @@ class TestConfigErrors:
         ["clt-report", "--max-negative-mass", "nan"],
         ["tail", "--x-grid="],
         ["mgf", "--theta-grid="],
-        # just past U_MAX, and far past it, where a k-sum term overflowed
-        ["saddle", "--n", "78818", "--r", "4", "--u", "1.0000000001e143",
-         "--mode", "paper_literal"],
-        ["saddle", "--n", "78818", "--r", "4", "--u", "1e154", "--mode", "paper_literal"],
-        ["saddle", "--n", "78818", "--r", "4", "--u", "1e308", "--mode", "paper_literal"],
-        ["saddle", "--n", "1000", "--r", "2", "--u", "1e144"],
         # just past PRIME_CUTOFF_LIMIT, and at 10^11, where the sieve asked for 46.6 GiB
         ["constants", "--prime-cutoff", "100000001"],
         ["dirichlet-check", "--prime-cutoff", "100000000000"],
@@ -543,12 +542,22 @@ class TestConfigErrors:
         assert f"{script}: error: --" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    def test_arc_scan_closes_with_the_supremum(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts",
+                            "minor_arc_scan.py")
+        proc = subprocess.run([sys.executable, path, "--tau", "0.05,3", "--theta-steps", "1"],
+                              capture_output=True, text=True, timeout=60, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2].startswith("# tau = 0.05: sup log_ratio = 3.31417")
+        assert lines[-1] == "# tau = 3.0: the minor arc [tau^(1 + 3r/7), pi] is empty at tau = 3.0"
+
     @pytest.mark.parametrize("argv", [
         ["table", "--r", "1", "--N", "0"],
         ["constants", "--r", "1", "--prime-cutoff", "100"],
         ["constants", "--r", "170", "--prime-cutoff", str(10**8)],
         ["dirichlet-check", "--s", repr(math.nextafter(1.0, 2.0))],
-        ["saddle", "--n", "1", "--u", "1e143"],
+        ["saddle", "--n", "1", "--u", "1.7976931348623157e308"],
         ["saddle", "--n", "1", "--u", "5e-324"],
         ["tail", "--n", "2", "--x-grid", "5e-324"],
         ["mgf", "--n", "1", "--theta-grid=-2,2", "--max-negative-mass", "0"],
@@ -562,22 +571,29 @@ class TestConfigErrors:
         assert cli.main(argv) == 0
         assert len(seen) == 1
 
-    @pytest.mark.parametrize("u", ["0", "-1", "inf", "nan", "1e144"])
+    @pytest.mark.parametrize("u", ["0", "-1", "inf", "nan"])
     def test_u_outside_its_range_names_it(self, capsys, u):
         code, out, err = run_cli(["saddle", "--n", "10", "--u", u], capsys)
         assert code == 2 and out == ""
-        assert err == (f"configuration error: --u must be in (0, {saddle.U_MAX:g}], "
-                       "where the closed-form partials stay finite\n")
+        assert err == "configuration error: --u must be positive and finite\n"
 
-    def test_u_bound_keeps_the_partials_finite(self, capsys):
-        # k^3 (u q)^2 at the largest k a k-sum may reach, q < 1
-        assert saddle.HARD_TERM_CAP**3 * saddle.U_MAX**2 < sys.float_info.max
-        # the largest accepted u, where 1e154 used to end in "term not finite"
-        code, out, err = run_cli(["saddle", "--n", "78818", "--r", "4", "--u", "1e143",
+    @pytest.mark.parametrize("u", ["1.0000000001e143", "1e154", "1e308"])
+    def test_huge_u_has_finite_fields(self, capsys, u):
+        # past the retired 1e143 ceiling, where a k-sum term used to overflow
+        code, out, err = run_cli(["saddle", "--n", "78818", "--r", "4", "--u", u,
                                   "--mode", "paper_literal"], capsys)
         assert code == 0, err
         doc = json.loads(out)
         assert all(math.isfinite(float(doc[key])) for key in ("F", "F_g", "F_gg", "tau"))
+
+    def test_huge_u_general_solve_fails_cleanly(self):
+        # a fresh process, so a hang fails by timeout and a traceback shows
+        proc = subprocess.run([sys.executable, "-m", "divpart", "saddle", "--n", "1000",
+                               "--r", "2", "--u", "1e144"],
+                              capture_output=True, text=True, timeout=60, env=_src_env())
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -715,6 +731,18 @@ class TestImportFootprint:
                               timeout=60, env=_src_env())
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
+
+    def test_parsing_saddle_flags_loads_no_numpy(self):
+        # the --u domain is plain positive and finite: the parse needs no saddle
+        code = ("import json, sys\n"
+                "from divpart import cli\n"
+                "cli.build_parser().parse_args(['saddle', '--n', '10', '--u', '1e300'])\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.startswith(('numpy', 'divpart.')))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["divpart.arith", "divpart.cli"]
 
     def test_bare_import_loads_no_numpy(self):
         assert self._imported("divpart") == []

@@ -1,5 +1,7 @@
 import cmath
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -57,6 +59,55 @@ class TestPartials:
         fd = fd_mixed_richardson(_f_surface(r), gamma, u, jg, ju, *_steps(jg, ju, gamma, u))
         exact = sd.F_partial(gamma, u, r, (jg, ju))
         assert abs(fd - exact) / abs(exact) < 1e-5
+
+
+#: u from the smallest to the largest float magnitude, through the retired
+#: 1e143 ceiling of saddle --u
+_U_SPAN = (1e-300, 1e-3, 1.0, 1e3, 1e103, 1e143, 1e300, sys.float_info.max)
+#: part sizes up to the kernel's hard cap; at gamma = 1e-12 even k = 10^7
+#: has q = e^(-gamma k) within 1e-5 of 1, where the old w-forms overflowed
+_KS = np.array([1.0, 7.0, 1e3, 1e7])
+_GAMMAS = (1e-12, 1e-4, 0.3)
+
+
+class TestBoundedPartials:
+    """The summands in s = 1/(1 + u q) and t = u q s, both in [0, 1]."""
+
+    @pytest.mark.parametrize("u", _U_SPAN)
+    def test_every_partial_is_finite_at_any_finite_u(self, u):
+        for gamma in _GAMMAS:
+            q = np.exp(-gamma * _KS)
+            for order in sd.SUPPORTED_PARTIALS:
+                terms = sd._partial_terms(*order, _KS, q, u)
+                assert np.isfinite(terms).all(), (order, gamma)
+
+    @pytest.mark.parametrize("u", _U_SPAN)
+    def test_partials_match_the_w_forms_in_mpmath(self, u):
+        # the oracle's w = 1 + u q forms, evaluated at 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        with mpmath.workdps(60):
+            for gamma in _GAMMAS:
+                q = np.exp(-gamma * _KS)
+                for order in sd.SUPPORTED_PARTIALS:
+                    got = sd._partial_terms(*order, _KS, q, u)
+                    for k, qk, value in zip(_KS, q, got):
+                        k, qk, um = mpmath.mpf(float(k)), mpmath.mpf(float(qk)), mpmath.mpf(u)
+                        uq = um * qk
+                        # away from the roots, where both forms cancel alike
+                        if min(abs(1 - uq), abs(2 - uq), abs(1 - 4 * uq + uq * uq)) < 0.01:
+                            continue
+                        want = (mpmath.log1p(uq) if order == (0, 0)
+                                else oracle.term_value(*order, k, qk, um))
+                        if abs(want) < sys.float_info.min:  # not a normal float
+                            continue
+                        assert abs(value - want) <= 1e-13 * abs(want), (order, gamma, float(k))
+                        checked += 1
+        assert checked > 0
+
+    def test_huge_u_quartic_partial_is_finite(self):
+        # its numerator k^4 (u q)^3 used to leave the float range here
+        assert math.isfinite(sd.F_partial(0.5, 1e103, 2, (4, 0)))
 
 
 class TestSolveSaddle:
@@ -602,6 +653,101 @@ class TestMinorArc:
         for tau, u in ((0.0, 1.0), (math.nan, 1.0), (0.1, 0.0), (0.1, math.nan)):
             with pytest.raises(ValueError, match="requires tau > 0 and u > 0"):
                 sd.minor_arc_ratio(tau, 1.0, u, 2)
+
+    @pytest.mark.parametrize("r,tau,theta,want", [
+        (2, 0.05, 3.082, 252.41770129),
+        (2, 0.02, 3.112, 7809.48696),
+        (3, 0.02, 3.127, 1007295.950),
+    ])
+    def test_log_ratio_matches_an_mpmath_product(self, r, tau, theta, want):
+        # sum_k gap(k) log(|1 + x^k| / (1 + |x|^k)), x = e^(-tau - i theta), at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        top = int(90.0 / tau)  # k^4 e^(-k tau) is below 1e-25 of the total past here
+        sigma = arith.sigma_r_table(top + 1, r)
+        with mpmath.workdps(40):
+            x = mpmath.exp(-mpmath.mpf(tau) - 1j * mpmath.mpf(theta))
+            ref = mpmath.fsum((sigma[k + 1] - sigma[k])
+                              * (mpmath.log(abs(1 + x**k)) - mpmath.log1p(abs(x) ** k))
+                              for k in range(1, top + 1))
+        assert abs(float(ref) - want) <= 1e-8 * want
+        assert abs(sd.minor_arc_log_ratio(tau, theta, 1.0, r) - float(ref)) <= 1e-10 * float(ref)
+
+
+class TestMinorArcSup:
+    def test_takes_tau_u_and_r_only(self):
+        assert list(inspect.signature(sd.minor_arc_sup).parameters) == ["tau", "u", "r"]
+
+    def test_verify_point(self):
+        # the point saddle.minor_arc_decay samples: r = 2, u = 1, tau = 0.05
+        theta, sup = sd.minor_arc_sup(0.05, 1.0, 2)
+        assert abs(sup - 331.417) < 1e-3
+        assert abs((math.pi - theta) - 0.0509) < 1e-4
+        assert sup == sd.minor_arc_log_ratio(0.05, theta, 1.0, 2)
+        assert sup > sd.minor_arc_log_ratio(0.05, math.pi, 1.0, 2)
+
+    def test_r1_turn(self):
+        # at the u = 1 saddle of n the supremum turns positive between 204 and 205
+        sups = [sd.minor_arc_sup(sd.solve_saddle(n, 1.0, 1).tau, 1.0, 1)[1] for n in (204, 205)]
+        assert abs(sups[0] - -0.0205) < 1e-4
+        assert abs(sups[1] - 0.0189) < 1e-4
+
+    def test_r2_turn(self):
+        # through the float layer: positive from n = 13,961 on
+        sups = [sd.minor_arc_sup(sd.solve_saddle(n, 1.0, 2).tau, 1.0, 2)[1]
+                for n in (13960, 13961)]
+        assert abs(sups[0] - -0.00256) < 1e-4
+        assert abs(sups[1] - 0.00942) < 1e-4
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_never_leaves_the_arc(self, monkeypatch, slope):
+        # a monotone profile puts the supremum on an end of the arc, exactly
+        seen = []
+        monkeypatch.setattr(sd, "minor_arc_log_ratio",
+                            lambda tau, theta, u, r: seen.append(theta) or slope * theta)
+        tau, r = 0.1, 2
+        lo = tau ** (1.0 + 3.0 * r / 7.0)
+        theta, sup = sd.minor_arc_sup(tau, 1.0, r)
+        assert theta == (math.pi if slope > 0 else lo) and sup == slope * theta
+        assert all(lo <= t <= math.pi for t in seen)
+        assert len(seen) == len(set(seen)) < 60
+
+    @pytest.mark.parametrize("tau,r", [(0.05, 2), (0.02, 3), (0.3, 1), (1.5, 1),
+                                       (2.2284603479616742, 1)])
+    def test_grid_is_the_stated_one(self, monkeypatch, tau, r):
+        # pi - theta by tau/4 up to 3 tau, then by a factor 1.5, then the lower end;
+        # then 22 golden-section points.  At the last tau the arc is the point pi.
+        seen = []
+        monkeypatch.setattr(sd, "minor_arc_log_ratio",
+                            lambda tau, theta, u, r: seen.append(theta) or 0.0)
+        sd.minor_arc_sup(tau, 1.0, r)
+        lo = tau ** (1.0 + 3.0 * r / 7.0)
+        deltas = [j * tau / 4.0 for j in range(13)]
+        while deltas[-1] < math.pi - lo:
+            deltas.append(deltas[-1] * 1.5)
+        grid = [math.pi - d for d in deltas if d < math.pi - lo] + [lo]
+        assert seen[:len(grid)] == pytest.approx(grid, rel=1e-15, abs=0.0)
+        assert len(seen) == len(grid) + 22
+
+    def test_ties_keep_the_first_point(self, monkeypatch):
+        # a flat profile has its supremum at the first point of the grid, theta = pi
+        for value in (0.0, -math.inf, math.nan):
+            monkeypatch.setattr(sd, "minor_arc_log_ratio", lambda tau, theta, u, r: value)
+            theta, sup = sd.minor_arc_sup(0.05, 1.0, 2)
+            assert theta == math.pi and (sup == value or math.isnan(sup))
+
+    def test_one_point_arc(self):
+        # tau^(10/7) is pi exactly here, so the arc is the point theta = pi
+        tau = 2.2284603479616742
+        assert tau ** (1.0 + 3.0 / 7.0) == math.pi
+        assert sd.minor_arc_sup(tau, 1.0, 1) == (math.pi,
+                                                 sd.minor_arc_log_ratio(tau, math.pi, 1.0, 1))
+
+    def test_empty_arc(self):
+        # tau^(1 + 3/7) passes pi once tau > pi^(7/10) = 2.23
+        with pytest.raises(ValueError, match="empty"):
+            sd.minor_arc_sup(math.nextafter(2.2284603479616742, 3.0), 1.0, 1)
+        with pytest.raises(ValueError, match="empty"):
+            sd.minor_arc_sup(math.nan, 1.0, 1)
 
 
 def _trig_kernel(k, xi, y):
