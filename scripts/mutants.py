@@ -83,9 +83,6 @@ SKIP = {
     ("saddle.py", "minor_arc_sup", "while deltas[-1] <= width:"):
         "the last delta is at least width either way, and the grid keeps only deltas "
         "below width, so one more delta changes nothing",
-    ("saddle.py", "minor_arc_sup", "if fc >= fd:"):
-        "differs only on an exact tie of two golden-section values, where either half may "
-        "hold the maximum; a flat profile keeps its first point either way",
     ("cltlab.py", "_row_gate", "if dist.total < 0:"):
         "exact_distribution refuses a zero row total before the gate sees the row",
     ("cltlab.py", "_least_squares_slope",

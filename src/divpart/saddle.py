@@ -10,8 +10,10 @@ arc: its log ratio and that ratio's supremum over the arc.
 
 Every k-sum, the Mellin double sums included, runs through one numpy
 kernel, _ksum, under the shared truncation rule: stop once
-max(|w(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the running total,
-hard-capped at 10^7 terms.  The kernel adds the terms of each chunk of k
+max(u, 1) max(|w(k)|, 1) k^4 e^(-gamma k) falls below 1e-18 of the
+running total, hard-capped at 10^7 terms (while u e^(-gamma k) > 1 the
+terms do not fall, and the factor max(u, 1) keeps the sum running past
+k = ln(u)/gamma).  The kernel adds the terms of each chunk of k
 by numpy's pairwise summation and the chunk sums by math.fsum, so a sum
 is good to a few ulps of sum |term| rather than of |sum|; the tests hold
 it to 1e-13 relative against a compensated scalar loop.
@@ -72,13 +74,13 @@ _CHUNK = 1 << 12
 _LOG_RATIO = -math.log(TRUNCATION_RATIO)
 
 
-def _block_length(gamma: float, power: float) -> int:
-    """Where k^power e^(-gamma k) falls to TRUNCATION_RATIO, so that one
-    block usually holds the whole sum (power counts the growth of the gap
-    weights, gap_r(k) = O(k^r), too)."""
+def _block_length(gamma: float, power: float, scale: float = 1.0) -> int:
+    """Where scale k^power e^(-gamma k) falls to TRUNCATION_RATIO, so that
+    one block usually holds the whole sum (power counts the growth of the
+    gap weights, gap_r(k) = O(k^r), too)."""
     k = float(_BLOCK_MIN)
     for _ in range(4):
-        k = (_LOG_RATIO + power * math.log(max(k, 1.0))) / gamma
+        k = (_LOG_RATIO + math.log(scale) + power * math.log(max(k, 1.0))) / gamma
     return int(min(max(k, _BLOCK_MIN), _BLOCK_MAX))
 
 
@@ -88,13 +90,16 @@ def _ksum(
     summands: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
     k_cap: int | None = None,
     shift: int | None = None,
+    scale: float = 1.0,
 ) -> list[float]:
     """sum_{k>=1} w(k) s_i(k, e^(-gamma k)) for every array s_i that
     summands(k, q) returns, with w = gap_r (r given), w = sigma_r(k + shift)
-    (r and shift 0 or 1 given) or w = 1 (r None).
+    (r and shift 0 or 1 given) or w = 1 (r None).  scale is max(u, 1) for
+    the terms of log(1 + u q), its partials and the arc's log factors:
+    each is O(scale k^4 q) once u q < 1 and does not fall before.
 
     Each sum stops at the first k where
-    max(|w(k)|, 1) k^4 e^(-gamma k) < TRUNCATION_RATIO * |its running
+    scale max(|w(k)|, 1) k^4 e^(-gamma k) < TRUNCATION_RATIO * |its running
     total|, or after k = k_cap.  The k run over equal blocks of at most
     2^16 entries, and each block sieves its own exact sigma_r window
     (arith.sigma_window) for its weights; inside a block the weights,
@@ -114,7 +119,7 @@ def _ksum(
     open_sums: list[int] = []
     start = 1
     base = end = 0  # the current block, base..end
-    size = _block_length(gamma, 4 + (r or 0))
+    size = _block_length(gamma, 4 + (r or 0), scale)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while start <= cap:
             if start > end:  # a new block: sieve its exact sigma window once
@@ -124,7 +129,7 @@ def _ksum(
             last = min(start + _CHUNK - 1, end)
             k = np.arange(start, last + 1, dtype=np.float64)
             q = np.exp(-gamma * k)
-            bound = k**4 * q
+            bound = k**4 * (scale * q)  # scale q <= scale: no inf * 0 where q underflows
             terms = summands(k, q)
             if r is not None:
                 # exact weights, correctly rounded (r = 3 passes 2^53 near k = 2*10^5)
@@ -216,7 +221,8 @@ def _partials(
 ) -> list[float]:
     """The (jg, ju) partials of F in one kernel pass; r None drops the gap
     weights (the plain product)."""
-    return _ksum(gamma, r, lambda k, q: [_partial_terms(jg, ju, k, q, u) for jg, ju in pairs])
+    return _ksum(gamma, r, lambda k, q: [_partial_terms(jg, ju, k, q, u) for jg, ju in pairs],
+                 scale=max(u, 1.0))
 
 
 def F_partial(gamma: float, u: float, r: int, order: tuple[int, int]) -> float:
@@ -367,7 +373,8 @@ def _sigma_double_sum(j: int, gamma: float, u: float, r: int, shifted: bool) -> 
         raise ValueError("the Mellin double sums need gamma > 0 and u > 0")
     sign = (-1.0) ** (j + 1)
     return _ksum(
-        gamma, r, lambda k, q: [sign * _partial_terms(j, 0, k, q, u)], shift=int(shifted)
+        gamma, r, lambda k, q: [sign * _partial_terms(j, 0, k, q, u)], shift=int(shifted),
+        scale=max(u, 1.0),
     )[0]
 
 
@@ -438,10 +445,10 @@ def minor_arc_log_ratio(
         raise ValueError("minor_arc_ratio requires tau > 0 and u > 0")
 
     def summands(k: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
-        uq = u * q
+        uq = np.minimum(u * q, 1e300)  # 2 u q stays finite; past 1e154 the log is 0
         return [np.log(1.0 - 2.0 * uq * (1.0 - np.cos(k * theta)) / (1.0 + uq) ** 2)]
 
-    return 0.5 * _ksum(tau, r, summands, k_cap=k_cap)[0]
+    return 0.5 * _ksum(tau, r, summands, k_cap=k_cap, scale=max(u, 1.0))[0]
 
 
 def minor_arc_sup(tau: float, u: float, r: int) -> tuple[float, float]:

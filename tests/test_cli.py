@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from divpart import cli, dirichlet, partition, saddle
+from divpart import arith, cli, dirichlet, partition, saddle
 
 
 def _subparsers():
@@ -586,14 +586,22 @@ class TestConfigErrors:
         doc = json.loads(out)
         assert all(math.isfinite(float(doc[key])) for key in ("F", "F_g", "F_gg", "tau"))
 
-    def test_huge_u_general_solve_fails_cleanly(self):
-        # a fresh process, so a hang fails by timeout and a traceback shows
+    def test_huge_u_general_solve_meets_n(self):
+        # a fresh process, so a hang fails by timeout and a traceback shows.  Every k
+        # with u e^(-tau k) >> 1 adds about gap(k) k to -F_g, so the root sits near
+        # tau = ln(u)/11 for n = 1000: a direct sum over k <= 100 there must give n
         proc = subprocess.run([sys.executable, "-m", "divpart", "saddle", "--n", "1000",
                                "--r", "2", "--u", "1e144"],
                               capture_output=True, text=True, timeout=60, env=_src_env())
-        assert proc.returncode == 1 and proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        tau, u = float(doc["tau"]), 1e144
+        assert 25.0 < tau < 35.0
+        sig = arith.sigma_r_table(102, 2)
+        lhs = math.fsum((sig[k + 1] - sig[k]) * k * (u * math.exp(-tau * k))
+                        / (1.0 + u * math.exp(-tau * k)) for k in range(1, 101))
+        assert abs(lhs - 1000.0) <= 1e-9 * 1000.0
+        assert abs(float(doc["F_g"]) + lhs) <= 1e-12 * lhs
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

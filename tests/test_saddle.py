@@ -109,6 +109,42 @@ class TestBoundedPartials:
         # its numerator k^4 (u q)^3 used to leave the float range here
         assert math.isfinite(sd.F_partial(0.5, 1e103, 2, (4, 0)))
 
+    @pytest.mark.parametrize("u", [1e154, sys.float_info.max])
+    def test_huge_u_sums_run_past_the_plateau(self, u):
+        # while u q >> 1 the terms do not fall: they fall from k = ln(u)/gamma on,
+        # 7,092 and 14,196 here, where a stop rule blind to u had long stopped.
+        # The reference adds every k to 1.5 ln(u)/gamma + 2000 with no stop rule.
+        gamma, r, theta = 0.05, 2, 3.0
+        top = int(1.5 * math.log(u) / gamma) + 2000
+        sig = arith.sigma_r_table(top + 2, r)
+        ks = range(1, top + 1)
+
+        def reference(weight, summand):
+            return math.fsum(weight(k) * summand(k, math.exp(-gamma * k)) for k in ks)
+
+        def gap(k):
+            return sig[k + 1] - sig[k]
+
+        # the w = 1 + u q forms, grouped so that nothing overflows at the largest u
+        w_forms = {(0, 0): lambda k, q: math.log1p(u * q),
+                   (1, 0): lambda k, q: -k * (u * q / (1.0 + u * q)),
+                   (2, 0): lambda k, q: k * k * (u * q / (1.0 + u * q)) / (1.0 + u * q),
+                   (0, 1): lambda k, q: q / (1.0 + u * q)}
+        for order, summand in w_forms.items():
+            want = reference(gap, summand)
+            assert abs(sd.F_partial(gamma, u, r, order) - want) <= 1e-10 * abs(want), order
+        for shifted in (False, True):
+            want = -reference(lambda k: sig[k + shifted], lambda k, q: math.log1p(u * q))
+            got = sd._sigma_double_sum(0, gamma, u, r, shifted)
+            assert abs(got - want) <= 1e-10 * abs(want), shifted
+
+        def arc(k, q):
+            w = 1.0 + u * q
+            return math.log(1.0 - 2.0 * (u * q / w) * (1.0 - math.cos(k * theta)) / w)
+
+        want = 0.5 * reference(gap, arc)
+        assert abs(sd.minor_arc_log_ratio(gamma, theta, u, r) - want) <= 1e-10 * abs(want)
+
 
 class TestSolveSaddle:
     def test_plain_equation_n1(self):
@@ -517,11 +553,12 @@ class TestChunkEdges:
             assert got == want == first + 1.0
 
     def test_block_length_is_where_the_bound_meets_the_ratio(self):
-        # between the clamps, k^p e^(-gamma k) has fallen to about 1e-18 there
-        for gamma, power in ((0.01, 4), (0.003, 7), (0.05, 9)):
-            k = sd._block_length(gamma, power)
+        # between the clamps, scale k^p e^(-gamma k) has fallen to about 1e-18 there
+        for gamma, power, scale in ((0.01, 4, 1.0), (0.003, 7, 1.0), (0.05, 9, 1.0),
+                                    (0.05, 6, 1e154)):
+            k = sd._block_length(gamma, power, scale)
             assert sd._BLOCK_MIN < k < sd._BLOCK_MAX
-            ratio = math.exp(power * math.log(k) - gamma * k) / sd.TRUNCATION_RATIO
+            ratio = scale * math.exp(power * math.log(k) - gamma * k) / sd.TRUNCATION_RATIO
             assert 0.5 < ratio < 2.0, (gamma, power, k, ratio)
         assert sd._block_length(10.0, 4) == sd._BLOCK_MIN
         assert sd._block_length(1e-9, 4) == sd._BLOCK_MAX
@@ -716,6 +753,7 @@ class TestMinorArcSup:
     def test_grid_is_the_stated_one(self, monkeypatch, tau, r):
         # pi - theta by tau/4 up to 3 tau, then by a factor 1.5, then the lower end;
         # then 22 golden-section points.  At the last tau the arc is the point pi.
+        # The flat profile ties at every step, and a tie keeps the half toward pi.
         seen = []
         monkeypatch.setattr(sd, "minor_arc_log_ratio",
                             lambda tau, theta, u, r: seen.append(theta) or 0.0)
@@ -726,7 +764,12 @@ class TestMinorArcSup:
             deltas.append(deltas[-1] * 1.5)
         grid = [math.pi - d for d in deltas if d < math.pi - lo] + [lo]
         assert seen[:len(grid)] == pytest.approx(grid, rel=1e-15, abs=0.0)
-        assert len(seen) == len(grid) + 22
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = grid[min(1, len(grid) - 1)], grid[0]  # the bracket of the first point, pi
+        golden = [b - g * (b - a), a + g * (b - a)]
+        for _ in range(20):  # the lower end moves up to the previous inner point
+            golden.append(golden[-2] + g * (b - golden[-2]))
+        assert seen[len(grid):] == pytest.approx(golden, rel=1e-15, abs=0.0)
 
     def test_ties_keep_the_first_point(self, monkeypatch):
         # a flat profile has its supremum at the first point of the grid, theta = pi
