@@ -31,8 +31,7 @@ def main() -> None:
         ap.error(str(exc))
 
     table = partition.build_table(args.r, max(args.n_list))
-    report = cltlab.clt_report(args.r, args.n_list, table=table,
-                               max_negative_mass=args.max_negative_mass)
+    report = cltlab.clt_report(table, args.n_list, args.max_negative_mass)
 
     print("n,mean_exact,var_exact,mu_general,nu2_general,mu_literal,nu2_literal,"
           "ks,neg_cells,included,note")
@@ -54,8 +53,7 @@ def main() -> None:
 
     for n in args.n_list:
         try:
-            profile = cltlab.mgf_profile(n, args.r, args.theta, table=table,
-                                         max_negative_mass=args.max_negative_mass)
+            profile = cltlab.mgf_profile(table, n, args.theta, args.max_negative_mass)
         except ValueError as exc:
             print(f"# mgf n={n}: {exc}")
             continue
@@ -65,8 +63,7 @@ def main() -> None:
         )
         print(f"# mgf n={n}: {devs}")
 
-    tails = cltlab.tail_report(max(args.n_list), args.r, [1.0, 2.0], table=table,
-                               max_negative_mass=args.max_negative_mass)
+    tails = cltlab.tail_report(table, max(args.n_list), [1.0, 2.0], args.max_negative_mass)
     if tails.refused:
         print(f"# tail n={tails.n}: refused ({tails.findings[0]})")
     else:

@@ -83,6 +83,9 @@ SKIP = {
     ("saddle.py", "minor_arc_sup", "while deltas[-1] <= width:"):
         "the last delta is at least width either way, and the grid keeps only deltas "
         "below width, so one more delta changes nothing",
+    ("checks.py", "mellin_leading_order", "near = abs(ratios[-1] - 1.0) <= 0.05"):
+        "no float is exactly 0.05 from 1.0: x - 1.0 is exact on [0.5, 2], a multiple of "
+        "2^-53, and the float 0.05 is not one",
     ("cltlab.py", "_row_gate", "if dist.total < 0:"):
         "exact_distribution refuses a zero row total before the gate sees the row",
     ("cltlab.py", "_least_squares_slope",

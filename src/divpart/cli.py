@@ -4,7 +4,7 @@ Every subcommand is deterministic: identical flags produce byte-identical
 artifacts.  Floats are therefore always emitted as decimal strings with 17
 significant digits (fmt, the one float format), JSON keys are sorted, CSV
 uses LF line endings, and verify's worker-count flag changes nothing.
-verify has one sweep: every check of divpart.checks at its default sizes.
+verify has one sweep: every check of divpart.checks at its one sample.
 The table export is _cmd_table's; every other report goes out through
 emit_json or emit_csv.
 
@@ -176,9 +176,9 @@ def _cmd_saddle(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_clt_report(cfg: argparse.Namespace) -> int:
-    from . import cltlab
-    report = cltlab.clt_report(cfg.r, cfg.n_list,
-                               max_negative_mass=cfg.max_negative_mass)
+    from . import cltlab, partition
+    report = cltlab.clt_report(partition.build_table(cfg.r, max(cfg.n_list)), cfg.n_list,
+                               cfg.max_negative_mass)
     emit_csv(["n", "mean_exact", "var_exact", "mu_general", "nu2_general", "mu_literal",
               "nu2_literal", "ks_distance", "negativity_count", "included", "note"],
              [(row.n, row.mean_exact, row.var_exact,
@@ -199,9 +199,9 @@ def _cmd_clt_report(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_tail(cfg: argparse.Namespace) -> int:
-    from . import cltlab
-    report = cltlab.tail_report(cfg.n, cfg.r, cfg.x_grid,
-                                max_negative_mass=cfg.max_negative_mass)
+    from . import cltlab, partition
+    report = cltlab.tail_report(partition.build_table(cfg.r, cfg.n), cfg.n, cfg.x_grid,
+                                cfg.max_negative_mass)
     emit_csv(["x", "side", "prob", "bound", "branch", "ok"],
              [(rec.x, rec.side, rec.prob, rec.bound, rec.branch, rec.ok)
               for rec in report.records],
@@ -210,9 +210,9 @@ def _cmd_tail(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_mgf(cfg: argparse.Namespace) -> int:
-    from . import cltlab
-    profile = cltlab.mgf_profile(cfg.n, cfg.r, cfg.theta_grid,
-                                 max_negative_mass=cfg.max_negative_mass)
+    from . import cltlab, partition
+    profile = cltlab.mgf_profile(partition.build_table(cfg.r, cfg.n), cfg.n, cfg.theta_grid,
+                                 cfg.max_negative_mass)
     rows = []
     for theta in cfg.theta_grid:
         m_est, target = profile[theta]
@@ -228,23 +228,15 @@ def _cmd_mgf(cfg: argparse.Namespace) -> int:
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     from . import checks
     results = checks.run()
-    lines = []
-    failures = 0
-    for name, ok, detail in results:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
+    failures = sum(not ok for _, ok, _ in results)
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     lines.append(f"{'OK' if failures == 0 else 'FAILED'} "
                  f"({len(results) - failures}/{len(results)} checks passed)")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     if cfg.output:
-        emit_json({
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in results
-            ],
-            "failures": failures,
-        }, cfg.output)
+        emit_json({"checks": [{"name": name, "ok": ok, "detail": detail}
+                              for name, ok, detail in results],
+                   "failures": failures}, cfg.output)
     return 1 if failures else 0
 
 

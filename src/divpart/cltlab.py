@@ -14,8 +14,9 @@ Standardization uses the exact rational mean and variance converted to
 float at the last step.  Sums over a row's integer cells stay exact and
 meet its total in one int / int division, which rounds correctly.
 
-saddle (and with it numpy) is imported only by clt_report and
-exponent_fit, so the MGF and tail checks run on the exact layers alone.
+The reports take the exact table and read r from it.  saddle (and with
+it numpy) is imported only by clt_report and exponent_fit, so the MGF and
+tail checks run on the exact layers alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .partition import ExactDistribution, PartitionTable, RowRefused, build_table, exact_distribution
+from .partition import ExactDistribution, PartitionTable, RowRefused, exact_distribution
 
 
 def norm_cdf(x: float) -> float:
@@ -71,15 +72,12 @@ def _row_gate(dist: ExactDistribution, max_negative_mass: float) -> str | None:
     return None
 
 
-def _read_row(
-    n: int, r: int, table: PartitionTable | None, max_negative_mass: float, use: str,
-) -> tuple[ExactDistribution, float, float]:
+def _read_row(table: PartitionTable, n: int, max_negative_mass: float,
+              use: str) -> tuple[ExactDistribution, float, float]:
     """The exact law of row n, its float mean and its float standard
-    deviation; the table is built when none is given.  A row the gate
-    refuses raises RowRefused("row n refused for <use>: <note>"), as does
-    exact_distribution on a vanishing row total."""
-    if table is None:
-        table = build_table(r, n)
+    deviation.  A row the gate refuses raises RowRefused("row n refused
+    for <use>: <note>"), as does exact_distribution on a vanishing row
+    total."""
     dist = exact_distribution(table, n)
     reason = _row_gate(dist, max_negative_mass)
     if reason is not None:
@@ -150,12 +148,8 @@ def _loglog_fit(ns: list[int], saddles: list[tuple[float, float]]) -> ExponentFi
                        residual_mean=res_mu, residual_var=res_nu)
 
 
-def clt_report(
-    r: int,
-    n_list: list[int],
-    table: PartitionTable | None = None,
-    max_negative_mass: float = 0.0,
-) -> CltReport:
+def clt_report(table: PartitionTable, n_list: list[int],
+               max_negative_mass: float = 0.0) -> CltReport:
     """Per-n exact mean/variance, KS distance to the standard normal on
     admissible rows, saddle mean/variance in both equation forms, and
     log-log exponent fits of the gap-weighted saddle mean/variance."""
@@ -163,14 +157,12 @@ def clt_report(
 
     if not (n_list and n_list[0] >= 1 and all(a < b for a, b in zip(n_list, n_list[1:]))):
         raise ValueError("n_list must be non-empty, strictly increasing and positive")
-    if table is None:
-        table = build_table(r, max(n_list))
     rows: list[CltRow] = []
     for n in n_list:
         dist = exact_distribution(table, n)
         mu_saddle, nu2_saddle = {}, {}
         for mode in ("general", "paper_literal"):
-            mu_saddle[mode], nu2_saddle[mode] = saddle.mean_variance_saddle(n, r, mode=mode)
+            mu_saddle[mode], nu2_saddle[mode] = saddle.mean_variance_saddle(n, table.r, mode=mode)
         mean_f, var_f = float(dist.mean), float(dist.variance)
         note = _row_gate(dist, max_negative_mass)
         rows.append(CltRow(
@@ -184,7 +176,7 @@ def clt_report(
     # exponents only make sense for the gap-weighted equation form
     fit = _loglog_fit(n_list, [(row.mu_saddle["general"], row.nu2_saddle["general"])
                                for row in rows]) if len(n_list) >= 4 else None
-    return CltReport(r=r, n_list=list(n_list), rows=rows,
+    return CltReport(r=table.r, n_list=list(n_list), rows=rows,
                      exponent_fit_mean=fit.slope_mean if fit else None,
                      exponent_fit_var=fit.slope_var if fit else None)
 
@@ -196,13 +188,8 @@ def ks_trend_ok(report: CltReport) -> bool:
     return all(b <= 1.1 * a for a, b in zip(values, values[1:]))
 
 
-def mgf_profile(
-    n: int,
-    r: int,
-    theta_grid: list[float],
-    table: PartitionTable | None = None,
-    max_negative_mass: float = 0.0,
-) -> dict[float, tuple[float, float]]:
+def mgf_profile(table: PartitionTable, n: int, theta_grid: list[float],
+                max_negative_mass: float = 0.0) -> dict[float, tuple[float, float]]:
     """theta -> (exact standardized MGF, Gaussian target e^(theta^2/2)).
 
     M(theta) = sum_k P(X = k) exp((k - mean) theta / std) from the exact law;
@@ -211,7 +198,7 @@ def mgf_profile(
     """
     if not all(abs(t) <= 2.0 for t in theta_grid):  # false for NaN too
         raise ValueError("theta grid restricted to [-2, 2]")
-    dist, mean, std = _read_row(n, r, table, max_negative_mass, "MGF")
+    dist, mean, std = _read_row(table, n, max_negative_mass, "MGF")
     probs = [(k, c / dist.total) for k, c in enumerate(dist.cells) if c]
     out = {}
     for theta in theta_grid:
@@ -235,13 +222,8 @@ def tail_split(n: int, r: int) -> float:
     return float(n) ** ((r + 1.0) / (6.0 * (r + 2.0))) / math.log(n)
 
 
-def tail_check(
-    n: int,
-    r: int,
-    x_grid: list[float],
-    table: PartitionTable | None = None,
-    max_negative_mass: float = 0.0,
-) -> list[TailRecord]:
+def tail_check(table: PartitionTable, n: int, x_grid: list[float],
+               max_negative_mass: float = 0.0) -> list[TailRecord]:
     """Exact standardized tail probabilities against the two-branch budget
 
         1.5 e^(-x^2/2)          for x <= T,
@@ -252,9 +234,9 @@ def tail_check(
     """
     if not all(x > 0.0 for x in x_grid):  # false for NaN too
         raise ValueError("x grid must be positive")
-    dist, mean, std = _read_row(n, r, table, max_negative_mass, "tail check")
+    dist, mean, std = _read_row(table, n, max_negative_mass, "tail check")
     zs = [((k - mean) / std, c) for k, c in enumerate(dist.cells)]
-    t_split = tail_split(n, r)
+    t_split = tail_split(n, table.r)
     records = []
     for x in x_grid:
         if x <= t_split:
@@ -283,16 +265,11 @@ class TailReport:
     refused: bool
 
 
-def tail_report(
-    n: int,
-    r: int,
-    x_grid: list[float],
-    table: PartitionTable | None = None,
-    max_negative_mass: float = 0.0,
-) -> TailReport:
+def tail_report(table: PartitionTable, n: int, x_grid: list[float],
+                max_negative_mass: float = 0.0) -> TailReport:
     findings: list[str] = []
     try:
-        records = tail_check(n, r, x_grid, table=table, max_negative_mass=max_negative_mass)
+        records = tail_check(table, n, x_grid, max_negative_mass)
     except RowRefused as exc:
         return TailReport(n=n, records=[], findings=[str(exc)], refused=True)
     for rec in records:

@@ -355,11 +355,6 @@ class TestShiftedIdentity:
         arith.shifted_identity_max_residual(6, 7)
         assert seen == [1, 2, 3, 4, 5, 6]
 
-    def test_small_sweep(self):
-        # the check's bound: 1e-9
-        ok, detail = checks.shifted_sum_identity(m_max=15, n_max=60)
-        assert ok, detail
-
 
 def primitive_inducer(chi):
     """The character chi* mod f, for the smallest f | m, that agrees with chi

@@ -391,7 +391,10 @@ class TestVerify:
         assert sorted(doc) == ["checks", "failures"]
         assert doc["failures"] == 0
         arc = [c["detail"] for c in doc["checks"] if c["name"] == "saddle.minor_arc_decay"]
-        fields = dict(part.split(" = ", 1) for part in arc[0].split(", "))
+        measured, sample, regime = arc[0].split("; ")
+        assert sample == "all at tau = 0.05, r = 2, u = 1 (n ~ 35,074)"
+        assert regime == "sup <= 0 holds at n <= 13,960"
+        fields = dict(part.split(" = ", 1) for part in measured.split(", "))
         # the far-arc value is a finite negative log, not an underflowed ratio
         far = float(fields["log ratio(pi)"])
         assert math.isfinite(far) and far < 0.0

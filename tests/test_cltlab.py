@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -41,14 +42,14 @@ class TestKs:
 class TestCltReport:
     def test_degenerate_single_point(self):
         # n = 1 is a point mass: excluded, its note names the variance
-        report = cltlab.clt_report(2, [1])
+        report = cltlab.clt_report(partition.build_table(2, 1), [1])
         row = report.rows[0]
         assert not row.included and row.ks_distance is None
         assert row.note == "nonpositive variance (0.000e+00)"
         assert report.excluded == [1]
 
     def test_strict_rule_excludes_signed_rows(self, table_r2_400):
-        report = cltlab.clt_report(2, [50, 100, 200, 400], table=table_r2_400)
+        report = cltlab.clt_report(table_r2_400, [50, 100, 200, 400])
         assert report.excluded == [50, 100, 200, 400]
         assert report.exclusion_count == 4
         for row in report.rows:
@@ -58,9 +59,7 @@ class TestCltReport:
             assert row.nu2_saddle["paper_literal"] > 0
 
     def test_diagnostic_override_keeps_mildly_signed_rows(self, table_r2_400):
-        report = cltlab.clt_report(
-            2, [50, 100, 200, 400], table=table_r2_400, max_negative_mass=0.01
-        )
+        report = cltlab.clt_report(table_r2_400, [50, 100, 200, 400], max_negative_mass=0.01)
         # n = 400 is signed at bulk scale and stays out under any sane override
         assert report.excluded == [400]
         ks = [row.ks_distance for row in report.rows if row.included]
@@ -69,7 +68,7 @@ class TestCltReport:
         assert cltlab.ks_trend_ok(report)
 
     def test_exact_mean_within_factor_three_of_weighted_saddle(self, table_r2_400):
-        report = cltlab.clt_report(2, [200, 400], table=table_r2_400)
+        report = cltlab.clt_report(table_r2_400, [200, 400])
         for row in report.rows:
             ratio = row.mean_exact / row.mu_saddle["general"]
             assert 1.0 / 3.0 < ratio < 3.0
@@ -85,31 +84,30 @@ class TestCltReport:
         assert abs(zsum) < 1e-12
         assert abs(z2sum - 1.0) < 1e-12
 
-    def test_requires_increasing_list(self):
+    def test_requires_increasing_list(self, table_r2_60):
         # strictly: 20,20,20,20 used to end in the slope fit's division by zero
         for n_list in ([100, 50], [20, 20], [20, 20, 20, 20], [10, 20, 20, 30]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                cltlab.clt_report(2, n_list)
+                cltlab.clt_report(table_r2_60, n_list)
 
     @pytest.mark.parametrize("n_list", [[], [0, 10], [-5, 10]])
-    def test_requires_nonempty_positive_list(self, n_list):
+    def test_requires_nonempty_positive_list(self, table_r2_60, n_list):
         with pytest.raises(ValueError, match="non-empty, strictly increasing and positive"):
-            cltlab.clt_report(2, n_list)
+            cltlab.clt_report(table_r2_60, n_list)
 
     def test_exponent_fit_from_four_rows(self, table_r2_60):
         # the fit of the gap-weighted saddle slopes needs four rows
-        four = cltlab.clt_report(2, [20, 30, 40, 50], table=table_r2_60)
+        four = cltlab.clt_report(table_r2_60, [20, 30, 40, 50])
         fit = cltlab.exponent_fit(2, [20, 30, 40, 50])
         assert (four.exponent_fit_mean, four.exponent_fit_var) == (fit.slope_mean, fit.slope_var)
-        three = cltlab.clt_report(2, [20, 30, 40], table=table_r2_60)
+        three = cltlab.clt_report(table_r2_60, [20, 30, 40])
         assert three.exponent_fit_mean is None and three.exponent_fit_var is None
 
     def test_negative_mass_limit_is_inclusive(self):
         # r = 1, n = 8: cells (0, -2, 29, 5, 2) over 34, signed defect 2/34
         table = partition.build_table(1, 8)
-        at = cltlab.clt_report(1, [8], table=table, max_negative_mass=2 / 34)
-        below = cltlab.clt_report(1, [8], table=table,
-                                  max_negative_mass=math.nextafter(2 / 34, 0.0))
+        at = cltlab.clt_report(table, [8], max_negative_mass=2 / 34)
+        below = cltlab.clt_report(table, [8], max_negative_mass=math.nextafter(2 / 34, 0.0))
         assert (at.excluded, below.excluded) == ([], [8])
 
     def test_ks_trend_slack_is_inclusive(self):
@@ -125,7 +123,7 @@ class TestCltReport:
     def test_gate_admits_any_override_only_at_positive_variance(self):
         # r = 1: rows 4 and 6 are signed with exact variance -1/9 and -22/75
         table = partition.build_table(1, 7)
-        report = cltlab.clt_report(1, [4, 5, 6, 7], table=table, max_negative_mass=math.inf)
+        report = cltlab.clt_report(table, [4, 5, 6, 7], max_negative_mass=math.inf)
         assert report.excluded == [4, 6]
         assert [partition.exact_distribution(table, n).variance for n in (4, 6)] == [
             Fraction(-1, 9), Fraction(-22, 75)]
@@ -136,51 +134,43 @@ class TestCltReport:
 
 class TestMgfProfile:
     def test_unit_at_zero(self, table_r3_400):
-        profile = cltlab.mgf_profile(
-            400, 3, [0.0], table=table_r3_400, max_negative_mass=1e-9
-        )
+        profile = cltlab.mgf_profile(table_r3_400, 400, [0.0], max_negative_mass=1e-9)
         assert profile[0.0][0] == 1.0
         assert profile[0.0][1] == 1.0
 
     def test_strict_rule_refuses_signed_rows(self, table_r2_400):
         with pytest.raises(ValueError, match="refused"):
-            cltlab.mgf_profile(50, 2, [0.5], table=table_r2_400)
+            cltlab.mgf_profile(table_r2_400, 50, [0.5])
 
     def test_nan_limit_refuses_signed_rows(self, table_r2_400):
         with pytest.raises(ValueError, match="refused"):
-            cltlab.mgf_profile(50, 2, [0.5], table=table_r2_400,
-                               max_negative_mass=math.nan)
+            cltlab.mgf_profile(table_r2_400, 50, [0.5], max_negative_mass=math.nan)
 
     def test_negative_row_refused(self):
         # row -1 used to read row 12, the last one, labelled n = -1
         with pytest.raises(ValueError, match="outside table range"):
-            cltlab.mgf_profile(-1, 3, [0.5], table=partition.build_table(3, 12),
-                               max_negative_mass=1.0)
+            cltlab.mgf_profile(partition.build_table(3, 12), -1, [0.5], max_negative_mass=1.0)
 
     def test_movement_toward_gaussian(self, table_r2_400):
         out = {}
         for n in (50, 100, 200):
-            out[n] = cltlab.mgf_profile(
-                n, 2, [0.25, 0.5], table=table_r2_400, max_negative_mass=0.01
-            )
+            out[n] = cltlab.mgf_profile(table_r2_400, n, [0.25, 0.5], max_negative_mass=0.01)
         for theta in (0.25, 0.5):
             devs = [abs(out[n][theta][0] - out[n][theta][1]) for n in (50, 100, 200)]
             assert devs[2] < devs[1] < devs[0]
 
     def test_asymmetry_reported_not_asserted(self, table_r3_400):
-        profile = cltlab.mgf_profile(
-            400, 3, [-0.5, 0.5], table=table_r3_400, max_negative_mass=1e-9
-        )
+        profile = cltlab.mgf_profile(table_r3_400, 400, [-0.5, 0.5], max_negative_mass=1e-9)
         assert profile[0.5][0] != profile[-0.5][0]
 
     def test_refuses_point_mass_row(self):
         with pytest.raises(ValueError, match=r"row 1 refused for MGF: nonpositive variance"):
-            cltlab.mgf_profile(1, 2, [0.5])
+            cltlab.mgf_profile(partition.build_table(2, 1), 1, [0.5])
 
     def test_theta_range_guard(self):
         for grid in ([3.0], [0.5, math.nan]):
             with pytest.raises(ValueError, match=r"\[-2, 2\]"):
-                cltlab.mgf_profile(10, 2, grid)
+                cltlab.mgf_profile(partition.build_table(2, 10), 10, grid)
 
 
 class TestTail:
@@ -193,7 +183,7 @@ class TestTail:
     def test_budget_against_formula(self, table_r3_400, x, branch):
         # n = 400, r = 3: T = 0.371, so x = 0.25 reads 1.5 e^(-x^2/2) and
         # x = 1, 2 read 1.5 e^(-T x/2)
-        records = cltlab.tail_check(400, 3, [x], table=table_r3_400, max_negative_mass=1e-9)
+        records = cltlab.tail_check(table_r3_400, 400, [x], max_negative_mass=1e-9)
         bound, want = oracle.tail_budget(400, 3, x)
         assert want == branch
         for rec in records:
@@ -202,15 +192,12 @@ class TestTail:
 
     def test_gauss_branch_at_the_split(self, table_r3_400):
         t_split = cltlab.tail_split(400, 3)
-        for rec in cltlab.tail_check(400, 3, [t_split], table=table_r3_400,
-                                     max_negative_mass=1e-9):
+        for rec in cltlab.tail_check(table_r3_400, 400, [t_split], max_negative_mass=1e-9):
             assert rec.branch == "gauss"
             assert rec.bound == 1.5 * math.exp(-t_split * t_split / 2.0)
 
     def test_records_on_admissible_row(self, table_r3_400):
-        records = cltlab.tail_check(
-            400, 3, [1.0, 2.0], table=table_r3_400, max_negative_mass=1e-9
-        )
+        records = cltlab.tail_check(table_r3_400, 400, [1.0, 2.0], max_negative_mass=1e-9)
         assert len(records) == 4
         for rec in records:
             assert 0.0 <= rec.prob <= 1.0
@@ -219,33 +206,29 @@ class TestTail:
             assert rec.ok
 
     def test_beyond_support_is_zero(self, table_r3_400):
-        records = cltlab.tail_check(
-            400, 3, [50.0], table=table_r3_400, max_negative_mass=1e-9
-        )
+        records = cltlab.tail_check(table_r3_400, 400, [50.0], max_negative_mass=1e-9)
         for rec in records:
             assert rec.prob == 0.0 and rec.ok
 
     def test_strict_rule_refuses(self, table_r2_400):
         with pytest.raises(ValueError, match="refused"):
-            cltlab.tail_check(400, 2, [1.0], table=table_r2_400)
+            cltlab.tail_check(table_r2_400, 400, [1.0])
 
     def test_report_wraps_refusal_as_finding(self, table_r2_400):
-        report = cltlab.tail_report(400, 2, [1.0, 2.0], table=table_r2_400)
+        report = cltlab.tail_report(table_r2_400, 400, [1.0, 2.0])
         assert report.refused
         assert report.records == []
         assert any("negative cells" in f for f in report.findings)
 
     def test_report_refuses_point_mass_row(self):
         # n = 1 is a point mass; its budget split would divide by log 1 = 0
-        report = cltlab.tail_report(1, 2, [1.0])
+        report = cltlab.tail_report(partition.build_table(2, 1), 1, [1.0])
         assert report.refused and report.records == []
         assert report.findings == [
             "row 1 refused for tail check: nonpositive variance (0.000e+00)"]
 
     def test_report_on_clean_row(self, table_r3_400):
-        report = cltlab.tail_report(
-            400, 3, [1.0, 2.0], table=table_r3_400, max_negative_mass=1e-9
-        )
+        report = cltlab.tail_report(table_r3_400, 400, [1.0, 2.0], max_negative_mass=1e-9)
         assert not report.refused
         t_split = cltlab.tail_split(400, 3)
         assert all(0.0 <= rec.prob <= 1.0 and rec.bound >= 0.0
@@ -256,7 +239,7 @@ class TestTail:
     def test_report_finds_probability_outside_unit_interval(self):
         # r = 1, n = 8: cells (0, -2, 29, 5, 2) over 34, admitted only with
         # the widest override; its lower tail at x = 1 is -2/34
-        report = cltlab.tail_report(8, 1, [1.0], table=partition.build_table(1, 8),
+        report = cltlab.tail_report(partition.build_table(1, 8), 8, [1.0],
                                     max_negative_mass=math.inf)
         assert not report.refused
         assert report.findings == ["x = 1.0, lower: prob -5.882353e-02 outside [0, 1]"]
@@ -267,7 +250,7 @@ class TestTail:
         # (z = -1, -0.5) is 1 - 1 = 0
         table = partition.PartitionTable(
             r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [1, -1, 0, 1]], row_totals=[1, 1, 1, 1])
-        report = cltlab.tail_report(3, 2, [0.5], table=table, max_negative_mass=math.inf)
+        report = cltlab.tail_report(table, 3, [0.5], max_negative_mass=math.inf)
         assert [rec.prob for rec in report.records] == [1.0, 0.0]
         assert report.findings == []
 
@@ -277,38 +260,65 @@ class TestTail:
         # 1.5 e^(-x^2/2) rounds to exactly 1.0
         table = partition.PartitionTable(
             r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [3, -3, 0, 1]], row_totals=[1, 1, 1, 1])
-        upper = cltlab.tail_check(3, 2, [0.900516638500549], table=table,
-                                  max_negative_mass=math.inf)[0]
+        upper = cltlab.tail_check(table, 3, [0.900516638500549], max_negative_mass=math.inf)[0]
         assert (upper.prob, upper.bound, upper.ok) == (1.0, 1.0, True)
 
     def test_report_refuses_rows_below_two(self):
         # no split is formed at n <= 1 (log 1 = 0, log 0 fails)
         for n in (0, 1):
-            report = cltlab.tail_report(n, 2, [1.0])
+            report = cltlab.tail_report(partition.build_table(2, n), n, [1.0])
             assert report.refused and report.records == []
 
     def test_positive_grid_guard(self):
         for grid in ([-1.0], [1.0, math.nan]):
             with pytest.raises(ValueError, match="x grid must be positive"):
-                cltlab.tail_check(10, 2, grid)
+                cltlab.tail_check(partition.build_table(2, 10), 10, grid)
 
     def test_grid_with_zero_refused(self):
         for grid in ([0.0], [1.0, 0.0]):
             with pytest.raises(ValueError, match="x grid must be positive"):
-                cltlab.tail_check(10, 2, grid)
+                cltlab.tail_check(partition.build_table(2, 10), 10, grid)
 
     @pytest.mark.parametrize("grid", [[1.0, math.nan], [-1.0]])
     def test_report_raises_on_bad_grid(self, grid):
         # a configuration error, not a refused row
         with pytest.raises(ValueError, match="x grid must be positive") as info:
-            cltlab.tail_report(10, 2, grid)
+            cltlab.tail_report(partition.build_table(2, 10), 10, grid)
         assert not isinstance(info.value, cltlab.RowRefused)
 
     def test_report_refuses_degenerate_row(self):
         table = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [1, -1]], row_totals=[1, 0])
-        report = cltlab.tail_report(1, 2, [1.0], table=table)
+        report = cltlab.tail_report(table, 1, [1.0])
         assert report.refused and report.records == []
         assert report.findings == ["degenerate row: row total vanishes at n = 1"]
+
+
+class TestOneTable:
+    """Each exact-law report reads r from its table, so a table and an r
+    that disagree cannot be passed."""
+
+    @pytest.mark.parametrize("report", [cltlab.clt_report, cltlab.mgf_profile,
+                                        cltlab.tail_check, cltlab.tail_report])
+    def test_table_is_the_only_source_of_r(self, report):
+        params = list(inspect.signature(report).parameters)
+        assert params[0] == "table" and "r" not in params
+
+    def test_saddle_columns_and_tail_split_follow_the_table(self):
+        from divpart import saddle
+
+        table = partition.build_table(3, 60)
+        report = cltlab.clt_report(table, [20, 40, 60], max_negative_mass=1.0)
+        assert report.r == 3
+        for row in report.rows:
+            for mode in ("general", "paper_literal"):
+                mu, nu2 = saddle.mean_variance_saddle(row.n, 3, mode=mode)
+                assert (row.mu_saddle[mode], row.nu2_saddle[mode]) == (mu, nu2)
+        # x between the r = 2 split (0.407) and the r = 3 split (0.422) of n = 60
+        x = 0.415
+        assert cltlab.tail_split(60, 2) < x <= cltlab.tail_split(60, 3)
+        checked = cltlab.tail_check(table, 60, [x], max_negative_mass=1.0)
+        reported = cltlab.tail_report(table, 60, [x], max_negative_mass=1.0).records
+        assert [rec.branch for rec in checked + reported] == ["gauss"] * 4
 
 
 class TestExponentFit:

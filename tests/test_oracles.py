@@ -219,10 +219,10 @@ def test_exact_law_statistics_match_per_cell_fractions(r):
         mean, std = float(dist.mean), math.sqrt(float(dist.variance))
         assert cltlab.ks_to_normal(dist.cells, dist.total, mean, std) == (
             oracle.pmf_ks_to_normal(pmf, mean, std)), n
-        records = cltlab.tail_check(n, r, TAIL_XS, table=table, max_negative_mass=math.inf)
+        records = cltlab.tail_check(table, n, TAIL_XS, max_negative_mass=math.inf)
         assert [rec.prob for rec in records] == [
             p for x in TAIL_XS for p in oracle.pmf_tails(pmf, mean, std, x)], n
-        profile = cltlab.mgf_profile(n, r, MGF_THETAS, table=table, max_negative_mass=math.inf)
+        profile = cltlab.mgf_profile(table, n, MGF_THETAS, max_negative_mass=math.inf)
         assert [profile[t][0] for t in MGF_THETAS] == [
             oracle.pmf_mgf(pmf, mean, std, t) for t in MGF_THETAS], n
     assert admitted > n_max // 2  # r = 1 refuses 37 rows of variance <= 0

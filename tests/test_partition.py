@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -94,7 +95,9 @@ def test_row_totals_match_bivariate_sums(table_r2_60):
 
 
 def test_factor_permutation_invariance():
-    assert partition.permuted_build_matches(2, 40, trials=5, seed=20240817)
+    # the check's own 5 shuffles from random.Random(0)
+    assert list(inspect.signature(partition.permuted_build_matches).parameters) == ["r", "n_max"]
+    assert partition.permuted_build_matches(2, 40)
 
 
 @pytest.mark.parametrize("r,n_max", [(2, 300), (3, 200)])
