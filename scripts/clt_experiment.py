@@ -30,7 +30,8 @@ def main() -> None:
     except cli.ConfigError as exc:  # a flag outside its domain
         ap.error(str(exc))
 
-    table = partition.build_table(args.r, max(args.n_list))
+    top = max(args.n_list)
+    table = partition.build_table(args.r, top)
     report = cltlab.clt_report(table, args.n_list, args.max_negative_mass)
 
     print("n,mean_exact,var_exact,mu_general,nu2_general,mu_literal,nu2_literal,"
@@ -63,12 +64,12 @@ def main() -> None:
         )
         print(f"# mgf n={n}: {devs}")
 
-    tails = cltlab.tail_report(table, max(args.n_list), [1.0, 2.0], args.max_negative_mass)
+    tails = cltlab.tail_report(table, top, [1.0, 2.0], args.max_negative_mass)
     if tails.refused:
-        print(f"# tail n={tails.n}: refused ({tails.findings[0]})")
+        print(f"# tail n={top}: refused ({tails.findings[0]})")
     else:
         for rec in tails.records:
-            print(f"# tail n={tails.n} x={rec.x} {rec.side}: prob={rec.prob:.4e} "
+            print(f"# tail n={top} x={rec.x} {rec.side}: prob={rec.prob:.4e} "
                   f"bound={rec.bound:.4e} [{rec.branch}] ok={rec.ok}")
 
 

@@ -268,8 +268,6 @@ class GapSequence:
     (first negative entry for r=2 is at k=10).
     """
 
-    r: int
-    limit: int
     gaps: tuple[int, ...]    # gaps[i] = sigma_r(i+2) - sigma_r(i+1), i = 0..limit-1
 
     @classmethod
@@ -277,7 +275,7 @@ class GapSequence:
         if r < 1 or limit < 1:
             raise ValueError("GapSequence requires r >= 1 and limit >= 1")
         sig = sigma_r_table(limit + 1, r)[1:]
-        return cls(r=r, limit=limit, gaps=tuple(b - a for a, b in zip(sig, sig[1:])))
+        return cls(gaps=tuple(b - a for a, b in zip(sig, sig[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
         else:  # rows are never capped in k, so "k_max" is always n_max
             text = json.dumps({"r": tab.r, "n_max": tab.n_max, "k_max": tab.n_max,
                                "entries": [[n, k, str(c)] for n, k, c in cells],
-                               "row_totals": [str(t) for t in tab.row_totals]},
+                               "row_totals": [str(sum(row)) for row in tab.coeff]},
                               sort_keys=True, separators=(",", ":")) + "\n"
         emit_text(text, cfg.output)
     finally:
@@ -167,7 +167,7 @@ def _cmd_saddle(cfg: argparse.Namespace) -> int:
     else:
         mu, nu2 = saddle.mean_variance_saddle(cfg.n, cfg.r, mode=cfg.mode)
     emit_json({
-        "n": sp.n, "r": sp.r, "u": sp.u, "mode": sp.mode,
+        "n": cfg.n, "r": cfg.r, "u": cfg.u, "mode": cfg.mode,
         "tau": sp.tau, "residual": sp.residual,
         "F": sp.F_val, "F_g": sp.F_g, "F_gg": sp.F_gg, "B2": sp.F_gg,
         "theta_n": sp.theta_n, "mu": mu, "nu2": nu2,
@@ -187,8 +187,8 @@ def _cmd_clt_report(cfg: argparse.Namespace) -> int:
                row.ks_distance, row.negativity_count, row.included, row.note)
               for row in report.rows], cfg.csv_output)
     emit_json({
-        "r": report.r,
-        "n_list": report.n_list,
+        "r": cfg.r,
+        "n_list": cfg.n_list,
         "excluded": report.excluded,
         "exclusion_count": report.exclusion_count,
         "exponent_fit_mean": report.exponent_fit_mean,

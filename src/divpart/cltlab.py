@@ -100,8 +100,6 @@ class CltRow:
 
 @dataclass(frozen=True)
 class CltReport:
-    r: int
-    n_list: list[int]
     rows: list[CltRow]
     exponent_fit_mean: float | None
     exponent_fit_var: float | None
@@ -176,8 +174,7 @@ def clt_report(table: PartitionTable, n_list: list[int],
     # exponents only make sense for the gap-weighted equation form
     fit = _loglog_fit(n_list, [(row.mu_saddle["general"], row.nu2_saddle["general"])
                                for row in rows]) if len(n_list) >= 4 else None
-    return CltReport(r=table.r, n_list=list(n_list), rows=rows,
-                     exponent_fit_mean=fit.slope_mean if fit else None,
+    return CltReport(rows=rows, exponent_fit_mean=fit.slope_mean if fit else None,
                      exponent_fit_var=fit.slope_var if fit else None)
 
 
@@ -259,7 +256,6 @@ class TailReport:
     become structured findings instead of exceptions; a bad x grid still
     raises ValueError."""
 
-    n: int
     records: list[TailRecord]
     findings: list[str]
     refused: bool
@@ -271,7 +267,7 @@ def tail_report(table: PartitionTable, n: int, x_grid: list[float],
     try:
         records = tail_check(table, n, x_grid, max_negative_mass)
     except RowRefused as exc:
-        return TailReport(n=n, records=[], findings=[str(exc)], refused=True)
+        return TailReport(records=[], findings=[str(exc)], refused=True)
     for rec in records:
         if not rec.ok:
             findings.append(
@@ -282,7 +278,7 @@ def tail_report(table: PartitionTable, n: int, x_grid: list[float],
             findings.append(
                 f"x = {rec.x}, {rec.side}: prob {rec.prob:.6e} outside [0, 1]"
             )
-    return TailReport(n=n, records=records, findings=findings, refused=False)
+    return TailReport(records=records, findings=findings, refused=False)
 
 
 def exponent_fit(r: int, n_grid: list[int]) -> ExponentFit:

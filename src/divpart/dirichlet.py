@@ -532,7 +532,6 @@ class GrowthConstants:
     mean/variance prefactors under both conventions.  Each call builds its
     own dicts."""
 
-    r: int
     K1: float
     E1: float
     Cprime: float
@@ -574,7 +573,7 @@ def growth_constants(r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> GrowthConsta
     mu_std, sig_std = prefactors(eta[0], eta[1])
     mu_alt, sig_alt = prefactors(eta[1], eta[2])
     return GrowthConstants(
-        r=r, K1=k1, E1=e1, Cprime=cprime, N=n_val,
+        K1=k1, E1=e1, Cprime=cprime, N=n_val,
         C_mu={"standard": mu_std, "shifted-zeta": mu_alt},
         C_sigma={"standard": sig_std, "shifted-zeta": sig_alt},
     )

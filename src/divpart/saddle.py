@@ -44,16 +44,12 @@ SUPPORTED_PARTIALS = (
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    n: int
-    r: int
-    u: float
     tau: float
     F_val: float
     F_g: float
     F_gg: float
     theta_n: float
     residual: float
-    mode: str
 
 
 class SaddleBracketError(RuntimeError):
@@ -324,10 +320,8 @@ def solve_saddle(n: int, u: float, r: int, mode: str = "general") -> SaddlePoint
             f"second derivative {f_gg:.3e} not positive at the root", profile
         )
     return SaddlePoint(
-        n=n, r=r, u=u, tau=root,
-        F_val=f_val, F_g=f_g, F_gg=f_gg,
-        theta_n=root ** (1.0 + 3.0 * r / 7.0),
-        residual=residual, mode=mode,
+        tau=root, F_val=f_val, F_g=f_g, F_gg=f_gg,
+        theta_n=root ** (1.0 + 3.0 * r / 7.0), residual=residual,
     )
 
 

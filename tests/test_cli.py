@@ -133,7 +133,17 @@ class TestTable:
         cells = {(n, k): int(c) for n, k, c in doc["entries"]}
         for (n, k), c in cells.items():
             assert t.coeff[n][k] == c
-        assert [int(x) for x in doc["row_totals"]] == t.row_totals
+
+    @pytest.mark.parametrize("r,n_max", [(2, 120), (3, 80)])
+    def test_json_row_totals_match_the_univariate_series(self, capsys, r, n_max):
+        # the export sums each row's cells; the log-derivative recurrence
+        # reaches the same totals without the bivariate table
+        code, out, _ = run_cli(["table", "--r", str(r), "--N", str(n_max), "--format", "json"],
+                               capsys)
+        assert code == 0
+        gaps = arith.GapSequence.build(r, n_max).gaps
+        assert ([int(x) for x in json.loads(out)["row_totals"]]
+                == partition._log_derivative_series(gaps, n_max))
 
     def test_export_deterministic(self, capsys):
         for fmt in ("csv", "json"):

@@ -114,8 +114,7 @@ class TestCltReport:
         rows = [cltlab.CltRow(n=n, mean_exact=1.0, var_exact=1.0, mu_saddle={}, nu2_saddle={},
                               ks_distance=ks, negativity_count=0, included=True)
                 for n, ks in ((10, 0.1), (20, 1.1 * 0.1), (30, 1.1 * (1.1 * 0.1)))]
-        report = cltlab.CltReport(r=2, n_list=[10, 20, 30], rows=rows,
-                                  exponent_fit_mean=None, exponent_fit_var=None)
+        report = cltlab.CltReport(rows=rows, exponent_fit_mean=None, exponent_fit_var=None)
         assert cltlab.ks_trend_ok(report)
         worse = dataclasses.replace(rows[2], ks_distance=math.nextafter(rows[2].ks_distance, 1.0))
         assert not cltlab.ks_trend_ok(dataclasses.replace(report, rows=[*rows[:2], worse]))
@@ -249,7 +248,7 @@ class TestTail:
         # x = 0.5 the upper tail (z = 0.5 exactly) is 1 and the lower one
         # (z = -1, -0.5) is 1 - 1 = 0
         table = partition.PartitionTable(
-            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [1, -1, 0, 1]], row_totals=[1, 1, 1, 1])
+            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [1, -1, 0, 1]])
         report = cltlab.tail_report(table, 3, [0.5], max_negative_mass=math.inf)
         assert [rec.prob for rec in report.records] == [1.0, 0.0]
         assert report.findings == []
@@ -259,7 +258,7 @@ class TestTail:
         # upper tail is 1 for x up to 1.22; at this x the gauss bound
         # 1.5 e^(-x^2/2) rounds to exactly 1.0
         table = partition.PartitionTable(
-            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [3, -3, 0, 1]], row_totals=[1, 1, 1, 1])
+            r=2, n_max=3, coeff=[[1], [0, 1], [0, 0, 1], [3, -3, 0, 1]])
         upper = cltlab.tail_check(table, 3, [0.900516638500549], max_negative_mass=math.inf)[0]
         assert (upper.prob, upper.bound, upper.ok) == (1.0, 1.0, True)
 
@@ -287,7 +286,7 @@ class TestTail:
         assert not isinstance(info.value, cltlab.RowRefused)
 
     def test_report_refuses_degenerate_row(self):
-        table = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [1, -1]], row_totals=[1, 0])
+        table = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [1, -1]])
         report = cltlab.tail_report(table, 1, [1.0])
         assert report.refused and report.records == []
         assert report.findings == ["degenerate row: row total vanishes at n = 1"]
@@ -308,7 +307,6 @@ class TestOneTable:
 
         table = partition.build_table(3, 60)
         report = cltlab.clt_report(table, [20, 40, 60], max_negative_mass=1.0)
-        assert report.r == 3
         for row in report.rows:
             for mode in ("general", "paper_literal"):
                 mu, nu2 = saddle.mean_variance_saddle(row.n, 3, mode=mode)

@@ -73,7 +73,6 @@ def test_enumeration_reaches_the_last_size_of_nonnegative_gaps(r, last):
         enumeration = oracle_table(r, n_max).enumeration
         assert enumeration.n_max == reach
         assert enumeration.coeff == build_table(r, reach).coeff
-        assert enumeration.row_totals == build_table(r, reach).row_totals
 
 
 def test_tables_equal_reads_every_cell():
@@ -90,14 +89,14 @@ def test_oracle_budget_guard():
 
 
 def test_row_totals_match_bivariate_sums(table_r2_60):
-    for n in range(61):
-        assert sum(table_r2_60.coeff[n]) == table_r2_60.row_totals[n]
+    q = partition._log_derivative_series(GapSequence.build(2, 60).gaps, 60)
+    assert [sum(row) for row in table_r2_60.coeff] == q
 
 
 def test_factor_permutation_invariance():
     # the check's own 5 shuffles from random.Random(0)
     assert list(inspect.signature(partition.permuted_build_matches).parameters) == ["r", "n_max"]
-    assert partition.permuted_build_matches(2, 40)
+    assert partition.permuted_build_matches(2, 40) == 5
 
 
 @pytest.mark.parametrize("r,n_max", [(2, 300), (3, 200)])
@@ -105,7 +104,6 @@ def test_largest_first_default_equals_ascending_order(r, n_max):
     default = build_table(r, n_max)
     ascending = build_table(r, n_max, factor_order=list(range(1, n_max + 1)))
     assert default.coeff == ascending.coeff
-    assert default.row_totals == ascending.row_totals
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -209,7 +207,6 @@ def test_any_factor_order_equals_default(r, n_max):
     for name, order in orders.items():
         built = build_table(r, n_max, factor_order=order)
         assert built.coeff == default.coeff, name
-        assert built.row_totals == default.row_totals, name
 
 
 @pytest.mark.parametrize("r,n_max", [(1, 0), (1, 1), (2, 10), (2, 20), (1, 40), (2, 100),
@@ -323,27 +320,16 @@ class TestExactDistribution:
     def test_negative_mass_on_a_negative_total(self):
         # mass is cell / total: the cell +2 at k = 1 has mass -2/3, while the
         # flagged cell -5 at k = 2 has mass +5/3
-        t = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [0, 2, -5]], row_totals=[1, -3])
+        t = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [0, 2, -5]])
         d = exact_distribution(t, 1)
         assert d.negativity_flags == [2]
         assert d.negative_mass == Fraction(2, 3)
         assert (d.mean, d.variance) == (Fraction(8, 3), Fraction(-10, 9))
 
     def test_degenerate_row_rejected(self):
-        t = partition.PartitionTable(
-            r=2, n_max=1, coeff=[[1], [0]], row_totals=[1, 0],
-        )
+        t = partition.PartitionTable(r=2, n_max=1, coeff=[[1], [0]])
         with pytest.raises(ValueError, match="degenerate"):
             exact_distribution(t, 1)
-
-    def test_capped_table_rejected(self):
-        full = build_table(2, 12)
-        t = partition.PartitionTable(
-            r=2, n_max=12, coeff=[row[:3] for row in full.coeff],
-            row_totals=full.row_totals,
-        )
-        with pytest.raises(ValueError, match="truncated"):
-            exact_distribution(t, 12)
 
     def test_out_of_range(self):
         t = build_table(2, 5)

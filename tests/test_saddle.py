@@ -596,6 +596,25 @@ class TestMeanVariance:
         for a, b in zip(mus, mus[1:]):
             assert abs(b / a - target) / target < 0.15
 
+    @pytest.mark.parametrize("r,last", [(2, 3e-4), (3, 2e-3)])
+    def test_mean_tends_to_its_closed_form_from_above(self, r, last):
+        """mu_n / (A Gamma(r) eta(r) S) -> 1 from above, with A = r zeta(r+1)
+        and S = (n / (r A Gamma(r) eta(r+1)))^(r/(r+1)): at r = 2 the ratio
+        is 1.01932, 1.00434, 1.00094, 1.00020 at n = 10^4, ..., 10^10, and
+        at r = 3 1.04748, 1.01457, 1.00455, 1.00143.  The ratio reads the
+        one-saddle mean: past n*(2) ~ 1.7e4 (the one saddle describes q_n
+        up to n = 13,960, and q_n is first negative at 17,047) the formula
+        describes that mean, not the exact law."""
+        a = r * dl.zeta_real(r + 1.0)
+        scale = a * math.gamma(r)
+        ratios = []
+        for n in (10**4, 10**6, 10**8, 10**10):
+            s = (n / (r * scale * dl.eta_alternating(r + 1.0))) ** (r / (r + 1.0))
+            mu, _ = sd.mean_variance_saddle(n, r, "general")
+            ratios.append(mu / (scale * dl.eta_alternating(float(r)) * s))
+        assert all(x > y > 1.0 for x, y in zip(ratios, ratios[1:])), ratios
+        assert ratios[-1] < 1.0 + last, ratios
+
 
 class TestMellinLeadingOrder:
     @pytest.mark.parametrize("r", [2, 3])
