@@ -4,9 +4,10 @@ sums.
 
 Everything here is exact integer arithmetic except for character values,
 which are tabulated complex roots of unity (CHARACTER_TOL = 1e-9 on the
-character identities that verify checks).  A character is its modulus,
-its values and whether it is principal; its primitive inducer, which no
-production path reads, is found and held to the scale identity in
+character identities that verify checks).  A character is a row: the
+characters mod m are the rows of one phi(m) x m complex array, row 0
+principal, and its modulus is the row length.  Its primitive inducer,
+which no production path reads, is found and held to the scale identity in
 tests/test_arith.py.  Nothing is cached: every table is built by the call
 that reads it, so concurrent callers share no state.  sigma_r has two
 exact sources: the exact layers (GapSequence, hence the partition tables)
@@ -88,14 +89,9 @@ def sieve_primes(odd: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndar
     return primes
 
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an integer array (odd_sieve read whole)."""
-    return sieve_primes(odd_sieve(limit))
-
-
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, as Python ints (prime_sieve as a list)."""
-    return prime_sieve(limit).tolist()
+    """All primes <= limit, as Python ints (odd_sieve read whole)."""
+    return sieve_primes(odd_sieve(limit)).tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -406,23 +402,17 @@ def _component_structure(p: int, e: int) -> tuple[list[int], dict[int, tuple[int
     return [phi], logs
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Tabulated Dirichlet character: values[a] = chi(a), zero off units."""
-
-    modulus: int
-    values: tuple[complex, ...]
-    is_principal: bool
-
-
-def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(m) Dirichlet characters mod m, principal first.
+def characters_mod(m: int) -> np.ndarray:
+    """All phi(m) Dirichlet characters mod m, as the rows of one complex
+    phi(m) x m array: entry [k, a] is chi_k(a), zero off the units, and
+    row 0 is the principal character.
 
     Built from the unit-group decomposition into cyclic factors of orders
     d_c with brute-force generator search (fine for the limit
     m <= 200).  Character k sends the unit with discrete logs t to
     e(phase / E), E = lcm(d_c), where phase = sum_c k_c t_c (E / d_c) mod E
     is an exact integer; one exp call evaluates the whole phase matrix.
+    m = 1 has no cyclic factor, E = 1, and its one row is [1].
     """
     import numpy as np
 
@@ -432,8 +422,6 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
         raise ValueError(
             f"modulus {m} exceeds character enumeration limit {CHARACTER_MODULUS_LIMIT}"
         )
-    if m == 1:
-        return (DirichletCharacter(1, (complex(1.0),), True),)
 
     comps = factorize(m)
     structures = [_component_structure(p, e) for p, e in comps]
@@ -456,36 +444,33 @@ def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
 
     values = np.zeros((len(index), m), dtype=complex)
     values[:, units] = _unit_roots(phase, exponent)
-    return tuple(
-        DirichletCharacter(m, tuple(vals), not ks.any())
-        for vals, ks in zip(values.tolist(), index)
-    )
+    return values
 
 
-def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
-    """c_chi(n) = sum of chi(b) e(bn/m) over the units b mod m; tau(chi) =
-    c_chi(1).
+def gauss_sum(chars: np.ndarray, n: int) -> np.ndarray | complex:
+    """c_chi(n) = sum of chi(b) e(bn/m) over the units b mod m, for each
+    row chi of chars (a characters_mod table, some of its rows or one row;
+    m is the row length); tau(chi) = c_chi(1).
 
     A character vanishes off the units, so the sum over all residues and
     the one restricted to gcd(b, m) = 1 (c'_chi) drop only zero terms:
     c'_chi = c_chi, term for term.  n is reduced mod m in exact integers
     first, so no size of n can overflow the phases.
     """
-    import numpy as np
-
-    m = chi.modulus
+    m = chars.shape[-1]
     units = _units(m)
-    return complex((np.array(chi.values)[units] * _unit_roots(units * (n % m) % m, m)).sum())
+    return (chars[..., units] * _unit_roots(units * (n % m) % m, m)).sum(axis=-1)
 
 
 def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
     """Max residual of the shifted-sum identity over 1 <= m <= m_max,
     1 <= n <= n_max.
 
-    Per modulus, with V the non-principal character values on the units b:
-    tau = V e(b/m), G(b) = sum over chi of tau(chi) conj(chi(b)) = tau
-    conj(V), and every n at once as the rows of the phase matrix
-    e(b n / m) times G, each summed over b.
+    Per modulus, with V the non-principal rows of the character table on
+    the units b: tau = gauss_sum(V, 1), G(b) = sum over chi of tau(chi)
+    conj(chi(b)) = tau conj(V), and every n at once as the rows of the
+    phase matrix e(b n / m) times G, each summed over b.  Moduli 1 and 2
+    have no non-principal character, so G is 0 there.
     """
     import numpy as np
 
@@ -495,12 +480,9 @@ def shifted_identity_max_residual(m_max: int, n_max: int) -> float:
         units = _units(m)
         closed = np.array([ramanujan_sum(m, n) for n in range(1, n_max + 2)], dtype=float)
         rhs = mobius(m) / phi * closed[:-1]
-        nonprincipal = [chi.values for chi in characters_mod(m) if not chi.is_principal]
-        if nonprincipal:
-            v = np.array(nonprincipal)[:, units]
-            tau = (v * _unit_roots(units, m)).sum(axis=1)
-            g_vec = (tau[:, None] * v.conj()).sum(axis=0)
-            n_mod = np.arange(1, n_max + 1) % m
-            rhs = rhs + (_unit_roots(n_mod[:, None] * units % m, m) * g_vec).sum(axis=1) / phi
+        nonprincipal = characters_mod(m)[1:]
+        g_vec = (gauss_sum(nonprincipal, 1)[:, None] * nonprincipal[:, units].conj()).sum(axis=0)
+        n_mod = np.arange(1, n_max + 1) % m
+        rhs = rhs + (_unit_roots(n_mod[:, None] * units % m, m) * g_vec).sum(axis=1) / phi
         worst = max(worst, float(np.abs(closed[1:] - rhs).max(initial=0.0)))
     return worst

@@ -59,7 +59,7 @@ def character_orthogonality() -> Outcome:
     top = 50
     worst = 0.0
     for m in range(1, top + 1):
-        totals = np.array([chi.values for chi in arith.characters_mod(m)]).sum(axis=0)
+        totals = arith.characters_mod(m).sum(axis=0)
         target = np.zeros(m)
         target[1 % m] = arith.euler_phi(m)
         worst = max(worst, float(np.abs(totals - target).max()))

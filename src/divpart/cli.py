@@ -297,9 +297,9 @@ def _add_size_override(p: argparse.ArgumentParser) -> None:
                    help=f"build tables past weight {SIZE_LIMIT}, which can take minutes")
 
 
-def _add_r(p: argparse.ArgumentParser, default: int = 2) -> None:
+def _add_r(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=_checked(int, lambda r: r >= 1, "--r must be >= 1"),
-                   default=default, help="divisor power (default %(default)s)")
+                   default=2, help="divisor power (default %(default)s)")
 
 
 def _add_prime_cutoff(p: argparse.ArgumentParser) -> None:

@@ -277,17 +277,23 @@ def dirichlet_d1(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> Series
     return SeriesValue(scale * k_val.value, abs(scale) * k_val.bound)
 
 
-def d1_direct(s: float, r: int, m_limit: int = 2000, n_limit: int = 20000) -> SeriesValue:
-    """D1(s, r) as the truncated double sum over m <= m_limit, n <= n_limit,
-    the independent oracle of dirichlet_d1.  Kluyver's identity c_m(n) =
-    sum_{d | (m, n)} d mu(m/d) turns each inner sum into
-    sum_{d | m} mu(m/d) d^(1-s) Z(n_limit // d), Z the prefix sums of t^-s,
-    so the budget is feasible.  Its outer tail bound divides by r."""
-    if not (s > 1.0 and r >= 1 and m_limit >= 1 and n_limit >= 1):  # false for NaN too
-        raise ValueError("d1_direct requires s > 1, r >= 1, m_limit >= 1 and n_limit >= 1")
-    if m_limit > 500_000:
-        # the phi(m) >= m/6 step in the tail bound stops holding past here
-        raise ValueError("d1_direct is documented for m_limit <= 500000")
+#: The truncation of d1_direct: m <= D1_M_LIMIT, n <= D1_N_LIMIT.  Its outer
+#: tail bound takes phi(m) >= m/6, which holds through m ~ 5*10^5 (the
+#: largest primorial below that is 510510, with phi/m ~ 0.171), so
+#: D1_M_LIMIT must stay <= 500000.
+D1_M_LIMIT = 2000
+D1_N_LIMIT = 20000
+
+
+def d1_direct(s: float, r: int) -> SeriesValue:
+    """D1(s, r) as the truncated double sum over m <= D1_M_LIMIT,
+    n <= D1_N_LIMIT, the independent oracle of dirichlet_d1.  Kluyver's
+    identity c_m(n) = sum_{d | (m, n)} d mu(m/d) turns each inner sum into
+    sum_{d | m} mu(m/d) d^(1-s) Z(D1_N_LIMIT // d), Z the prefix sums of
+    t^-s, so the budget is feasible.  Its outer tail bound divides by r."""
+    if not (s > 1.0 and r >= 1):  # false for NaN too
+        raise ValueError("d1_direct requires s > 1 and r >= 1")
+    m_limit, n_limit = D1_M_LIMIT, D1_N_LIMIT
     mu, phi = mu_phi_tables(m_limit)
     # Z(t) is kept only at the t = n_limit // d that the sum reads
     acc, done, zpre = 0.0, 0, {0: 0.0}
@@ -315,8 +321,7 @@ def d1_direct(s: float, r: int, m_limit: int = 2000, n_limit: int = 20000) -> Se
         total += weight * sum(mu[m // d] * d ** (1.0 - s) * zpre[n_limit // d] for d in divs[m])
         # |c_m(n)| <= sigma_1(gcd(m,n)) <= sigma_1(m) <= m (1 + log m)
         inner_tail += abs(weight) * m * (1.0 + math.log(m)) * n_limit ** (1.0 - s) / (s - 1.0)
-    # outer tail: phi(m) >= m/6 holds through m ~ 5*10^5 (largest primorial
-    # below that is 510510 with phi/m ~ 0.171); document, don't push past it
+    # outer tail: phi(m) >= m/6, which holds through D1_M_LIMIT
     zs = zeta_real(s)
     outer_tail = zs * 6.0 * ((1.0 + math.log(m_limit)) / r + 1.0 / r**2) * m_limit ** float(-r)
     return SeriesValue(total, inner_tail + outer_tail)
@@ -368,13 +373,11 @@ def d2_direct_probe(s: float, r: int) -> complex:
         roots = arith._unit_roots(units[:, None] * (n_arr % m) % m, m)
         roots *= ns  # in place: this units x 4000 matrix is the probe's largest array
         w_units = roots.sum(axis=1)
-        inner = complex(0.0)
-        for chi in characters_mod(m):
-            if not chi.is_principal:
-                series = complex((np.array(chi.values)[units].conj() * w_units).sum())
-                inner += gauss_sum(chi, 1) * series
+        nonprincipal = characters_mod(m)[1:]
+        series = (nonprincipal[:, units].conj() * w_units).sum(axis=1)
+        inner = (gauss_sum(nonprincipal, 1) * series).sum()
         total += inner / (arith.euler_phi(m) * m ** (r + 1))
-    return total
+    return complex(total)
 
 
 def d2_quartic_character(s: float, r: int, cutoff: int = DEFAULT_PRIME_CUTOFF) -> SeriesValue:

@@ -53,11 +53,7 @@ class SaddlePoint:
 
 
 class SaddleBracketError(RuntimeError):
-    """Raised with the sampled profile when no monotone bracket is found."""
-
-    def __init__(self, message: str, profile: list[tuple[float, float]]):
-        super().__init__(message)
-        self.profile = profile
+    """Raised when the saddle solve finds no root it can certify."""
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +271,9 @@ def solve_saddle(n: int, u: float, r: int, mode: str = "general") -> SaddlePoint
         raise ValueError("mode must be 'general' or 'paper_literal'")
 
     # lhs decreases in tau: lo has lhs >= n, hi has lhs < n
-    profile = []
     lo, hi = 0.0, math.inf
     for _ in range(MAX_SOLVE_STEPS):
         f, df = _saddle_equation(root, u, r, mode)
-        profile.append((root, f))
         if f >= n:
             lo = root
         else:
@@ -303,22 +297,17 @@ def solve_saddle(n: int, u: float, r: int, mode: str = "general") -> SaddlePoint
             break
         root = cand
     else:
-        raise SaddleBracketError(
-            f"saddle solve did not converge in {MAX_SOLVE_STEPS} evaluations", profile
-        )
+        raise SaddleBracketError(f"saddle solve did not converge in {MAX_SOLVE_STEPS} evaluations")
 
     residual = abs(f - n)
     if residual > 1e-9 * max(1.0, float(n)):
         raise SaddleBracketError(
             f"saddle solve residual {residual:.3e} exceeds tolerance "
-            f"(possible non-monotone profile)",
-            profile,
+            f"(possible non-monotone profile)"
         )
     f_val, f_g, f_gg = _partials(root, u, r, ((0, 0), (1, 0), (2, 0)))
     if f_gg <= 0.0:
-        raise SaddleBracketError(
-            f"second derivative {f_gg:.3e} not positive at the root", profile
-        )
+        raise SaddleBracketError(f"second derivative {f_gg:.3e} not positive at the root")
     return SaddlePoint(
         tau=root, F_val=f_val, F_g=f_g, F_gg=f_gg,
         theta_n=root ** (1.0 + 3.0 * r / 7.0), residual=residual,
@@ -414,9 +403,7 @@ def h1_boundedness_probe(j: int, gamma: float, u: float, r: int) -> tuple[float,
     return value, bound, abs(value) <= bound
 
 
-def minor_arc_ratio(
-    tau: float, theta: float, u: float, r: int, k_cap: int | None = None
-) -> float:
+def minor_arc_ratio(tau: float, theta: float, u: float, r: int) -> float:
     """|Q(e^(-tau - i theta), u)| / Q(e^(-tau), u).
 
     Equals 1 exactly at theta = 0.  The gap weights take both signs, so
@@ -425,12 +412,10 @@ def minor_arc_ratio(
     0.0 already at moderate tau, so trend comparisons should use
     minor_arc_log_ratio.
     """
-    return math.exp(minor_arc_log_ratio(tau, theta, u, r, k_cap))
+    return math.exp(minor_arc_log_ratio(tau, theta, u, r))
 
 
-def minor_arc_log_ratio(
-    tau: float, theta: float, u: float, r: int, k_cap: int | None = None
-) -> float:
+def minor_arc_log_ratio(tau: float, theta: float, u: float, r: int) -> float:
     """log of the arc ratio:
     0.5 sum_k gap(k) log[1 - 2 u e^(-k tau)(1 - cos k theta)/(1 + u e^(-k tau))^2].
 
@@ -442,7 +427,7 @@ def minor_arc_log_ratio(
         uq = np.minimum(u * q, 1e300)  # 2 u q stays finite; past 1e154 the log is 0
         return [np.log(1.0 - 2.0 * uq * (1.0 - np.cos(k * theta)) / (1.0 + uq) ** 2)]
 
-    return 0.5 * _ksum(tau, r, summands, k_cap=k_cap, scale=max(u, 1.0))[0]
+    return 0.5 * _ksum(tau, r, summands, scale=max(u, 1.0))[0]
 
 
 def minor_arc_sup(tau: float, u: float, r: int) -> tuple[float, float]:

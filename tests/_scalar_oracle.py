@@ -156,12 +156,12 @@ def mean_variance_sums(eta, r):
             return tuple(sums)
 
 
-def minor_arc_log_ratio(tau, theta, u, r, k_cap=None):
+def minor_arc_log_ratio(tau, theta, u, r):
     def summand(k, q):
         arg = 1.0 - 2.0 * u * q * (1.0 - math.cos(k * theta)) / (1.0 + u * q) ** 2
         return math.log(arg)
 
-    return 0.5 * kahan_ksum(tau, r, summand, k_cap=k_cap)
+    return 0.5 * kahan_ksum(tau, r, summand)
 
 
 def euler_product(factor, primes):
@@ -367,12 +367,10 @@ def shifted_identity_max_residual(m_max, n_max):
         mu_m = arith.mobius(m)
         units = [b for b in range(m) if math.gcd(b, m) == 1]
         g_vec = {b: complex(0.0) for b in units}
-        for chi in arith.characters_mod(m):
-            if chi.is_principal:
-                continue
-            tau = gauss_sum(chi.values, m, 1)
+        for chi in arith.characters_mod(m)[1:]:  # row 0 is the principal character
+            tau = gauss_sum(chi, m, 1)
             for b in units:
-                g_vec[b] += tau * chi.values[b].conjugate()
+                g_vec[b] += tau * chi[b].conjugate()
         for n in range(1, n_max + 1):
             lhs = complex(arith.ramanujan_sum(m, n + 1))
             rhs = mu_m / phi * arith.ramanujan_sum(m, n)

@@ -234,49 +234,41 @@ def test_weighted_partial_one_value_per_n_in_order():
 class TestCharacters:
     def test_modulus_one(self):
         chars = arith.characters_mod(1)
-        assert len(chars) == 1
-        chi = chars[0]
-        assert chi.is_principal
-        assert chi.values == (complex(1.0),)
+        assert chars.shape == (1, 1) and chars[0, 0] == complex(1.0)
 
     def test_modulus_four(self):
         chars = arith.characters_mod(4)
-        assert len(chars) == 2
-        principal = [c for c in chars if c.is_principal]
-        quartic = [c for c in chars if not c.is_principal]
-        assert len(principal) == 1 and len(quartic) == 1
-        chi = quartic[0]
-        assert abs(chi.values[1] - 1) < 1e-12
-        assert abs(chi.values[3] + 1) < 1e-12
-        assert chi.values[0] == 0 and chi.values[2] == 0
+        assert chars.shape == (2, 4)
+        assert chars[0].tolist() == [0, 1, 0, 1]
+        chi = chars[1]
+        assert abs(chi[1] - 1) < 1e-12
+        assert abs(chi[3] + 1) < 1e-12
+        assert chi[0] == 0 and chi[2] == 0
 
     def test_modulus_five(self):
         chars = arith.characters_mod(5)
         assert len(chars) == 4
-        real_nonprincipal = [
-            c for c in chars
-            if not c.is_principal and all(abs(v.imag) < 1e-12 for v in c.values)
-        ]
+        real_nonprincipal = [chi for chi in chars[1:] if np.abs(chi.imag).max() < 1e-12]
         assert len(real_nonprincipal) == 1
 
     @pytest.mark.parametrize("m", list(range(1, 51)))
     def test_group_size_and_unit_modulus(self, m):
         chars = arith.characters_mod(m)
-        assert len(chars) == arith.euler_phi(m)
+        assert chars.shape == (arith.euler_phi(m), m)
         for chi in chars:
             for a in range(m):
                 if math.gcd(a, m) == 1:
-                    assert abs(abs(chi.values[a]) - 1.0) < 1e-12
+                    assert abs(abs(chi[a]) - 1.0) < 1e-12
                 else:
-                    assert chi.values[a] == 0
+                    assert chi[a] == 0
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 12, 15, 16, 24, 35, 40])
     def test_complete_multiplicativity(self, m):
         for chi in arith.characters_mod(m):
             for a in range(m):
                 for b in range(m):
-                    lhs = chi.values[(a * b) % m]
-                    rhs = chi.values[a] * chi.values[b]
+                    lhs = chi[(a * b) % m]
+                    rhs = chi[a] * chi[b]
                     assert abs(lhs - rhs) < 1e-9
 
     @pytest.mark.parametrize("m", list(range(1, 51)))
@@ -285,16 +277,14 @@ class TestCharacters:
         phi = arith.euler_phi(m)
         # sum over characters at fixed a
         for a in range(m):
-            total = sum(chi.values[a] for chi in chars)
+            total = sum(chi[a] for chi in chars)
             target = phi if (math.gcd(a, m) == 1 and a % m == 1 % m) else 0.0
             assert abs(total - target) < 1e-9
         # pairwise over residues
         for i, chi in enumerate(chars):
-            for chj in chars[i:]:
-                inner = sum(
-                    chi.values[a] * chj.values[a].conjugate() for a in range(m)
-                )
-                target = phi if chi is chj else 0.0
+            for j in range(i, len(chars)):
+                inner = sum(chi[a] * chars[j, a].conjugate() for a in range(m))
+                target = phi if i == j else 0.0
                 assert abs(inner - target) < 1e-9
 
     def test_enumeration_limit(self):
@@ -311,22 +301,19 @@ class TestCharacterSums:
     def test_primitive_gauss_magnitude(self):
         for m in range(2, 51):
             for chi in arith.characters_mod(m):
-                if oracle.conductor(m, chi.values) == m:
+                if oracle.conductor(m, chi) == m:
                     tau = arith.gauss_sum(chi, 1)
                     assert abs(abs(tau) - math.sqrt(m)) < 1e-9
 
     def test_quadratic_mod_five(self):
         chars = arith.characters_mod(5)
-        quad = next(
-            c for c in chars
-            if not c.is_principal and all(abs(v.imag) < 1e-12 for v in c.values)
-        )
+        quad = next(chi for chi in chars[1:] if np.abs(chi.imag).max() < 1e-12)
         tau = arith.gauss_sum(quad, 1)
         assert abs(abs(tau) - math.sqrt(5)) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 6, 9, 12, 30])
     def test_principal_restriction_is_ramanujan(self, m):
-        chi0 = next(c for c in arith.characters_mod(m) if c.is_principal)
+        chi0 = arith.characters_mod(m)[0]
         for n in range(1, 40):
             cp = arith.gauss_sum(chi0, n)
             assert abs(cp - arith.ramanujan_sum(m, n)) < 1e-9
@@ -337,8 +324,20 @@ class TestCharacterSums:
         for chi in arith.characters_mod(m):
             for k in range(3):
                 n = 10**30 + k
-                want = oracle.gauss_sum(chi.values, m, n % m)
+                want = oracle.gauss_sum(chi, m, n % m)
                 assert abs(arith.gauss_sum(chi, n) - want) < 1e-9
+
+    @pytest.mark.parametrize("m", list(range(1, 51)) + [97, 120, 200])
+    def test_table_equals_its_rows_and_the_scalar_sum(self, m):
+        # one call over the whole table: one value per row, each the row's
+        # own Gauss sum up to summation order, and the scalar loop's
+        chars = arith.characters_mod(m)
+        for n in (1, 2, 7, 10**30):
+            table = arith.gauss_sum(chars, n)
+            assert table.shape == (len(chars),)
+            for chi, value in zip(chars, table):
+                assert abs(value - arith.gauss_sum(chi, n)) < 1e-12
+                assert abs(value - oracle.gauss_sum(chi, m, n % m)) < 1e-12
 
 
 class TestShiftedIdentity:
@@ -355,15 +354,26 @@ class TestShiftedIdentity:
         arith.shifted_identity_max_residual(6, 7)
         assert seen == [1, 2, 3, 4, 5, 6]
 
+    def test_taus_come_from_gauss_sum(self, monkeypatch):
+        # tau(chi) + delta for every non-principal chi adds
+        # delta (phi e(n/m) - c_m(n)) / phi to the right-hand side, whose
+        # largest size over m <= 30, n <= 100 lies between delta / 2 and
+        # 2 delta (m = 3, n = 1 gives |e(1/3) + 1/2| = sqrt(3)/2)
+        delta = 1e-6
+        real = arith.gauss_sum
+        monkeypatch.setattr(arith, "gauss_sum", lambda chars, n: real(chars, n) + delta)
+        assert 0.5 * delta < arith.shifted_identity_max_residual(30, 100) < 2.0 * delta
+
 
 def primitive_inducer(chi):
     """The character chi* mod f, for the smallest f | m, that agrees with chi
-    on the units mod m (chi itself when nothing smaller does)."""
-    m = chi.modulus
+    on the units mod m (chi itself when nothing smaller does); m is the
+    length of the row chi."""
+    m = len(chi)
     units = [a for a in range(m) if math.gcd(a, m) == 1]
     for f in arith.divisors(m):
         for star in arith.characters_mod(f):
-            if all(abs(star.values[a % f] - chi.values[a]) < arith.CHARACTER_TOL for a in units):
+            if all(abs(star[a % f] - chi[a]) < arith.CHARACTER_TOL for a in units):
                 return star
     raise AssertionError(f"no character mod a divisor of {m} matches, not even chi")
 
@@ -375,7 +385,7 @@ def scale_identity_residual(chi, star):
     display with the same argument n on both sides fails (modulus 8 induced
     from 4 at n = 6).
     """
-    m, f = chi.modulus, star.modulus
+    m, f = len(chi), len(star)
     ratio = arith.euler_phi(m) / arith.euler_phi(f)
     return max(
         abs(arith.gauss_sum(chi, m // f * t) - ratio * arith.gauss_sum(star, t))
@@ -385,28 +395,24 @@ def scale_identity_residual(chi, star):
 
 class TestInducePrimitive:
     def test_primitive_fixed_point(self):
-        for chi in arith.characters_mod(5):
-            if not chi.is_principal:
-                star = primitive_inducer(chi)
-                assert star.modulus == 5 and star.values == chi.values
+        for chi in arith.characters_mod(5)[1:]:
+            star = primitive_inducer(chi)
+            assert len(star) == 5 and np.array_equal(star, chi)
 
     def test_mod8_induced_from_mod4(self):
-        chars = [c for c in arith.characters_mod(8) if not c.is_principal]
-        assert sorted(primitive_inducer(c).modulus for c in chars) == [4, 8, 8]
+        chars = arith.characters_mod(8)[1:]
+        assert sorted(len(primitive_inducer(c)) for c in chars) == [4, 8, 8]
 
     def test_wrong_inducer_fails_the_scale_identity(self):
         # a primitive character mod 8 set against the one mod 4: the
         # identity must not hold, or the test below could not fail
-        prim = next(c for c in arith.characters_mod(8)
-                    if not c.is_principal and primitive_inducer(c).modulus == 8)
+        prim = next(c for c in arith.characters_mod(8)[1:] if len(primitive_inducer(c)) == 8)
         quartic = arith.characters_mod(4)[1]
         assert scale_identity_residual(prim, quartic) > 1.0
 
     @pytest.mark.parametrize("m", [8, 9, 12, 15, 16, 18, 20, 21, 24, 36, 45])
     def test_scale_identity_holds_everywhere(self, m):
-        for chi in arith.characters_mod(m):
-            if chi.is_principal:
-                continue
+        for chi in arith.characters_mod(m)[1:]:
             star = primitive_inducer(chi)
-            assert star.modulus == oracle.conductor(m, chi.values)
+            assert len(star) == oracle.conductor(m, chi)
             assert scale_identity_residual(chi, star) < arith.CHARACTER_TOL

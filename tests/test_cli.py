@@ -882,6 +882,72 @@ def test_src_makes_no_blas_call():
     assert found == []
 
 
+#: Parameters with a default that no call in src/ or scripts/ passes, each
+#: with the reason it stays, as scripts/mutants.py gives one for each SKIP
+UNPASSED_DEFAULTS = {
+    ("cli.py", "main", "argv"):
+        "the entry point: the console script calls main() and argparse reads sys.argv",
+    ("saddle.py", "_ksum", "k_cap"):
+        "the kernel-edge hook: tests stop a sum inside a chunk and at the block edges",
+    ("dirichlet.py", "d2_quartic_character", "cutoff"):
+        "a probe perfbench/tracejob.py traces by name; no src path calls it",
+}
+
+
+def _sources(directory):
+    """(file name, parsed module) for every .py file in directory."""
+    import ast
+
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that only tests override is test-only surface: each one in
+    # src must be passed, by position or by keyword, in some call from src/
+    # or scripts/ to a function of that name
+    import ast
+
+    import divpart
+
+    src = list(_sources(os.path.dirname(divpart.__file__)))
+    scripts = list(_sources(os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")))
+    calls = collections.defaultdict(list)  # called name -> its calls
+    for _, tree in src + scripts:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls[name].append(node)
+
+    def passed(call, index, param):
+        # by keyword or **kwargs, by position, or through *args
+        return (any(kw.arg in (param, None) for kw in call.keywords)
+                or index is not None and len(call.args) > index
+                or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+    unpassed = set()
+    for module, tree in src:
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if id(node) in methods:  # self or cls is not written in the call
+                positional = positional[1:]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            unpassed |= {(module, node.name, param) for i, param in defaulted
+                         if not any(passed(call, i, param) for call in calls[node.name])}
+    assert unpassed == set(UNPASSED_DEFAULTS)
+
+
 class TestSizeLimit:
     """Table weights past cli.SIZE_LIMIT are a configuration error unless
     --no-size-limit is given, before or after the size."""

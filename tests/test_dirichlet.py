@@ -299,7 +299,7 @@ class TestEulerProductContracts:
             finally:
                 tracemalloc.stop()
 
-        primes = peak(lambda: arith.prime_sieve(10**6).astype(np.float64))
+        primes = peak(lambda: arith.sieve_primes(arith.odd_sieve(10**6)).astype(np.float64))
         chunked = peak(lambda: dl.euler_K(-1.9, 2))
         monkeypatch.setattr(dl, "_EULER_CHUNK", 1 << 30)
         one_shot = peak(lambda: dl.euler_K(-1.9, 2))
@@ -393,11 +393,18 @@ class TestPrimeCache:
         assert all(type(p) is int for p in big) and big is not arith.primes_up_to(10**4)
 
 
+def _d1_direct(monkeypatch, s, r, m_limit, n_limit):
+    """d1_direct(s, r) truncated at m <= m_limit, n <= n_limit."""
+    monkeypatch.setattr(dl, "D1_M_LIMIT", m_limit)
+    monkeypatch.setattr(dl, "D1_N_LIMIT", n_limit)
+    return dl.d1_direct(s, r)
+
+
 class TestDoubleSeries:
-    def test_closed_vs_direct_moderate(self):
+    def test_closed_vs_direct_moderate(self, monkeypatch):
         for s, r in ((3.0, 2), (2.0, 1), (4.0, 3)):
             closed = dl.dirichlet_d1(s, r).value
-            direct = dl.d1_direct(s, r, m_limit=500, n_limit=5000).value
+            direct = _d1_direct(monkeypatch, s, r, 500, 5000).value
             assert abs(closed - direct) < 1e-3
 
     @pytest.mark.parametrize("s,r", [(3.0, 2), (1.5, 1), (5.0, 4)])
@@ -409,8 +416,8 @@ class TestDoubleSeries:
         assert d1.value == scale * k_val.value
         assert d1.bound == pytest.approx(scale * k_val.bound, rel=1e-15) and d1.bound > 0.0
 
-    def test_first_term_is_zeta(self):
-        sv = dl.d1_direct(3.0, 2, m_limit=1, n_limit=20000)
+    def test_first_term_is_zeta(self, monkeypatch):
+        sv = _d1_direct(monkeypatch, 3.0, 2, 1, 20000)
         head = math.fsum(n**-3.0 for n in range(1, 20001))
         assert abs(sv.value - head) < 1e-14
 
@@ -424,21 +431,21 @@ class TestDoubleSeries:
         # which need not round correctly, so allow a few ulps.
         assert abs(dl.d1_direct(s, r).value - want) < 1e-15 * want
 
-    def test_grouped_matches_naive_loop(self):
+    def test_grouped_matches_naive_loop(self, monkeypatch):
         # Kluyver's divisor form against von Sterneck's closed form
         for r in (1, 2, 3, 5):
             for s in (1.01, 1.5, 2.0, 3.0, 4.5, 6.0):
-                fast = dl.d1_direct(s, r, m_limit=60, n_limit=500).value
+                fast = _d1_direct(monkeypatch, s, r, 60, 500).value
                 slow = dl.d1_direct_naive(s, r, 60, 500)
                 assert abs(fast - slow) < 1e-12, (s, r)
 
-    def test_direct_reports_unconverged_rather_than_failing(self):
-        sv = dl.d1_direct(2.0, 1, m_limit=50, n_limit=200)
+    def test_direct_reports_unconverged_rather_than_failing(self, monkeypatch):
+        sv = _d1_direct(monkeypatch, 2.0, 1, 50, 200)
         assert sv.bound > 1e-3
 
     @pytest.mark.parametrize("s,r,m_limit,n_limit", [(3.0, 2, 30, 100), (1.5, 1, 12, 7),
                                                      (4.0, 3, 1, 1)])
-    def test_direct_bound_is_the_documented_one(self, s, r, m_limit, n_limit):
+    def test_direct_bound_is_the_documented_one(self, monkeypatch, s, r, m_limit, n_limit):
         # the inner tails |mu(m)/(phi(m) m^(r+1))| m (1 + log m) N^(1-s)/(s-1)
         # over squarefree m, plus the outer tail through phi(m) >= m/6
         inner = math.fsum(
@@ -447,43 +454,28 @@ class TestDoubleSeries:
         ) * n_limit ** (1.0 - s) / (s - 1.0)
         outer = (dl.zeta_real(s) * 6.0 * ((1.0 + math.log(m_limit)) / r + 1.0 / r**2)
                  * m_limit ** float(-r))
-        got = dl.d1_direct(s, r, m_limit=m_limit, n_limit=n_limit)
+        got = _d1_direct(monkeypatch, s, r, m_limit, n_limit)
         assert got.bound == pytest.approx(inner + outer, rel=1e-12)
 
-    def test_direct_at_one_term(self):
-        # m = n = 1: the single term 1, with n_limit = 1 allowed
-        assert dl.d1_direct(3.0, 2, m_limit=1, n_limit=1).value == 1.0
+    def test_direct_at_one_term(self, monkeypatch):
+        # m = n = 1: the single term 1
+        assert _d1_direct(monkeypatch, 3.0, 2, 1, 1).value == 1.0
 
-    def test_direct_m_limit_edge(self, monkeypatch):
-        # m_limit = 500000 itself passes the guard (and reaches the tables,
-        # stopped here before the long sum); one more is refused
-        class Reached(Exception):
-            pass
-
-        def tables(m_limit):
-            raise Reached
-
-        monkeypatch.setattr(dl, "mu_phi_tables", tables)
-        with pytest.raises(Reached):
-            dl.d1_direct(3.0, 2, m_limit=500_000)
-        with pytest.raises(ValueError, match="m_limit <= 500000"):
-            dl.d1_direct(3.0, 2, m_limit=500_001)
+    def test_outer_bound_premise_holds_through_the_budget(self):
+        # the outer tail bound takes phi(m) >= m/6 for every m <= D1_M_LIMIT
+        _, phi = arith.mu_phi_tables(dl.D1_M_LIMIT)
+        assert dl.D1_M_LIMIT <= 500_000
+        assert all(6 * phi[m] >= m for m in range(1, dl.D1_M_LIMIT + 1))
 
     @pytest.mark.parametrize("s", [1.0, 0.5, math.nan])
     def test_closed_domain(self, s):
         with pytest.raises(ValueError, match="dirichlet_d1 requires s > 1"):
             dl.dirichlet_d1(s, 2)
 
-    @pytest.mark.parametrize("s,r,limits", [(1.0, 2, {}), (0.5, 2, {}), (math.nan, 2, {}),
-                                            (3.0, 0, {}), (3.0, -1, {}),
-                                            (3.0, 2, {"m_limit": 0}), (3.0, 2, {"n_limit": 0})])
-    def test_direct_domain(self, s, r, limits):
-        with pytest.raises(ValueError, match="d1_direct requires s > 1, r >= 1"):
-            dl.d1_direct(s, r, **limits)
-
-    def test_direct_m_limit_guard(self):
-        with pytest.raises(ValueError, match="m_limit <= 500000"):
-            dl.d1_direct(3.0, 2, m_limit=500_001)
+    @pytest.mark.parametrize("s,r", [(1.0, 2), (0.5, 2), (math.nan, 2), (3.0, 0), (3.0, -1)])
+    def test_direct_domain(self, s, r):
+        with pytest.raises(ValueError, match="d1_direct requires s > 1 and r >= 1"):
+            dl.d1_direct(s, r)
 
 
 class TestBoundSideProducts:

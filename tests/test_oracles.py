@@ -46,12 +46,11 @@ class TestKernelAgainstScalarLoops:
     def test_mean_variance_sums(self, r, gamma):
         _check_mean_variance(gamma, r)
 
-    @pytest.mark.parametrize("k_cap", [None, 9, 300])
-    def test_minor_arc_log_ratio(self, r, gamma, k_cap):
+    def test_minor_arc_log_ratio(self, r, gamma):
         for u in US:
             for theta in (0.3, math.pi):
-                want = oracle.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
-                got = sd.minor_arc_log_ratio(gamma, theta, u, r, k_cap)
+                want = oracle.minor_arc_log_ratio(gamma, theta, u, r)
+                got = sd.minor_arc_log_ratio(gamma, theta, u, r)
                 assert _close(got, want), (u, theta, got, want)
 
 
@@ -79,7 +78,7 @@ def test_one_pass_equals_single_requests():
 def test_kernel_caps(monkeypatch):
     # k_cap 0 sums nothing; a sum of zeros never meets the rule before q
     # underflows, so a small gamma runs into the hard cap
-    assert sd.minor_arc_log_ratio(0.1, 1.0, 1.0, 2, k_cap=0) == 0.0
+    assert sd._ksum(0.1, 2, lambda k, q: [q], k_cap=0) == [0.0]
     monkeypatch.setattr(sd, "HARD_TERM_CAP", 5000)
     assert sd._ksum(1e-5, None, lambda k, q: [0.0 * k], k_cap=5000) == [0.0]
     with pytest.raises(RuntimeError, match="budget exhausted"):
@@ -167,13 +166,18 @@ def test_prime_sieve_large_limits(limit):
 # ---------------------------------------------------------------------------
 
 def test_characters_match_scalar_construction():
+    # every row equals the scalar construction, and row 0 is the only
+    # principal row: 1 on every unit, where each other row is not
     for m in range(2, arith.CHARACTER_MODULUS_LIMIT + 1):
         chars = arith.characters_mod(m)
         want = oracle.characters(m)
-        assert len(chars) == len(want) == arith.euler_phi(m)
-        for chi, (values, principal) in zip(chars, want):
-            assert chi.is_principal == principal, m
-            assert max(abs(a - b) for a, b in zip(chi.values, values)) <= 1e-15, m
+        assert chars.shape == (len(want), m) and len(want) == arith.euler_phi(m)
+        assert [principal for _, principal in want] == [True] + [False] * (len(want) - 1), m
+        for chi, (values, _) in zip(chars, want):
+            assert max(abs(a - b) for a, b in zip(chi, values)) <= 1e-15, m
+        units = np.gcd(np.arange(m), m) == 1
+        principal = [np.array_equal(chi, units.astype(complex)) for chi in chars]
+        assert principal == [True] + [False] * (len(chars) - 1), m
 
 
 def test_shifted_identity_matches_scalar_loop():

@@ -192,13 +192,14 @@ class TestSolveSaddle:
             sd.solve_saddle(n, u, r, mode=mode)
             assert len(passes) <= 10, (n, r, u, len(passes))
 
-    def test_flat_profile_reports_samples(self, monkeypatch):
+    def test_flat_profile_exhausts_the_evaluations(self, monkeypatch):
         # no slope and never reaching n: halving runs out of evaluations
-        monkeypatch.setattr(sd, "_saddle_equation", lambda t, u, r, mode: (0.5, 0.0))
-        with pytest.raises(sd.SaddleBracketError) as exc:
+        calls = []
+        monkeypatch.setattr(sd, "_saddle_equation",
+                            lambda t, u, r, mode: calls.append(t) or (0.5, 0.0))
+        with pytest.raises(sd.SaddleBracketError, match="did not converge"):
             sd.solve_saddle(1, 1.0, 2)
-        assert len(exc.value.profile) == sd.MAX_SOLVE_STEPS
-        assert all(f == 0.5 for _, f in exc.value.profile)
+        assert len(calls) == sd.MAX_SOLVE_STEPS
 
     # At n = 16, r = 2 the general solve starts at tau = 16^(-1/4) = 0.5
     # exactly, so scripted profiles can put a Newton step on a chosen float.
@@ -699,11 +700,6 @@ class TestMinorArc:
         logs = [sd.minor_arc_log_ratio(t, math.pi, 1.0, 2) for t in (0.1, 0.05, 0.02)]
         assert all(b < a for a, b in zip(logs, logs[1:]))
         assert all(v < 0.0 for v in logs)
-
-    def test_nonnegative_gap_window_never_exceeds_one(self):
-        # gaps for r=2 are nonnegative through k = 9
-        for theta in (0.3, 1.0, 2.0, math.pi):
-            assert sd.minor_arc_ratio(0.4, theta, 1.0, 2, k_cap=9) <= 1.0
 
     def test_domain(self):
         for tau, u in ((0.0, 1.0), (math.nan, 1.0), (0.1, 0.0), (0.1, math.nan)):
